@@ -33,45 +33,70 @@ RDD_WORKSPACE=off cargo test -q -p rdd-core --test workspace_equivalence
 
 echo "==> telemetry disabled-path guard"
 # With RDD_TRACE unset the recorder must stay off: no trace file may appear,
-# and a traced run must produce JSONL that the offline validator accepts.
-rustc --edition 2021 -O tools/trace_check.rs -o target/trace_check
+# and a traced run must produce JSONL that `rdd report` accepts (it checks
+# every line against the event schema and exits non-zero on a violation).
+RDD="cargo run -q --release -p rdd-cli --"
 GUARD_DIR="$(mktemp -d)"
 trap 'rm -rf "$GUARD_DIR"' EXIT
-env -u RDD_TRACE cargo run -q --release -p rdd-cli -- train tiny --method gcn >/dev/null
-target/trace_check --absent "$GUARD_DIR/off.jsonl"
-RDD_TRACE="$GUARD_DIR/on.jsonl" cargo run -q --release -p rdd-cli -- train tiny --method rdd --models 2 >/dev/null
-target/trace_check "$GUARD_DIR/on.jsonl"
-RDD_TRACE="$GUARD_DIR/on.jsonl" cargo run -q --release -p rdd-cli -- trace-summary "$GUARD_DIR/on.jsonl" >/dev/null
+env -u RDD_TRACE $RDD train tiny --method gcn >/dev/null
+test ! -e "$GUARD_DIR/off.jsonl" \
+  || { echo "telemetry guard: a trace file appeared with telemetry disabled" >&2; exit 1; }
+RDD_TRACE="$GUARD_DIR/on.jsonl" $RDD train tiny --method rdd --models 2 >/dev/null
+$RDD report "$GUARD_DIR/on.jsonl" >/dev/null
+
+echo "==> trace validator rejects schema violations"
+# This script relies on `rdd report`'s exit status to validate every trace, so
+# prove a violation reaches it: the traced run plus one bad line (an epoch
+# with |V_b| > |V_r|, then a serve_batch whose hits + misses != nodes) must
+# fail, naming the line and the broken rule.
+BAD_LINE="$(($(wc -l < "$GUARD_DIR/on.jsonl") + 1))"
+for bad in \
+  '{"ev":"epoch","t_ms":1,"model":"gcn","member":1,"epoch":0,"loss":1,"l1":1,"l2":0,"lreg":0,"gamma":0.5,"v_r":3,"v_b":5,"e_r":0,"agreement":1,"teacher_entropy_thresh":null,"student_entropy_thresh":null,"alpha":[1],"train_acc":0.5,"val_acc":0.5,"test_acc":0.5}|v_b=5 > v_r=3' \
+  '{"ev":"serve_batch","t_ms":1,"requests":1,"nodes":2,"hits":1,"misses":0,"exec_ms":0.1,"lat_ms":[0.1]}|hits=1 + misses=0 != nodes=2'; do
+  { cat "$GUARD_DIR/on.jsonl"; printf '%s\n' "${bad%|*}"; } > "$GUARD_DIR/bad.jsonl"
+  if $RDD report "$GUARD_DIR/bad.jsonl" >/dev/null 2> "$GUARD_DIR/bad.err"; then
+    echo "trace validator: accepted a trace with a bad line (${bad#*|})" >&2; exit 1
+  fi
+  grep -q "line $BAD_LINE: .*${bad#*|}" "$GUARD_DIR/bad.err" \
+    || { echo "trace validator: error does not name line $BAD_LINE and ${bad#*|}" >&2; exit 1; }
+done
 
 echo "==> instrumentation overhead guard (disabled recorder: zero-alloc, cheap)"
 env -u RDD_TRACE cargo test -q --release -p rdd-obs --test overhead
 
 echo "==> report smoke + perf-regression gate"
 # `rdd report` must render the hierarchical self-time attribution from the
-# traced run, with self-times that cannot exceed the wall clock; then the
-# bench gate diffs the same trace against the committed baseline (generous
+# traced run, with self-times that cannot exceed the wall clock; then its
+# gate diffs the same trace against the committed baseline (generous
 # tolerances — it exists to catch order-of-magnitude regressions, not
 # machine-to-machine noise) and must prove it can fire via --inject.
-REPORT="$(cargo run -q --release -p rdd-cli -- report "$GUARD_DIR/on.jsonl")"
-echo "$REPORT" | grep -q "Kernel self-time attribution" \
+REPORT="$($RDD report "$GUARD_DIR/on.jsonl")"
+grep -q "Kernel self-time attribution" <<< "$REPORT" \
   || { echo "report smoke: missing self-time attribution section" >&2; exit 1; }
-echo "$REPORT" | grep -q "self-time total" \
+grep -q "self-time total" <<< "$REPORT" \
   || { echo "report smoke: missing self-time footer" >&2; exit 1; }
-rustc --edition 2021 -O tools/bench_gate.rs -o target/bench_gate
-target/bench_gate "$GUARD_DIR/on.jsonl" tools/bench_baseline.json \
+$RDD report "$GUARD_DIR/on.jsonl" --gate tools/bench_baseline.json \
   --tol-default 300 --floor-ms 0.25
-target/bench_gate "$GUARD_DIR/on.jsonl" "$GUARD_DIR/on.jsonl" --tol-default 75 --floor-ms 0.01
-if target/bench_gate "$GUARD_DIR/on.jsonl" "$GUARD_DIR/on.jsonl" \
-    --tol-default 75 --floor-ms 0.01 --inject 2.0 >/dev/null; then
-  echo "bench gate: injected 2x regression was not caught" >&2
+$RDD report "$GUARD_DIR/on.jsonl" --gate "$GUARD_DIR/on.jsonl" --tol-default 75 --floor-ms 0.01
+if $RDD report "$GUARD_DIR/on.jsonl" --gate "$GUARD_DIR/on.jsonl" \
+    --tol-default 75 --floor-ms 0.01 --inject 2.0 > "$GUARD_DIR/inject.txt" 2>&1; then
+  echo "report gate: injected 2x regression was not caught" >&2
   exit 1
 fi
+grep -q "REGRESSED" "$GUARD_DIR/inject.txt" \
+  || { echo "report gate: the injected run failed without a REGRESSED row" >&2; exit 1; }
+
+echo "==> every bench binary flushes telemetry at exit"
+# A traced paper binary must leave its kernel snapshot in the trace.
+RDD_TRIALS=1 RDD_TRACE="$GUARD_DIR/figure1.jsonl" \
+  cargo run -q --release -p rdd-bench --bin figure1 >/dev/null
+grep -q "Kernel self-time attribution" <<< "$($RDD report "$GUARD_DIR/figure1.jsonl")" \
+  || { echo "bench flush: figure1's trace has no kernel snapshot" >&2; exit 1; }
 
 echo "==> fault-injection matrix (kill, resume, compare bitwise)"
 # For each fault kind: run crash-safe under RDD_FAULT, then finish the run
 # (resume for the aborting kinds, in-process recovery for nan_loss) and
 # require the ensemble predictions to be byte-identical to a clean run.
-RDD="cargo run -q --release -p rdd-cli --"
 FAULT_DIR="$GUARD_DIR/faults"
 mkdir -p "$FAULT_DIR"
 $RDD train tiny --models 2 --pred-out "$FAULT_DIR/clean.txt" >/dev/null
@@ -111,14 +136,14 @@ RDD_TRACE="$SERVE_DIR/serve.jsonl" $RDD serve --artifact "$SERVE_DIR/model.artif
   < "$SERVE_DIR/requests.jsonl" > "$SERVE_DIR/replies.jsonl" 2>/dev/null
 cmp "$SERVE_DIR/offline.proba" "$SERVE_DIR/served.proba" \
   || { echo "serve smoke: served rows diverged from offline ensemble" >&2; exit 1; }
-target/trace_check "$SERVE_DIR/serve.jsonl"
-$RDD trace-summary "$SERVE_DIR/serve.jsonl" | grep -q "Serving" \
-  || { echo "serve smoke: trace-summary missing Serving section" >&2; exit 1; }
+SERVE_REPORT="$($RDD report "$SERVE_DIR/serve.jsonl")"
+grep -q "Serving" <<< "$SERVE_REPORT" \
+  || { echo "serve smoke: report missing Serving section" >&2; exit 1; }
 # The rolling-window heartbeat must reach the trace (at least the final
 # at-EOF beat) and render in the report's serving section.
 grep -q '"ev":"serve_metrics"' "$SERVE_DIR/serve.jsonl" \
   || { echo "serve smoke: no serve_metrics heartbeat in trace" >&2; exit 1; }
-$RDD report "$SERVE_DIR/serve.jsonl" | grep -q "Serve heartbeats" \
+grep -q "Serve heartbeats" <<< "$SERVE_REPORT" \
   || { echo "serve smoke: report missing serve heartbeats section" >&2; exit 1; }
 
 echo "==> wire robustness (bad lines get typed errors, the session keeps serving)"
@@ -284,8 +309,8 @@ awk 'FNR == 1 { f++ }
   || { echo "hot-swap gate: served rows diverged from their generation's dump" >&2; exit 1; }
 grep -q '"ev":"swap"' "$SWAP_DIR/swap.jsonl" \
   || { echo "hot-swap gate: no swap event in trace" >&2; exit 1; }
-$RDD trace-summary "$SWAP_DIR/swap.jsonl" | grep -q "Swap:" \
-  || { echo "hot-swap gate: trace-summary missing swap line" >&2; exit 1; }
+grep -q "Swap:" <<< "$($RDD report "$SWAP_DIR/swap.jsonl")" \
+  || { echo "hot-swap gate: report missing swap line" >&2; exit 1; }
 
 echo "==> serve chaos gate (injected panics: every request answered, bitwise, supervision in trace)"
 # Panics injected into the worker loop and the batch kernel must be
@@ -312,7 +337,7 @@ for site in serve_worker serve_batch; do
     || { echo "chaos gate: no worker_panic event under panic@$site" >&2; exit 1; }
   grep -q '"ev":"worker_respawn"' "$CHAOS_DIR/$site.jsonl" \
     || { echo "chaos gate: no worker_respawn event under panic@$site" >&2; exit 1; }
-  target/trace_check "$CHAOS_DIR/$site.jsonl"
+  $RDD report "$CHAOS_DIR/$site.jsonl" >/dev/null
 done
 # A corrupt shard must be detected at load time as a typed error, never
 # served silently.
@@ -368,7 +393,7 @@ grep -q '"ev":"swap_failed"' "$ROLL_DIR/roll.jsonl" \
   || { echo "swap-rollback gate: no swap_failed event in trace" >&2; exit 1; }
 grep -q '"ev":"swap"' "$ROLL_DIR/roll.jsonl" \
   || { echo "swap-rollback gate: no swap event after recovery" >&2; exit 1; }
-target/trace_check "$ROLL_DIR/roll.jsonl"
+$RDD report "$ROLL_DIR/roll.jsonl" >/dev/null
 
 echo "==> breaker smoke (slow batches trip the breaker open, probes close it)"
 # A paced request stream against an injected-slow batch kernel must trip
@@ -396,9 +421,8 @@ grep -q '"state":"closed","from":"half_open"' "$BRK_DIR/breaker.jsonl" \
   || { echo "breaker smoke: breaker never closed after recovery" >&2; exit 1; }
 grep -q "overloaded" "$BRK_DIR/replies.jsonl" \
   || { echo "breaker smoke: no typed Overloaded rejections while open" >&2; exit 1; }
-$RDD trace-summary "$BRK_DIR/breaker.jsonl" | grep -q "Breaker:" \
-  || { echo "breaker smoke: trace-summary missing Breaker lines" >&2; exit 1; }
-target/trace_check "$BRK_DIR/breaker.jsonl"
+grep -q "Breaker:" <<< "$($RDD report "$BRK_DIR/breaker.jsonl")" \
+  || { echo "breaker smoke: report missing Breaker lines" >&2; exit 1; }
 
 echo "==> distill gate (distill-mlp, v3 artifact, ByFeatures served bitwise vs offline student)"
 # Distill the frozen cora-sim ensemble into the graph-free MLP student:

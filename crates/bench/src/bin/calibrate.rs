@@ -72,4 +72,5 @@ fn main() {
                 .join(", ")
         );
     }
+    rdd_obs::flush();
 }

@@ -38,4 +38,5 @@ fn main() {
     }
     println!();
     println!("histogram buckets: [0 hops (labeled), 1, 2, 3, 4+, unreachable]");
+    rdd_obs::flush();
 }

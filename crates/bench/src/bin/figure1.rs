@@ -38,4 +38,5 @@ fn main() {
     }
     println!();
     println!("paper: accuracy rises from ~75% at 1.3% label rate to ~81.8% at 5.2%.");
+    rdd_obs::flush();
 }

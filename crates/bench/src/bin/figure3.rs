@@ -135,4 +135,5 @@ fn main() {
     println!("expected shape (paper Figure 3): classical KD inherits the teacher's");
     println!("mistakes at the highest rate; RDD stays closer to the independent");
     println!("student on teacher-wrong nodes while gaining accuracy overall.");
+    rdd_obs::flush();
 }

@@ -107,4 +107,5 @@ fn main() {
     println!();
     println!("paper shape: RDD(Single) dominates all single baselines at every budget;");
     println!("RDD(Ensemble) dominates Bagging/BANs, with Bagging closing in at 65–77/class.");
+    rdd_obs::flush();
 }

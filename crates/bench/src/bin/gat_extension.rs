@@ -63,4 +63,5 @@ fn main() {
         let (m, s) = mean_std(accs);
         println!("  {label:<20} {}", pct_pm(m, s));
     }
+    rdd_obs::flush();
 }

@@ -29,4 +29,5 @@ fn main() {
         let data = preset(name).generate();
         println!("{}", DatasetStats::of(&data).row());
     }
+    rdd_obs::flush();
 }

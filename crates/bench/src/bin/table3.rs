@@ -107,4 +107,5 @@ fn main() {
             &cells.iter().map(String::as_str).collect::<Vec<_>>(),
         );
     }
+    rdd_obs::flush();
 }

@@ -69,4 +69,5 @@ fn main() {
     print_measured(&tp, "LP", &lp_acc, &paper::T4_LITERATURE[0].1);
     print_measured(&tp, "GCN", &gcn_acc, &paper::T4_LITERATURE[8].1);
     print_measured(&tp, "RDD(Single)", &rdd_acc, &paper::T4_RDD_SINGLE);
+    rdd_obs::flush();
 }

@@ -72,4 +72,5 @@ fn main() {
     for (label, cells) in rows {
         tp.row(label, &cells.iter().map(String::as_str).collect::<Vec<_>>());
     }
+    rdd_obs::flush();
 }

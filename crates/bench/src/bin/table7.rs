@@ -43,4 +43,5 @@ fn main() {
         }
     }
     println!("\npaper (p=40): best 86.1 at γ=1, β=10; γ=0 column ~84.2–84.6; β=0 row ~84.2–85.3.");
+    rdd_obs::flush();
 }

@@ -57,4 +57,5 @@ fn main() {
             .collect();
         tp.row(label, &cells.iter().map(String::as_str).collect::<Vec<_>>());
     }
+    rdd_obs::flush();
 }

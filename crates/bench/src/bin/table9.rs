@@ -121,4 +121,5 @@ fn main() {
         let accs: Vec<String> = prefix.iter().map(|a| format!("{:.1}", 100.0 * a)).collect();
         println!("  {label:<14} {}", accs.join(" -> "));
     }
+    rdd_obs::flush();
 }

@@ -4,7 +4,7 @@
 //! `rdd-serve` — so run-directory, checkpoint, dataset-IO, config, and
 //! serving failures all reach the user through one `Display` path.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use rdd_baselines::lp::{predict as lp_predict, LpConfig};
@@ -18,12 +18,11 @@ use rdd_models::{
     train as train_model, Gat, GatConfig, Gcn, GcnConfig, GraphContext, GraphSage, PredictRequest,
     Predictor, PredictorExt, SageConfig, TrainConfig,
 };
-use rdd_obs::Json;
+use rdd_obs::{gate, Json, TraceSummary};
 use rdd_serve::{
-    bench_artifact, bench_artifact_features, bench_artifact_pooled, export_run_as,
-    export_run_sharded, quant, write_mlp_artifact, AnyArtifact, Artifact, ArtifactFormat,
-    ArtifactMeta, ArtifactWatcher, BreakerConfig, MlpArtifact, PoolConfig, RddError, ServeConfig,
-    ServeEngine, ServePool, ServeReply, WatchOutcome,
+    export_run_as, export_run_sharded, quant, write_mlp_artifact, AnyArtifact, ArtifactFormat,
+    ArtifactMeta, ArtifactWatcher, BreakerConfig, PoolConfig, RddError, ServeConfig, ServeEngine,
+    ServePool, ServeReply, WatchOutcome,
 };
 use rdd_tensor::{seeded_rng, Matrix};
 
@@ -313,33 +312,41 @@ pub fn resume(args: &Args) -> Result<(), RddError> {
     Ok(())
 }
 
-/// `rdd trace-summary <file.jsonl>` — validate and render an RDD_TRACE file.
-pub fn trace_summary(args: &Args) -> Result<(), RddError> {
-    let [_, path] = args.positional.as_slice() else {
-        return Err(RddError::Cli(
-            "usage: rdd trace-summary <file.jsonl>".into(),
-        ));
-    };
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| RddError::Cli(format!("failed to read {path}: {e}")))?;
-    let summary = rdd_obs::validate(&src).map_err(|e| RddError::Cli(format!("{path}: {e}")))?;
-    print!("{}", summary.render());
-    Ok(())
-}
-
 /// `rdd report <trace.jsonl|run-dir>` — the full run report: member
 /// convergence and alpha, reliability-set evolution, kernel self-time
-/// attribution, and the histogram-derived serve section. A trace file
-/// gives the complete report; a crash-safe run directory (no trace) gives
-/// the member/alpha view reconstructed from its manifest.
+/// attribution, counters and gauges, the histogram-derived serve section
+/// and every recovery event. A trace file gives the complete report (and
+/// fails on the first line that breaks the event schema); a crash-safe run
+/// directory (no trace) gives the member/alpha view reconstructed from its
+/// manifest.
+///
+/// `--gate <baseline>` prints the perf-regression table of the trace
+/// against a baseline (flat JSON or another trace) instead, and fails when
+/// a metric regressed (`--tol-default PCT`, `--floor-ms F`, `--inject
+/// FACTOR`; see `rdd_obs::gate`). `--write-baseline <out>` writes the
+/// trace's metric set as a flat baseline.
 pub fn report(args: &Args) -> Result<(), RddError> {
+    const USAGE: &str = "usage: rdd report <trace.jsonl|run-dir> [--gate <baseline> \
+                         [--tol-default PCT] [--floor-ms F] [--inject FACTOR]] \
+                         [--write-baseline <out.json>]";
     let [_, target] = args.positional.as_slice() else {
-        return Err(RddError::Cli(
-            "usage: rdd report <trace.jsonl|run-dir>".into(),
-        ));
+        return Err(RddError::Cli(USAGE.into()));
     };
+    args.check_options(&[
+        "gate",
+        "tol-default",
+        "floor-ms",
+        "inject",
+        "write-baseline",
+    ])
+    .map_err(|e| RddError::Cli(format!("{e}\n{USAGE}")))?;
     let path = Path::new(target);
     if path.is_dir() {
+        if !args.options.is_empty() || !args.flags.is_empty() {
+            return Err(RddError::Cli(format!(
+                "a run directory holds no trace to gate\n{USAGE}"
+            )));
+        }
         let run = rdd_core::RunState::load(path)?;
         println!("RDD run report: {}", path.display());
         println!(
@@ -387,9 +394,45 @@ pub fn report(args: &Args) -> Result<(), RddError> {
     }
     let src = std::fs::read_to_string(target)
         .map_err(|e| RddError::Cli(format!("failed to read {target}: {e}")))?;
-    let report =
-        rdd_obs::render_report(&src).map_err(|e| RddError::Cli(format!("{target}: {e}")))?;
-    print!("{report}");
+    let summary = TraceSummary::parse(&src).map_err(|e| RddError::Cli(format!("{target}: {e}")))?;
+    if let Some(out) = args.options.get("write-baseline") {
+        let metrics = gate::metrics_from_summary(&summary);
+        gate::write_baseline(Path::new(out), &metrics).map_err(RddError::Cli)?;
+        println!("wrote {} metrics to {out}", metrics.len());
+    }
+    let Some(baseline) = args.options.get("gate") else {
+        if !args.options.contains_key("write-baseline") {
+            print!("{}", summary.render_report());
+        }
+        return Ok(());
+    };
+    let finite = |flag: &str, default: f64| -> Result<f64, RddError> {
+        match args.get_or(flag, default)? {
+            v if v.is_finite() => Ok(v),
+            v => Err(RddError::Cli(format!(
+                "--{flag} needs a finite number, got {v}"
+            ))),
+        }
+    };
+    let defaults = gate::GateConfig::default();
+    let cfg = gate::GateConfig {
+        tol_default: finite("tol-default", defaults.tol_default)?,
+        floor_ms: finite("floor-ms", defaults.floor_ms)?,
+        inject: finite("inject", defaults.inject)?,
+    };
+    let baseline_metrics = gate::load_metrics(Path::new(baseline)).map_err(RddError::Cli)?;
+    let (table, regressed) = gate::run_gate(
+        &gate::metrics_from_summary(&summary),
+        &baseline_metrics,
+        &cfg,
+    );
+    print!("{table}");
+    if regressed {
+        return Err(RddError::Cli(format!(
+            "{target}: at least one metric regressed past tolerance against {baseline}"
+        )));
+    }
+    println!("gate: pass");
     Ok(())
 }
 
@@ -476,48 +519,6 @@ pub fn export(args: &Args) -> Result<(), RddError> {
     Ok(())
 }
 
-/// Shared by `distill-mlp` and `serve-bench --features-mode`: distill a
-/// completed run directory's ensemble into a graph-free MLP student and
-/// freeze it as a v3 (mlp) artifact. Returns the distillation outcome and
-/// the written artifact's checksum.
-fn distill_run_to_artifact(
-    args: &Args,
-    run_dir: &Path,
-    artifact_path: &Path,
-    quantize: bool,
-    fast: bool,
-) -> Result<(rdd_core::DistillOutcome, u64), RddError> {
-    let state = RunState::load(run_dir)?;
-    let data = load(state.source(), None)?;
-    let mut cfg = if fast {
-        DistillConfig::fast()
-    } else {
-        DistillConfig::standard()
-    };
-    cfg.lambda_kd = args.get_or("lambda", cfg.lambda_kd)?;
-    cfg.p = args.get_or("p", cfg.p)?;
-    cfg.seed = args.get_or("seed", cfg.seed)?;
-    cfg.train.epochs = args.get_or("epochs", cfg.train.epochs)?;
-    cfg.validate().map_err(|e| RddError::Cli(e.to_string()))?;
-    let out = distill_run(&state, &data, &cfg)?;
-    let student_params = rdd_models::Model::params(&out.student).to_vec();
-    // The artifact's meta is the *teacher's* provenance — the student's own
-    // shape lives in the v3 `mlp` line. This keeps `artifact-info` and
-    // `AnyArtifact::meta()` uniform across every format.
-    let (n, k) = state.dataset_shape();
-    let meta = ArtifactMeta {
-        dataset_name: state.dataset_name().to_string(),
-        dataset_n: n,
-        num_classes: k,
-        source: state.source().to_string(),
-        members: out.teacher_alphas.len(),
-        alphas: out.teacher_alphas.clone(),
-        alpha_total: out.teacher_alpha_total,
-    };
-    let checksum = write_mlp_artifact(artifact_path, &meta, &student_params, quantize)?;
-    Ok((out, checksum))
-}
-
 /// `rdd distill-mlp <run-dir> <artifact> [--quantize int8] [--lambda F]
 /// [--p F] [--seed N] [--epochs N] [--fast]` — train a graph-free MLP
 /// student against the completed run's frozen ensemble (soft targets
@@ -542,13 +543,34 @@ pub fn distill_mlp(args: &Args) -> Result<(), RddError> {
             )))
         }
     };
-    let (out, checksum) = distill_run_to_artifact(
-        args,
-        Path::new(run_dir),
-        Path::new(artifact_path),
-        quantize,
-        args.has_flag("fast"),
-    )?;
+    let state = RunState::load(Path::new(run_dir))?;
+    let data = load(state.source(), None)?;
+    let mut cfg = if args.has_flag("fast") {
+        DistillConfig::fast()
+    } else {
+        DistillConfig::standard()
+    };
+    cfg.lambda_kd = args.get_or("lambda", cfg.lambda_kd)?;
+    cfg.p = args.get_or("p", cfg.p)?;
+    cfg.seed = args.get_or("seed", cfg.seed)?;
+    cfg.train.epochs = args.get_or("epochs", cfg.train.epochs)?;
+    cfg.validate().map_err(|e| RddError::Cli(e.to_string()))?;
+    let out = distill_run(&state, &data, &cfg)?;
+    let student_params = rdd_models::Model::params(&out.student).to_vec();
+    // The artifact's meta is the *teacher's* provenance — the student's own
+    // shape lives in the v3 `mlp` line. This keeps `artifact-info` and
+    // `AnyArtifact::meta()` uniform across every format.
+    let (n, k) = state.dataset_shape();
+    let meta = ArtifactMeta {
+        dataset_name: state.dataset_name().to_string(),
+        dataset_n: n,
+        num_classes: k,
+        source: state.source().to_string(),
+        members: out.teacher_alphas.len(),
+        alphas: out.teacher_alphas.clone(),
+        alpha_total: out.teacher_alpha_total,
+    };
+    let checksum = write_mlp_artifact(Path::new(artifact_path), &meta, &student_params, quantize)?;
     println!("distilled {run_dir} -> {artifact_path} (v3 mlp)");
     println!("  student test acc:   {:.1}%", 100.0 * out.student_test_acc);
     println!("  student val acc:    {:.1}%", 100.0 * out.student_val_acc);
@@ -1535,203 +1557,6 @@ fn serve_pooled(
         );
     }
     sink.finish(args)
-}
-
-/// Render the serve-bench result table on stdout.
-fn print_bench_results(results: &[rdd_serve::BenchResult]) {
-    println!(
-        "{:<20} {:>6} {:>7} {:>9} {:>10} {:>9} {:>9} {:>9} {:>6}",
-        "mode", "batch", "workers", "requests", "rps", "p50 ms", "p99 ms", "hit rate", "util"
-    );
-    println!("{}", "-".repeat(93));
-    for r in results {
-        println!(
-            "{:<20} {:>6} {:>7} {:>9} {:>10.0} {:>9.4} {:>9.4} {:>8.1}% {:>5.0}%",
-            r.mode,
-            r.batch_size,
-            r.workers,
-            r.requests,
-            r.rps,
-            r.p50_ms,
-            r.p99_ms,
-            100.0 * r.hit_rate,
-            100.0 * r.utilization
-        );
-    }
-}
-
-/// Honor `--out FILE` for serve-bench: one JSON object with the run's
-/// shape and every mode's row.
-fn write_bench_report(
-    args: &Args,
-    meta: &ArtifactMeta,
-    requests: usize,
-    workers: usize,
-    features_mode: bool,
-    results: &[rdd_serve::BenchResult],
-) -> Result<(), RddError> {
-    let Some(out_path) = args.options.get("out") else {
-        return Ok(());
-    };
-    let mut text = String::new();
-    Json::Obj(vec![
-        ("bench".into(), Json::from("serve-throughput")),
-        ("features_mode".into(), Json::from(features_mode)),
-        ("dataset".into(), Json::from(meta.dataset_name.as_str())),
-        ("nodes".into(), Json::from(meta.dataset_n)),
-        ("classes".into(), Json::from(meta.num_classes)),
-        ("members".into(), Json::from(meta.members)),
-        ("requests_per_mode".into(), Json::from(requests)),
-        ("workers".into(), Json::from(workers)),
-        (
-            "threads".into(),
-            Json::from(rdd_tensor::par::num_threads() as u64),
-        ),
-        (
-            "modes".into(),
-            Json::Arr(results.iter().map(|r| r.to_json()).collect()),
-        ),
-    ])
-    .write(&mut text);
-    text.push('\n');
-    std::fs::write(out_path, text)
-        .map_err(|e| RddError::Cli(format!("failed to write {out_path}: {e}")))?;
-    println!("wrote bench report to {out_path}");
-    Ok(())
-}
-
-/// The `serve-bench --features-mode` path: obtain a v3 (mlp) artifact —
-/// reuse `--artifact` when it already holds one, otherwise train a fast
-/// teacher and distill it — then drive the closed-loop feature-vector
-/// bench (cache disabled: feature rows are uncacheable by design).
-fn serve_bench_features(args: &Args, source: &str, requests: usize) -> Result<(), RddError> {
-    let models: usize = args.get_or("models", 3)?;
-    let reuse = args
-        .options
-        .get("artifact")
-        .map(PathBuf::from)
-        .filter(|p| p.exists());
-    let mlp = match reuse {
-        Some(path) => {
-            eprintln!("reusing artifact {}", path.display());
-            MlpArtifact::load(&path)?
-        }
-        None => {
-            let data = load(source, None)?;
-            let cfg = RddConfig::fast()
-                .to_builder()
-                .num_base_models(models)
-                .build()?;
-            let run_dir =
-                std::env::temp_dir().join(format!("rdd_serve_bench_{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&run_dir);
-            eprintln!("training {} fast teacher(s) on {}...", models, data.name);
-            RddTrainer::new(cfg).run_crash_safe(&data, &run_dir, source)?;
-            let keep = args.options.get("artifact").map(PathBuf::from);
-            let artifact_path = keep.clone().unwrap_or_else(|| {
-                std::env::temp_dir()
-                    .join(format!("rdd_serve_bench_{}.artifact", std::process::id()))
-            });
-            eprintln!("distilling the ensemble into an MLP student...");
-            let (out, _) = distill_run_to_artifact(args, &run_dir, &artifact_path, false, true)?;
-            eprintln!(
-                "student test acc {:.1}% (teacher {:.1}%, gap {:+.1}%)",
-                100.0 * out.student_test_acc,
-                100.0 * out.ensemble_test_acc,
-                100.0 * out.accuracy_gap()
-            );
-            let mlp = MlpArtifact::load(&artifact_path)?;
-            let _ = std::fs::remove_dir_all(&run_dir);
-            if keep.is_none() {
-                let _ = std::fs::remove_file(&artifact_path);
-            }
-            mlp
-        }
-    };
-    let results = bench_artifact_features(&mlp, requests)?;
-    print_bench_results(&results);
-    write_bench_report(args, mlp.meta(), requests, 1, true, &results)
-}
-
-/// `rdd serve-bench <preset|dir> [--models N] [--requests N] [--out FILE]`
-/// — train a fast teacher (unless `--artifact` points at an existing
-/// file), export it, and run the closed-loop throughput bench across
-/// {unbatched, batched} × {cache cold, warm}. With `--workers N` the bench
-/// instead drives a [`ServePool`] of N threads (cold then warm) — run it at
-/// 1/2/4/8 workers for the serve scaling curve. `--features-mode` benches
-/// feature-vector serving instead: distill the teacher into an MLP student
-/// (or reuse a v3 `--artifact`) and drive `{"features": ...}` requests.
-pub fn serve_bench(args: &Args) -> Result<(), RddError> {
-    let source = args.positional.get(1).ok_or_else(|| {
-        RddError::Cli(
-            "usage: rdd serve-bench <preset|dir> [--models N] [--requests N] [--workers N] \
-             [--out FILE] [--artifact FILE] [--features-mode]"
-                .into(),
-        )
-    })?;
-    let requests: usize = args.get_or("requests", 2000)?;
-    if args.has_flag("features-mode") {
-        return serve_bench_features(args, source, requests);
-    }
-    let models: usize = args.get_or("models", 3)?;
-    let workers: Option<usize> = if args.options.contains_key("workers") {
-        let w: usize = args.get_or("workers", 1)?;
-        if w == 0 {
-            return Err(RddError::Cli("--workers must be >= 1".into()));
-        }
-        Some(w)
-    } else {
-        None
-    };
-
-    let reuse = args
-        .options
-        .get("artifact")
-        .map(PathBuf::from)
-        .filter(|p| p.exists());
-    let artifact = match reuse {
-        Some(path) => {
-            eprintln!("reusing artifact {}", path.display());
-            Artifact::load(&path)?
-        }
-        None => {
-            let data = load(source, None)?;
-            let cfg = RddConfig::fast()
-                .to_builder()
-                .num_base_models(models)
-                .build()?;
-            let run_dir =
-                std::env::temp_dir().join(format!("rdd_serve_bench_{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&run_dir);
-            eprintln!("training {} fast teacher(s) on {}...", models, data.name);
-            RddTrainer::new(cfg).run_crash_safe(&data, &run_dir, source)?;
-            let keep = args.options.get("artifact").map(PathBuf::from);
-            let artifact_path = keep.clone().unwrap_or_else(|| {
-                std::env::temp_dir()
-                    .join(format!("rdd_serve_bench_{}.artifact", std::process::id()))
-            });
-            let artifact = export_run_as(&run_dir, &artifact_path, ArtifactFormat::V1)?;
-            let _ = std::fs::remove_dir_all(&run_dir);
-            if keep.is_none() {
-                let _ = std::fs::remove_file(&artifact_path);
-            }
-            artifact
-        }
-    };
-
-    let results = match workers {
-        Some(w) => bench_artifact_pooled(&artifact, requests, w)?,
-        None => bench_artifact(&artifact, requests)?,
-    };
-    print_bench_results(&results);
-    write_bench_report(
-        args,
-        artifact.meta(),
-        requests,
-        workers.unwrap_or(1),
-        false,
-        &results,
-    )
 }
 
 #[cfg(test)]

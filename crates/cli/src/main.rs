@@ -6,9 +6,10 @@
 //! rdd train <preset|dir> [--method M] [...]     train and report test accuracy
 //! rdd resume <run-dir>                          finish an interrupted crash-safe run
 //! rdd compare <preset|dir> [--models N]         run every method side by side
-//! rdd trace-summary <file.jsonl>                render an RDD_TRACE telemetry file
-//! rdd report <trace.jsonl|run-dir>              full run report: convergence, reliability
-//!                                               evolution, kernel self-times, serve metrics
+//! rdd report <trace.jsonl|run-dir>              validate a trace and print the run report:
+//!                                               convergence, reliability evolution, kernel
+//!                                               self-times, counters, serving, recovery
+//!            [--gate <baseline>]                perf-regression gate against a baseline
 //! rdd export <run-dir> <artifact>               freeze a completed run into an artifact
 //!                      [--quantize int8]        (int8-quantized v2q format, ~0.3x size)
 //! rdd distill-mlp <run-dir> <artifact>          distill the frozen ensemble into a graph-free
@@ -16,11 +17,10 @@
 //! rdd artifact-info <artifact>                  validate and describe an artifact
 //! rdd serve --artifact <path>                   JSON request loop over the artifact
 //!                                               ({"nodes":[..]} or {"features":[..]} requests)
-//! rdd serve-bench <preset|dir> [--requests N]   closed-loop serving throughput bench
 //! ```
 //!
 //! Set `RDD_TRACE=<path|stderr>` to capture structured telemetry (JSONL) from
-//! any command; inspect it afterwards with `rdd trace-summary`.
+//! any command; inspect it afterwards with `rdd report`.
 //!
 //! Methods: `gcn`, `gat`, `sage`, `rdd` (default), `bagging`, `bans`, `lp`,
 //! `self-training`, `co-training`, `snapshot`, `mean-teacher`.
@@ -38,8 +38,9 @@ const USAGE: &str = "usage:
             [--run-dir <dir>] [--pred-out <file>]      (rdd method only)
   rdd resume <run-dir> [--pred-out <file>]
   rdd compare <preset|dir> [--models N] [--seed N]
-  rdd trace-summary <file.jsonl>
   rdd report <trace.jsonl|run-dir>
+  rdd report <trace.jsonl> --gate <baseline> [--tol-default PCT] [--floor-ms F] [--inject FACTOR]
+  rdd report <trace.jsonl> --write-baseline <out.json>
   rdd export <run-dir> <artifact> [--quantize int8] [--shards K]
   rdd distill-mlp <run-dir> <artifact> [--quantize int8] [--lambda F] [--p F] [--seed N]
             [--epochs N] [--fast]
@@ -49,8 +50,6 @@ const USAGE: &str = "usage:
             [--deadline-ms MS] [--watch-artifact] [--breaker-p99-ms MS] [--metrics-every SECS]
             [--proba-out <file>] [--served-out <file>]
             (a batch flushes on --batch requests or as soon as the input is drained; no timer)
-  rdd serve-bench <preset|dir> [--models N] [--requests N] [--workers N] [--out FILE] [--artifact FILE]
-            [--features-mode]
 
 presets: cora, citeseer, pubmed, nell, tiny
 env: RDD_TRACE=<path|stderr|off> structured telemetry sink, RDD_THREADS=N worker pool size,
@@ -82,13 +81,11 @@ fn main() {
         "train" => commands::train(&args),
         "resume" => commands::resume(&args),
         "compare" => commands::compare(&args),
-        "trace-summary" => commands::trace_summary(&args),
         "report" => commands::report(&args),
         "export" => commands::export(&args),
         "distill-mlp" => commands::distill_mlp(&args),
         "artifact-info" => commands::artifact_info(&args),
         "serve" => commands::serve(&args),
-        "serve-bench" => commands::serve_bench(&args),
         "help" | "--help" => {
             println!("{USAGE}");
             Ok(())

@@ -166,7 +166,16 @@ pub fn load_matrices(path: &Path) -> Result<(String, Vec<Matrix>), CheckpointErr
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| CheckpointError::Parse(format!("bad params line {count_line:?}")))?;
 
-    let mut matrices = Vec::with_capacity(count);
+    // Every value takes at least one byte of text, so a count above the
+    // file's length is forged or corrupt; reserving for it could abort.
+    let claimed = |n: Option<usize>, line: &str| match n {
+        Some(n) if n <= text.len() => Ok(n),
+        _ => Err(CheckpointError::Parse(format!(
+            "{line:?} claims more values than the {}-byte file holds",
+            text.len()
+        ))),
+    };
+    let mut matrices = Vec::with_capacity(claimed(Some(count), count_line)?);
     for m in 0..count {
         let shape_line = lines
             .next()
@@ -183,7 +192,7 @@ pub fn load_matrices(path: &Path) -> Result<(String, Vec<Matrix>), CheckpointErr
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| CheckpointError::Parse("bad cols".into()))?;
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut data = Vec::with_capacity(claimed(rows.checked_mul(cols), shape_line)?);
         for r in 0..rows {
             let row_line = lines
                 .next()

@@ -124,3 +124,39 @@ fn garbage_appended_to_valid_checkpoint_is_rejected() {
     assert!(err.to_string().contains("trailing"), "got {err}");
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn crafted_counts_are_typed_errors_not_aborts() {
+    // A `params` count or matrix shape claiming more values than the file
+    // holds used to be reserved up front, aborting the process (or
+    // overflowing `rows * cols`) before a single row was read.
+    let text = checkpoint_text("src_crafted");
+    let header = |prefix: &str| text.lines().find(|l| l.starts_with(prefix)).expect(prefix);
+    let (params, first_matrix) = (header("params "), header("matrix "));
+    let cases = [
+        (
+            "params",
+            text.replacen(params, "params 4000000000000000", 1),
+        ),
+        (
+            "shape",
+            text.replacen(first_matrix, "matrix 40000000000 7000", 1),
+        ),
+        (
+            "overflow",
+            text.replacen(first_matrix, "matrix 4294967296 4294967297", 1),
+        ),
+    ];
+    for (tag, crafted) in cases {
+        assert!(crafted != text, "{tag}: the edit must apply");
+        let path = tmp(&format!("crafted_{tag}"));
+        std::fs::write(&path, crafted).expect("write");
+        let err = load_matrices(&path).expect_err("crafted count must fail");
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(err, CheckpointError::Parse(_)), "{tag}: {err}");
+        assert!(
+            err.to_string().contains("claims more values"),
+            "{tag}: {err}"
+        );
+    }
+}

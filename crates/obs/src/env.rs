@@ -13,10 +13,8 @@
 //! site), matching the repo convention that env knobs are read once per
 //! process.
 
-// `super::` (not `crate::`) so these sources also work when mounted as a
-// module via `#[path]` in the registry-less tools binaries.
-use super::json::Json;
-use super::recorder;
+use crate::json::Json;
+use crate::recorder;
 
 /// The one warning format for a rejected env value. The recorder's own
 /// `RDD_TRACE` handling reuses this (it cannot emit an event mid-init).

@@ -33,8 +33,8 @@
 
 use std::sync::Mutex;
 
-use super::json::Json;
-use super::recorder::{event, warn};
+use crate::json::Json;
+use crate::recorder::{event, warn};
 
 /// What an injected fault does at its site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -16,9 +16,9 @@
 //!   quantiles and trace encoding all happen here; the serve engine's
 //!   rolling window keeps one per time slot.
 //!
-//! This module is deliberately free of recorder (and any non-`std`)
-//! dependencies so the offline tools (`tools/trace_check.rs`,
-//! `tools/bench_gate.rs`) can mount it with `#[path]` under bare `rustc`.
+//! This module is free of recorder dependencies: the offline trace reader
+//! (`rdd report`) rebuilds snapshots from `hist` events without a live
+//! recorder.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -13,9 +13,9 @@
 //!   whose disabled cost is one atomic load + branch. Spans are
 //!   hierarchical: per-thread stacks attribute self-time vs total-time and
 //!   record (child, parent) call edges.
-//! - [`telemetry`] / [`summarize`] / [`env`]: the domain event schema
-//!   (epoch / member / run / serve records), the offline validator +
-//!   renderer behind `rdd trace-summary` / `rdd report`, and the latched
+//! - [`telemetry`] / [`summarize`] / [`gate`] / [`env`]: the domain event
+//!   schema (epoch / member / run / serve records), the offline validator,
+//!   renderer and perf-regression gate behind `rdd report`, and the latched
 //!   env-var parse helper shared by `RDD_THREADS` / `RDD_WORKSPACE` /
 //!   `RDD_SIMD`.
 //!
@@ -59,6 +59,7 @@
 
 pub mod env;
 pub mod fault;
+pub mod gate;
 pub mod hist;
 pub mod json;
 pub mod recorder;
@@ -73,8 +74,7 @@ pub use recorder::{
     SpanCell, SpanGuard,
 };
 pub use summarize::{
-    percentile, render_report, render_table, sample_stats, validate, SampleStats, StatsError,
-    TraceSummary,
+    percentile, render_table, sample_stats, SampleStats, StatsError, TraceSummary,
 };
 pub use telemetry::{
     agreement_rate, emit_breaker_state, emit_checkpoint, emit_distill, emit_divergence,

@@ -42,10 +42,8 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-// `super::` (not `crate::`) so these sources also work when mounted as a
-// module via `#[path]` in the registry-less tools binaries.
-use super::hist::{AtomicHist, HistSnapshot};
-use super::json::Json;
+use crate::hist::{AtomicHist, HistSnapshot};
+use crate::json::Json;
 
 const UNINIT: u8 = 0;
 const OFF: u8 = 1;
@@ -147,7 +145,7 @@ fn init_from_env() -> bool {
                 // message format.
                 eprintln!(
                     "{}",
-                    super::env::warn_message("RDD_TRACE", path, &format!("a writable path ({e})"))
+                    crate::env::warn_message("RDD_TRACE", path, &format!("a writable path ({e})"))
                 );
                 None
             }

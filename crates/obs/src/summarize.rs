@@ -1,10 +1,10 @@
-//! Offline consumption of a JSONL trace: parse, validate against the event
-//! schema, and render the per-epoch table plus kernel-time breakdown that
-//! `rdd trace-summary <file.jsonl>` prints — and the full run report behind
-//! `rdd report` ([`TraceSummary::render_report`] / [`render_report`]).
+//! Offline consumption of a JSONL trace: [`TraceSummary::parse`] validates
+//! every line against the event schema, and
+//! [`TraceSummary::render_report`] renders the run report that
+//! `rdd report <file.jsonl>` prints.
 
-use super::hist::HistSnapshot;
-use super::json::{parse, Json};
+use crate::hist::HistSnapshot;
+use crate::json::{parse, Json};
 
 /// Cumulative wall time of one kernel (last snapshot in the trace wins —
 /// snapshots are cumulative per process).
@@ -248,114 +248,6 @@ impl TraceSummary {
         Ok(out)
     }
 
-    /// Render the human-facing summary: per-epoch table, member table,
-    /// kernel-time breakdown, counters/gauges, warnings.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        if !self.epochs.is_empty() {
-            out.push_str(&format!("Epochs ({} records)\n", self.epochs.len()));
-            let headers = [
-                "model", "mem", "epoch", "loss", "l1", "l2", "lreg", "gamma", "v_r", "v_b", "e_r",
-                "agree", "alpha", "train", "val", "test",
-            ];
-            let keys = [
-                "model",
-                "member",
-                "epoch",
-                "loss",
-                "l1",
-                "l2",
-                "lreg",
-                "gamma",
-                "v_r",
-                "v_b",
-                "e_r",
-                "agreement",
-                "alpha",
-                "train_acc",
-                "val_acc",
-                "test_acc",
-            ];
-            let rows: Vec<Vec<String>> = self
-                .epochs
-                .iter()
-                .map(|e| keys.iter().map(|k| fmt_field(e.get(k))).collect())
-                .collect();
-            out.push_str(&render_table(&headers, &rows));
-        }
-        if !self.members.is_empty() {
-            out.push_str("\nEnsemble members\n");
-            let headers = ["mem", "alpha", "val", "test", "epochs"];
-            let keys = ["member", "alpha", "val_acc", "test_acc", "epochs"];
-            let rows: Vec<Vec<String>> = self
-                .members
-                .iter()
-                .map(|e| keys.iter().map(|k| fmt_field(e.get(k))).collect())
-                .collect();
-            out.push_str(&render_table(&headers, &rows));
-        }
-        for run in &self.runs {
-            out.push_str(&format!(
-                "\nRun: ensemble test acc {}  single test acc {}  members {}\n",
-                fmt_field(run.get("ensemble_test_acc")),
-                fmt_field(run.get("single_test_acc")),
-                fmt_field(run.get("members")),
-            ));
-        }
-        if !self.kernels.is_empty() {
-            out.push_str("\nKernel time\n");
-            out.push_str(&self.render_kernel_table());
-        }
-        if !self.serves.is_empty()
-            || !self.serve_runs.is_empty()
-            || !self.swaps.is_empty()
-            || !self.breaker_states.is_empty()
-        {
-            out.push_str(&self.render_serving());
-        }
-        if !self.counters.is_empty() || !self.gauges.is_empty() {
-            out.push_str("\nCounters & gauges\n");
-            let rows: Vec<Vec<String>> = self
-                .counters
-                .iter()
-                .map(|(n, v)| vec![n.clone(), "counter".into(), format!("{v}")])
-                .chain(
-                    self.gauges
-                        .iter()
-                        .map(|(n, v)| vec![n.clone(), "gauge".into(), format!("{v}")]),
-                )
-                .collect();
-            out.push_str(&render_table(&["name", "kind", "value"], &rows));
-        }
-        if !self.recovery.is_empty() {
-            out.push_str(&format!(
-                "\nRecovery events ({} records)\n",
-                self.recovery.len()
-            ));
-            for e in &self.recovery {
-                let kind = e.get("ev").and_then(Json::as_str).unwrap_or("?");
-                let mut parts = Vec::new();
-                if let Json::Obj(fields) = e {
-                    for (k, v) in fields {
-                        if k != "ev" && k != "t_ms" {
-                            parts.push(format!("{k}={}", fmt_field(Some(v))));
-                        }
-                    }
-                }
-                out.push_str(&format!("  {kind}: {}\n", parts.join(" ")));
-            }
-        }
-        for w in &self.warnings {
-            out.push_str(&format!("\nwarning: {w}\n"));
-        }
-        if out.is_empty() {
-            out.push_str("(empty trace)\n");
-        }
-        out
-    }
-}
-
-impl TraceSummary {
     /// The "Serving" section: per-flush aggregates (batches, requests,
     /// cache hit rate) plus p50/p99 over every request latency recorded in
     /// the trace's `serve_batch` events.
@@ -683,11 +575,37 @@ impl TraceSummary {
             out.push_str(&render_table(&keys, &rows));
         }
 
+        if !self.counters.is_empty() || !self.gauges.is_empty() {
+            out.push_str("\nCounters & gauges\n");
+            let rows: Vec<Vec<String>> = self
+                .counters
+                .iter()
+                .map(|(n, v)| vec![n.clone(), "counter".into(), format!("{v}")])
+                .chain(
+                    self.gauges
+                        .iter()
+                        .map(|(n, v)| vec![n.clone(), "gauge".into(), format!("{v}")]),
+                )
+                .collect();
+            out.push_str(&render_table(&["name", "kind", "value"], &rows));
+        }
         if !self.recovery.is_empty() {
             out.push_str(&format!(
-                "\nRecovery events: {} (see trace-summary for detail)\n",
+                "\nRecovery events ({} records)\n",
                 self.recovery.len()
             ));
+            for e in &self.recovery {
+                let kind = e.get("ev").and_then(Json::as_str).unwrap_or("?");
+                let mut parts = Vec::new();
+                if let Json::Obj(fields) = e {
+                    for (k, v) in fields {
+                        if k != "ev" && k != "t_ms" {
+                            parts.push(format!("{k}={}", fmt_field(Some(v))));
+                        }
+                    }
+                }
+                out.push_str(&format!("  {kind}: {}\n", parts.join(" ")));
+            }
         }
         if !self.env_warns.is_empty() {
             out.push_str("\nEnvironment warnings\n");
@@ -708,12 +626,6 @@ impl TraceSummary {
         }
         out
     }
-}
-
-/// Free-function form of [`TraceSummary::render_report`] (parse + render),
-/// for callers holding raw trace text.
-pub fn render_report(src: &str) -> Result<String, String> {
-    Ok(TraceSummary::parse(src)?.render_report())
 }
 
 /// What went wrong inside [`percentile`] / [`sample_stats`].
@@ -739,7 +651,7 @@ impl std::fmt::Display for StatsError {
 impl std::error::Error for StatsError {}
 
 /// Nearest-rank percentile over an ascending-sorted slice; 0 on an empty
-/// slice. Shared by `trace-summary` and the serve bench.
+/// slice.
 ///
 /// `q` outside [0, 1] (or NaN) is a [`StatsError::BadQuantile`] — callers
 /// used to get a silent clamp, which hid real bugs (a caller passing `99`
@@ -782,11 +694,10 @@ pub struct SampleStats {
 }
 
 /// Sort-and-summarize one sample set: count, min/max/mean and the
-/// nearest-rank p50/p99 used by both `rdd trace-summary` and
-/// `rdd serve-bench`.
+/// nearest-rank p50/p99 of the report's serving section.
 ///
-/// Non-finite samples (NaN, ±inf) are *rejected* — a benchmark that
-/// produced one has a bug upstream, and quietly sorting NaNs would
+/// Non-finite samples (NaN, ±inf) are *rejected* — a producer that
+/// emitted one has a bug upstream, and quietly sorting NaNs would
 /// corrupt every percentile — with a typed error naming the first
 /// offending index. An empty slice is not an error: it yields the
 /// all-zero stats.
@@ -833,7 +744,7 @@ fn validate_hist(event: &Json) -> Result<HistSnapshot, String> {
         format!(
             "hist has {} buckets (max {})",
             counts.len(),
-            super::hist::BUCKETS
+            crate::hist::BUCKETS
         )
     })?;
     if snapshot.count() as f64 != count {
@@ -949,12 +860,6 @@ fn validate_epoch(event: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse and schema-check a trace; alias for [`TraceSummary::parse`],
-/// named for the `tools/trace_check.rs` validator.
-pub fn validate(src: &str) -> Result<TraceSummary, String> {
-    TraceSummary::parse(src)
-}
-
 fn req_str(event: &Json, key: &str) -> Result<String, String> {
     event
         .get(key)
@@ -1003,7 +908,7 @@ fn fmt_num(n: f64) -> String {
 }
 
 /// Fixed-width plain-text table: first column left-aligned, the rest
-/// right-aligned. Shared by `trace-summary` and the bench binaries.
+/// right-aligned. Shared by `rdd report` and the bench binaries.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -1084,11 +989,12 @@ mod tests {
         assert_eq!(summary.warnings, vec!["careful".to_string()]);
         assert_eq!(summary.other.len(), 1);
         assert_eq!(summary.total_events, 7);
-        let rendered = summary.render();
-        assert!(rendered.contains("Epochs (2 records)"));
-        assert!(rendered.contains("matmul"));
-        assert!(rendered.contains("pool.tasks"));
-        assert!(rendered.contains("warning: careful"));
+        let report = summary.render_report();
+        assert!(report.contains("Member convergence"), "{report}");
+        assert!(report.contains("matmul"), "{report}");
+        assert!(report.contains("Counters & gauges"), "{report}");
+        assert!(report.contains("pool.tasks"), "{report}");
+        assert!(report.contains("warning: careful"), "{report}");
     }
 
     #[test]
@@ -1105,13 +1011,10 @@ mod tests {
         let summary = TraceSummary::parse(&src).unwrap();
         assert_eq!(summary.recovery.len(), 3);
         assert!(summary.other.is_empty());
-        let rendered = summary.render();
-        assert!(
-            rendered.contains("Recovery events (3 records)"),
-            "{rendered}"
-        );
-        assert!(rendered.contains("rollback: model=gcn"), "{rendered}");
-        assert!(rendered.contains("site=epoch"), "{rendered}");
+        let report = summary.render_report();
+        assert!(report.contains("Recovery events (3 records)"), "{report}");
+        assert!(report.contains("rollback: model=gcn"), "{report}");
+        assert!(report.contains("site=epoch"), "{report}");
     }
 
     #[test]
@@ -1135,12 +1038,12 @@ mod tests {
         assert_eq!(summary.serves.len(), 2);
         assert_eq!(summary.serve_runs.len(), 1);
         assert!(summary.other.is_empty());
-        let rendered = summary.render();
-        assert!(rendered.contains("Serving"), "{rendered}");
-        assert!(rendered.contains("cache hit rate"), "{rendered}");
-        assert!(rendered.contains("50.0%"), "{rendered}");
-        assert!(rendered.contains("p99 latency ms"), "{rendered}");
-        assert!(rendered.contains("Serve run: requests 3"), "{rendered}");
+        let report = summary.render_report();
+        assert!(report.contains("Serving"), "{report}");
+        assert!(report.contains("cache hit rate"), "{report}");
+        assert!(report.contains("50.0%"), "{report}");
+        assert!(report.contains("p99 latency ms"), "{report}");
+        assert!(report.contains("Serve run: requests 3"), "{report}");
     }
 
     #[test]
@@ -1152,11 +1055,9 @@ mod tests {
         let summary = TraceSummary::parse(src).unwrap();
         assert_eq!(summary.swaps.len(), 1);
         assert!(summary.other.is_empty());
-        let rendered = summary.render();
-        assert!(rendered.contains("Swap: generation 2"), "{rendered}");
-        assert!(rendered.contains("00000000deadbeef"), "{rendered}");
         let report = summary.render_report();
         assert!(report.contains("Swap: generation 2"), "{report}");
+        assert!(report.contains("00000000deadbeef"), "{report}");
 
         let missing = "{\"ev\":\"swap\",\"t_ms\":5.0,\"generation\":2,\"path\":\"m\"}";
         let err = TraceSummary::parse(missing).unwrap_err();
@@ -1189,17 +1090,12 @@ mod tests {
         assert_eq!(summary.recovery.len(), 3);
         assert_eq!(summary.breaker_states.len(), 2);
         assert!(summary.other.is_empty());
-        let rendered = summary.render();
-        assert!(rendered.contains("worker_panic: worker=2"), "{rendered}");
-        assert!(rendered.contains("worker_respawn"), "{rendered}");
-        assert!(rendered.contains("swap_failed"), "{rendered}");
-        assert!(rendered.contains("Breaker: closed -> open"), "{rendered}");
-        assert!(
-            rendered.contains("Breaker: open -> half_open"),
-            "{rendered}"
-        );
         let report = summary.render_report();
+        assert!(report.contains("worker_panic: worker=2"), "{report}");
+        assert!(report.contains("worker_respawn"), "{report}");
+        assert!(report.contains("swap_failed"), "{report}");
         assert!(report.contains("Breaker: closed -> open"), "{report}");
+        assert!(report.contains("Breaker: open -> half_open"), "{report}");
 
         let missing =
             "{\"ev\":\"swap_failed\",\"t_ms\":1.0,\"path\":\"m\",\"failures\":1,\"backoff_ms\":2}";
@@ -1218,9 +1114,9 @@ mod tests {
             "\"rejected\":4,\"wall_ms\":5.0}"
         );
         let summary = TraceSummary::parse(src).unwrap();
-        let rendered = summary.render();
-        assert!(rendered.contains("failed 3  rejected 4"), "{rendered}");
-        assert!(rendered.contains("wall_ms 5"), "{rendered}");
+        let report = summary.render_report();
+        assert!(report.contains("failed 3  rejected 4"), "{report}");
+        assert!(report.contains("wall_ms 5"), "{report}");
     }
 
     #[test]

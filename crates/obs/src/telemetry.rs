@@ -13,9 +13,9 @@
 
 use std::cell::RefCell;
 
-use super::hist::HistSnapshot;
-use super::json::Json;
-use super::recorder::{enabled, event};
+use crate::hist::HistSnapshot;
+use crate::json::Json;
+use crate::recorder::{enabled, event};
 
 /// RDD-specific per-epoch quantities, staged from inside the loss hook.
 #[derive(Clone, Debug, Default)]

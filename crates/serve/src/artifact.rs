@@ -414,9 +414,33 @@ pub fn write_ensemble_as(
 pub(crate) struct Lines<'a> {
     pub(crate) rest: std::str::Lines<'a>,
     pub(crate) line_no: usize,
+    /// Bytes of the whole input: no block can hold more values than this.
+    len: usize,
 }
 
 impl<'a> Lines<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Self {
+            rest: text.lines(),
+            line_no: 0,
+            len: text.len(),
+        }
+    }
+
+    /// Check a count the current header line claims (`None` when computing
+    /// it overflowed). Every value takes at least one byte of text, so a
+    /// count above the input's length is a forged or corrupt header, and
+    /// reserving memory for it could abort the process.
+    pub(crate) fn claimed(&self, count: Option<usize>, header: &str) -> Result<usize, ServeError> {
+        match count {
+            Some(n) if n <= self.len => Ok(n),
+            _ => Err(ServeError::Artifact(format!(
+                "line {}: {header:?} claims more values than the {}-byte input holds",
+                self.line_no, self.len
+            ))),
+        }
+    }
+
     pub(crate) fn next(&mut self) -> Result<&'a str, ServeError> {
         self.line_no += 1;
         self.rest
@@ -442,7 +466,7 @@ pub(crate) fn parse_matrix(lines: &mut Lines<'_>) -> Result<Matrix, ServeError> 
             )))
         }
     };
-    let mut data = Vec::with_capacity(r * c);
+    let mut data = Vec::with_capacity(lines.claimed(r.checked_mul(c), header)?);
     for _ in 0..r {
         let row = lines.next()?;
         let line_no = lines.line_no;
@@ -488,6 +512,7 @@ pub(crate) fn parse_qmatrix(
             )))
         }
     };
+    lines.claimed(r.checked_mul(c), header)?;
     let mut out = Matrix::zeros(r, c);
     for i in 0..r {
         let row = lines.next()?;
@@ -544,10 +569,7 @@ impl Artifact {
             return Err(ServeError::Checksum { stored, computed });
         }
 
-        let mut lines = Lines {
-            rest: text[..body_end].lines(),
-            line_no: 0,
-        };
+        let mut lines = Lines::new(&text[..body_end]);
         let header = lines.next()?;
         let format = if header == HEADER {
             ArtifactFormat::V1

@@ -45,8 +45,6 @@
 //!   (p99 latency + shed rate) that sheds admission with typed
 //!   [`ServeError::Overloaded`] replies while open and recovers through
 //!   half-open probe rounds;
-//! * [`bench`] — a closed-loop throughput bench across
-//!   {unbatched, batched} × {cold, warm}, single-threaded or pooled;
 //! * [`error`] — [`ServeError`] plus the crate-spanning [`RddError`] the
 //!   CLI funnels every subsystem's failures through.
 //!
@@ -65,7 +63,6 @@
 //! ```
 
 pub mod artifact;
-pub mod bench;
 pub mod breaker;
 pub mod cache;
 pub mod engine;
@@ -80,7 +77,6 @@ pub use artifact::{
     export_run, export_run_as, fnv1a64, write_artifact, write_artifact_as, write_ensemble,
     write_ensemble_as, Artifact, ArtifactFormat, ArtifactMeta,
 };
-pub use bench::{bench_artifact, bench_artifact_features, bench_artifact_pooled, BenchResult};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{LruCache, ShardedLru};
 pub use engine::{

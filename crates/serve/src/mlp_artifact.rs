@@ -116,10 +116,7 @@ impl MlpArtifact {
             return Err(ServeError::Checksum { stored, computed });
         }
 
-        let mut lines = Lines {
-            rest: text[..body_end].lines(),
-            line_no: 0,
-        };
+        let mut lines = Lines::new(&text[..body_end]);
         let header = lines.next()?;
         if header != HEADER_V3_MLP {
             if header.starts_with("rdd-artifact") {
@@ -168,7 +165,7 @@ impl MlpArtifact {
         }
 
         let tier = rdd_tensor::simd::active();
-        let mut params = Vec::with_capacity(layers);
+        let mut params = Vec::with_capacity(lines.claimed(Some(layers), shape_line)?);
         let mut quantized = None;
         for l in 0..layers {
             // Sniff the block keyword without consuming it; the block

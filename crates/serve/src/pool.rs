@@ -1061,6 +1061,93 @@ mod tests {
         assert!(report.workers.iter().map(|w| w.panics).sum::<u64>() >= 2);
     }
 
+    /// A one-worker pool whose worker is held inside request 0 while
+    /// requests 1..=4 fill its 4-slot queue. Send on the returned sender
+    /// to release the worker.
+    fn held_full_pool(
+        breaker: Option<BreakerConfig>,
+    ) -> (
+        ServePool<FakePredictor>,
+        mpsc::Sender<()>,
+        mpsc::Receiver<ServeReply>,
+    ) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (open, open_rx) = mpsc::channel();
+        let fake = FakePredictor::new(8, 2, 0);
+        *fake.gate.lock().unwrap() = Some((entered_tx, open_rx));
+        let mut cfg = uncached(32);
+        cfg.serve.queue_capacity = 4;
+        cfg.breaker = breaker;
+        let (tx, rx) = mpsc::channel();
+        let pool = ServePool::new(fake, cfg, 1, tx).unwrap();
+        pool.submit(0, PredictRequest::nodes(vec![0])).unwrap();
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the worker claims request 0");
+        for id in 1..=4u64 {
+            pool.submit(id, PredictRequest::nodes(vec![1])).unwrap();
+        }
+        (pool, open, rx)
+    }
+
+    #[test]
+    fn queue_full_is_a_typed_shed_counted_in_stats_and_metrics() {
+        let _guard = fault_guard();
+        let (pool, open, rx) = held_full_pool(None);
+        match pool.submit(5, PredictRequest::nodes(vec![1])) {
+            Err(ServeError::QueueFull { capacity }) => assert_eq!(capacity, 4),
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
+        assert_eq!(pool.stats().shed, 1);
+        assert_eq!(pool.metrics().shed, 1);
+        open.send(()).unwrap();
+        let ids: Vec<u64> = recv_n(&rx, 5).iter().map(|r| r.id).collect();
+        assert_eq!(
+            ids,
+            (0..=4).collect::<Vec<_>>(),
+            "the shed request is never answered"
+        );
+        let report = pool.shutdown();
+        assert_eq!(report.stats.shed, 1);
+        assert_eq!(report.stats.rejected, 0);
+    }
+
+    #[test]
+    fn queue_full_sheds_feed_the_breaker_shed_rate() {
+        let _guard = fault_guard();
+        // No request completes while the worker is held and the latency
+        // SLO is out of reach, so only the shed can trip the breaker.
+        let breaker = BreakerConfig {
+            p99_ms: 1e9,
+            shed_rate: 0.5,
+            min_requests: 1,
+            eval_every_ms: 1,
+            open_ms: 60_000,
+            max_open_ms: 60_000,
+            ..BreakerConfig::default()
+        };
+        let (pool, open, rx) = held_full_pool(Some(breaker));
+        assert!(matches!(
+            pool.submit(5, PredictRequest::nodes(vec![1])),
+            Err(ServeError::QueueFull { capacity: 4 })
+        ));
+        // By the next admission past the evaluation cadence the breaker
+        // has read a shed rate of 1/1 and tripped; its rejection is not
+        // another shed.
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(matches!(
+            pool.submit(6, PredictRequest::nodes(vec![1])),
+            Err(ServeError::Overloaded { .. })
+        ));
+        assert_eq!(pool.metrics().breaker, Some("open"));
+        assert_eq!(pool.stats().shed, 1);
+        assert_eq!(pool.stats().rejected, 1);
+        open.send(()).unwrap();
+        recv_n(&rx, 5);
+        let report = pool.shutdown();
+        assert_eq!(report.breaker_trips, 1);
+    }
+
     #[test]
     fn breaker_trips_on_slow_traffic_and_rejects_with_overloaded() {
         let _guard = fault_guard();

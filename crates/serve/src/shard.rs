@@ -370,12 +370,12 @@ impl ShardedArtifact {
     }
 
     fn stack(&self, get: impl Fn(&Artifact) -> &Matrix) -> Matrix {
-        let k = self.meta.num_classes;
-        let mut data = Vec::with_capacity(self.meta.dataset_n * k);
+        let len = self.shards.iter().map(|s| get(s).as_slice().len()).sum();
+        let mut data = Vec::with_capacity(len);
         for shard in &self.shards {
             data.extend_from_slice(get(shard).as_slice());
         }
-        Matrix::from_vec(self.meta.dataset_n, k, data)
+        Matrix::from_vec(self.meta.dataset_n, self.meta.num_classes, data)
     }
 
     /// The composed `Σ α_t · proba_t` (shard rows concatenated in node

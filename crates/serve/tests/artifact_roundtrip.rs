@@ -148,6 +148,14 @@ fn artifact_text(tag: &str) -> String {
     text
 }
 
+/// Recompute the checksum line over an edited body, so the loader's parser
+/// — not its corruption check — sees the edit.
+fn rechecksum(text: &str) -> String {
+    let body_end = text.rfind("\nchecksum ").unwrap() + 1;
+    let checksum = rdd_serve::fnv1a64(&text.as_bytes()[..body_end]);
+    format!("{}checksum {checksum:016x}\n", &text[..body_end])
+}
+
 fn load_text(tag: &str, text: &str) -> Result<Artifact, ServeError> {
     let path = tmp(&format!("load_{tag}"));
     std::fs::write(&path, text).expect("write corrupted");
@@ -304,12 +312,7 @@ fn load_with_first_qrow(tag: &str, row: &QuantRow) -> Result<Artifact, ServeErro
         encode_qrow(row),
         &text[row_end..]
     );
-    let body_end = mutated.rfind("\nchecksum ").unwrap() + 1;
-    let checksum = rdd_serve::fnv1a64(&mutated.as_bytes()[..body_end]);
-    load_text(
-        tag,
-        &format!("{}checksum {checksum:016x}\n", &mutated[..body_end]),
-    )
+    load_text(tag, &rechecksum(&mutated))
 }
 
 #[test]
@@ -347,12 +350,7 @@ fn bad_quant_scales_and_zero_points_are_typed_errors() {
 fn wrong_version_is_a_typed_error() {
     let text = artifact_text("version");
     let bumped = text.replacen("rdd-artifact v1", "rdd-artifact v9", 1);
-    // Re-checksum the edited body so version skew — not corruption — is
-    // what the loader sees.
-    let body_end = bumped.rfind("\nchecksum ").unwrap() + 1;
-    let checksum = rdd_serve::fnv1a64(&bumped.as_bytes()[..body_end]);
-    let fixed = format!("{}checksum {checksum:016x}\n", &bumped[..body_end]);
-    match load_text("version", &fixed).unwrap_err() {
+    match load_text("version", &rechecksum(&bumped)).unwrap_err() {
         ServeError::WrongVersion { found } => assert_eq!(found, "rdd-artifact v9"),
         other => panic!("expected WrongVersion, got {other}"),
     }
@@ -545,11 +543,7 @@ fn distilled_student_tracks_the_ensemble_on_cora_sim() {
 fn inconsistent_meta_and_shapes_are_rejected() {
     let reject = |tag: &str, mutate: &dyn Fn(&str) -> String| {
         let text = artifact_text(tag);
-        let mutated = mutate(&text);
-        let body_end = mutated.rfind("\nchecksum ").unwrap() + 1;
-        let checksum = rdd_serve::fnv1a64(&mutated.as_bytes()[..body_end]);
-        let fixed = format!("{}checksum {checksum:016x}\n", &mutated[..body_end]);
-        match load_text(tag, &fixed).unwrap_err() {
+        match load_text(tag, &rechecksum(&mutate(&text))).unwrap_err() {
             ServeError::Artifact(msg) => msg,
             other => panic!("{tag}: expected Artifact error, got {other}"),
         }
@@ -582,4 +576,51 @@ fn inconsistent_meta_and_shapes_are_rejected() {
         )
     });
     assert!(msg.contains("non-finite"), "{msg}");
+}
+
+#[test]
+fn crafted_block_headers_are_typed_errors_not_aborts() {
+    // Headers claiming more values than any file holds, checksummed so the
+    // parser reads them. Reserving memory for the claim used to abort the
+    // process (allocation failure does not unwind) or overflow `r * c`.
+    let cases = [
+        (
+            "v1_huge",
+            artifact_text("crafted_v1"),
+            "matrix 8 3",
+            "matrix 40000000000 7000",
+        ),
+        (
+            "v1_overflow",
+            artifact_text("crafted_v1_overflow"),
+            "matrix 8 3",
+            "matrix 4294967296 4294967297",
+        ),
+        (
+            "v2q_huge",
+            artifact_text_v2q("crafted_v2q"),
+            "qmatrix 8 3 int8",
+            "qmatrix 40000000000 7000 int8",
+        ),
+        (
+            "v3_layers",
+            artifact_text_v3("crafted_v3"),
+            "mlp 6 3 2",
+            "mlp 6 3 99999999999999999",
+        ),
+    ];
+    for (tag, text, from, to) in cases {
+        assert!(text.contains(from), "{tag}: fixture lacks {from:?}");
+        let path = tmp(&format!("crafted_{tag}"));
+        std::fs::write(&path, rechecksum(&text.replacen(from, to, 1))).expect("write");
+        let err = AnyArtifact::load(&path).map(|_| ()).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        match err {
+            ServeError::Artifact(msg) => {
+                assert!(msg.contains("claims more values"), "{tag}: {msg}");
+                assert!(msg.contains(to), "{tag}: names the header: {msg}");
+            }
+            other => panic!("{tag}: expected an Artifact error, got {other}"),
+        }
+    }
 }

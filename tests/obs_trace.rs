@@ -2,13 +2,14 @@
 //! well-formed epoch record per epoch actually run, carrying the reliability
 //! counts with `|V_b| <= |V_r|`, plus member/run records, a kernel snapshot
 //! with hierarchical self-times (summing to at most the wall clock), the
-//! per-span latency histograms and the span-parent edges behind them.
+//! per-span latency histograms and the span-parent edges behind them; and
+//! `rdd report` renders each of those sections.
 //!
 //! Single `#[test]`: the recorder sink is process-global.
 
 use rdd_core::{RddConfig, RddTrainer};
 use rdd_graph::SynthConfig;
-use rdd_obs::Json;
+use rdd_obs::{Json, TraceSummary};
 
 #[test]
 fn fast_run_emits_well_formed_epoch_records() {
@@ -22,8 +23,8 @@ fn fast_run_emits_well_formed_epoch_records() {
     let outcome = RddTrainer::new(cfg).run(&dataset);
 
     let src = std::fs::read_to_string(&path).expect("trace file readable");
-    // `validate` re-checks every schema rule, including |V_b| <= |V_r|.
-    let summary = rdd_obs::validate(&src).expect("trace validates");
+    // `parse` re-checks every schema rule, including |V_b| <= |V_r|.
+    let summary = TraceSummary::parse(&src).expect("trace validates");
 
     assert_eq!(summary.members.len(), members);
     assert_eq!(summary.runs.len(), 1);
@@ -117,6 +118,21 @@ fn fast_run_emits_well_formed_epoch_records() {
         assert!(num("v_b") <= num("v_r"), "V_b must be a subset of V_r: {e}");
         let alpha = e.get("alpha").and_then(Json::as_arr).expect("alpha array");
         assert!(!alpha.is_empty(), "distill epoch must list teacher alphas");
+    }
+
+    // The report renders every section this run fed.
+    let report = summary.render_report();
+    for section in [
+        "Member convergence",
+        "Reliability evolution",
+        "Kernel self-time attribution",
+        "Counters & gauges",
+        "Run: ensemble test acc",
+    ] {
+        assert!(
+            report.contains(section),
+            "report lacks {section:?}:\n{report}"
+        );
     }
 
     let _ = std::fs::remove_file(&path);
