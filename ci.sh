@@ -471,6 +471,37 @@ cmp "$KD_DIR/offline_student.proba" "$KD_DIR/served.proba" \
   || { echo "distill gate: served feature rows diverged from offline student" >&2; exit 1; }
 [ "$(grep -c '"kind":"features"' "$KD_DIR/replies.jsonl")" -eq 32 ] \
   || { echo "distill gate: replies missing kind=features" >&2; exit 1; }
+# The same 32 rows again with JSON whitespace and `features` before `id`,
+# plus one row holding 1e39 (a finite f64 that rounds to +inf as an f32):
+# that line gets exactly one typed error naming finiteness, and the 32 rows
+# still come back byte-identical to the offline student.
+awk '{
+  printf " { \"features\" : [ "
+  for (i = 1; i <= NF; i++) printf "%s%s", (i > 1 ? " ,\t" : ""), $i
+  printf " ] , \"id\" : %d }\n", NR - 1
+  if (NR == 16) {
+    printf "{\"id\":100,\"features\":[1e39"
+    for (i = 2; i <= NF; i++) printf ",%s", $i
+    print "]}"
+  }
+}' "$KD_DIR/rows.tsv" > "$KD_DIR/requests_ws.jsonl"
+RDD_TRACE="$KD_DIR/serve_ws.jsonl" $RDD serve --artifact "$KD_DIR/student.artifact" --batch 8 \
+  --proba-out "$KD_DIR/served_ws.proba" \
+  < "$KD_DIR/requests_ws.jsonl" > "$KD_DIR/replies_ws.jsonl" 2>/dev/null
+cmp "$KD_DIR/offline_student.proba" "$KD_DIR/served_ws.proba" \
+  || { echo "distill gate: reordered/whitespace feature rows diverged from offline student" >&2; exit 1; }
+[ "$(wc -l < "$KD_DIR/replies_ws.jsonl")" -eq 33 ] \
+  && [ "$(grep -c '"kind":"features"' "$KD_DIR/replies_ws.jsonl")" -eq 32 ] \
+  && [ "$(grep -c '"error"' "$KD_DIR/replies_ws.jsonl")" -eq 1 ] \
+  || { echo "distill gate: expected 32 feature replies and 1 error for 33 lines" >&2; exit 1; }
+grep -q 'bad request: feature values must be finite f32s' "$KD_DIR/replies_ws.jsonl" \
+  || { echo "distill gate: no typed finiteness error for the 1e39 row" >&2; exit 1; }
+# The traced feature session validates, and the report shows the per-line
+# parse time next to the request latency.
+KD_REPORT="$($RDD report "$KD_DIR/serve_ws.jsonl")" \
+  || { echo "distill gate: traced feature serve session does not validate" >&2; exit 1; }
+grep -q "serve.parse_ns" <<< "$KD_REPORT" \
+  || { echo "distill gate: report has no serve.parse_ns histogram" >&2; exit 1; }
 # Node requests against the student must fail with the typed error, not rows.
 printf '{"id":0,"nodes":[0]}\n' | $RDD serve --artifact "$KD_DIR/student.artifact" \
   2>/dev/null | grep -q "node-id requests unsupported" \

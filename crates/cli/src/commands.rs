@@ -15,10 +15,11 @@ use rdd_baselines::{
 use rdd_core::{distill_run, DistillConfig, RddConfig, RddTrainer, RunState};
 use rdd_graph::{io, Dataset, DatasetStats, SynthConfig};
 use rdd_models::{
-    train as train_model, Gat, GatConfig, Gcn, GcnConfig, GraphContext, GraphSage, PredictRequest,
-    Predictor, PredictorExt, SageConfig, TrainConfig,
+    train as train_model, Gat, GatConfig, Gcn, GcnConfig, GraphContext, GraphSage, Predictor,
+    PredictorExt, SageConfig, TrainConfig,
 };
-use rdd_obs::{gate, Json, TraceSummary};
+use rdd_obs::{gate, TraceSummary};
+use rdd_serve::wire::{self, error_line, reply_json, InputLine};
 use rdd_serve::{
     export_run_as, export_run_sharded, quant, write_mlp_artifact, AnyArtifact, ArtifactFormat,
     ArtifactMeta, ArtifactWatcher, BreakerConfig, PoolConfig, RddError, ServeConfig, ServeEngine,
@@ -748,6 +749,13 @@ pub fn artifact_info(args: &Args) -> Result<(), RddError> {
 fn read_feature_rows(path: &str) -> Result<Matrix, RddError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| RddError::Cli(format!("failed to read {path}: {e}")))?;
+    feature_rows_from_text(path, &text)
+}
+
+/// [`read_feature_rows`] over text already read from `path`. Every value
+/// must be a finite f32, the same rule the serve wire applies: `nan`,
+/// `inf` and `1e39` (which rounds to +inf) are refused.
+fn feature_rows_from_text(path: &str, text: &str) -> Result<Matrix, RddError> {
     let mut data = Vec::new();
     let mut cols = 0usize;
     let mut rows = 0usize;
@@ -760,6 +768,12 @@ fn read_feature_rows(path: &str) -> Result<Matrix, RddError> {
             let v: f32 = tok.parse().map_err(|_| {
                 RddError::Cli(format!("{path}:{}: bad feature value {tok:?}", lineno + 1))
             })?;
+            if !v.is_finite() {
+                return Err(RddError::Cli(format!(
+                    "{path}:{}: feature value {tok:?} is not a finite f32",
+                    lineno + 1
+                )));
+            }
             data.push(v);
         }
         let width = data.len() - start;
@@ -777,199 +791,6 @@ fn read_feature_rows(path: &str) -> Result<Matrix, RddError> {
         return Err(RddError::Cli(format!("{path} holds no feature rows")));
     }
     Ok(Matrix::from_vec(rows, cols, data))
-}
-
-/// A parsed serve-loop request: `(id, request, deadline_ms)`.
-type ParsedRequest = (u64, PredictRequest, Option<f64>);
-
-/// One stdin line of the serve loop: its text, or the offset of its first
-/// byte that is not UTF-8.
-type InputLine = Result<String, usize>;
-
-/// The largest request id a JSON number (an f64) carries exactly, 2^53 - 1.
-/// Above it neighbouring integers share one f64, so a reply could come back
-/// under another request's id.
-const MAX_REQUEST_ID: u64 = (1 << 53) - 1;
-
-/// Parse one feature row: a flat array of finite numbers.
-fn parse_feature_row(a: &[Json], out: &mut Vec<f32>) -> Result<usize, String> {
-    let start = out.len();
-    for v in a {
-        let x = v.as_f64().ok_or("'features' holds a non-number")?;
-        if !x.is_finite() {
-            return Err(format!("feature values must be finite, got {x}"));
-        }
-        out.push(x as f32);
-    }
-    Ok(out.len() - start)
-}
-
-/// Parse one serve-loop request line:
-/// `{"id":N,"nodes":[...],"deadline_ms":F}` or
-/// `{"id":N,"features":[...],"deadline_ms":F}`. Every key is optional — a
-/// missing `id` gets `fallback_id`, missing `nodes`/`features` means the
-/// whole graph, and `deadline_ms` (milliseconds from arrival;
-/// `--deadline-ms` sets the default) marks the request sheddable as
-/// `Expired` if it is still queued when the deadline passes. `features` is
-/// either one flat row (`[0.1, 0.2, ...]`) or a batch of rows
-/// (`[[...], [...]]`), and is mutually exclusive with `nodes`: a node
-/// request names rows of the frozen training graph, a feature request
-/// carries the rows themselves. An `id` above [`MAX_REQUEST_ID`] is
-/// rejected rather than answered under a rounded id.
-fn parse_request(line: &str, fallback_id: u64) -> Result<ParsedRequest, String> {
-    let json = rdd_obs::parse(line)?;
-    let id = match json.get("id") {
-        None if fallback_id > MAX_REQUEST_ID => {
-            return Err(format!(
-                "no 'id' given and the next free id is above {MAX_REQUEST_ID} (2^53-1); \
-                 send an explicit 'id'"
-            ))
-        }
-        None => fallback_id,
-        Some(v) => {
-            let x = v.as_f64().ok_or("'id' must be a number")?;
-            if x < 0.0 || x.fract() != 0.0 {
-                return Err(format!("'id' must be a non-negative integer, got {x}"));
-            }
-            if x > MAX_REQUEST_ID as f64 {
-                return Err(format!(
-                    "'id' must be at most {MAX_REQUEST_ID} (2^53-1): larger JSON numbers \
-                     do not hold an integer exactly"
-                ));
-            }
-            x as u64
-        }
-    };
-    if !matches!(json.get("nodes"), None | Some(Json::Null))
-        && !matches!(json.get("features"), None | Some(Json::Null))
-    {
-        return Err(
-            "'nodes' and 'features' are mutually exclusive: send node ids of the training \
-             graph, or raw feature rows, not both"
-                .into(),
-        );
-    }
-    let req = match json.get("features") {
-        None | Some(Json::Null) => match json.get("nodes") {
-            None | Some(Json::Null) => PredictRequest::all(),
-            Some(Json::Arr(a)) => {
-                let mut ids = Vec::with_capacity(a.len());
-                for v in a {
-                    let x = v.as_f64().ok_or("'nodes' holds a non-number")?;
-                    if x < 0.0 || x.fract() != 0.0 {
-                        return Err(format!("node ids must be non-negative integers, got {x}"));
-                    }
-                    ids.push(x as usize);
-                }
-                PredictRequest::nodes(ids)
-            }
-            Some(_) => return Err("'nodes' must be an array of node ids".into()),
-        },
-        Some(Json::Arr(a)) if !a.is_empty() => {
-            let mut data = Vec::new();
-            let cols = match &a[0] {
-                // `[[...], [...]]`: a batch of rows, all the same width.
-                Json::Arr(_) => {
-                    let mut cols = 0;
-                    for (i, row) in a.iter().enumerate() {
-                        let Json::Arr(row) = row else {
-                            return Err("'features' mixes rows and scalars".into());
-                        };
-                        let width = parse_feature_row(row, &mut data)?;
-                        if i == 0 {
-                            cols = width;
-                        } else if width != cols {
-                            return Err(format!(
-                                "'features' rows disagree on width: row 0 has {cols}, row {i} \
-                                 has {width}"
-                            ));
-                        }
-                    }
-                    cols
-                }
-                // `[...]`: one flat row.
-                _ => parse_feature_row(a, &mut data)?,
-            };
-            if cols == 0 {
-                return Err("'features' rows must hold at least one value".into());
-            }
-            PredictRequest::features(Matrix::from_vec(data.len() / cols, cols, data))
-        }
-        Some(_) => return Err("'features' must be a non-empty array of numbers or rows".into()),
-    };
-    let deadline_ms = match json.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(v) => {
-            let x = v.as_f64().ok_or("'deadline_ms' must be a number")?;
-            if !x.is_finite() || x < 0.0 {
-                return Err(format!(
-                    "'deadline_ms' must be a non-negative number, got {x}"
-                ));
-            }
-            Some(x)
-        }
-    };
-    Ok((id, req, deadline_ms))
-}
-
-/// Parse one stdin line of the serve loop; `None` for a blank line, which
-/// gets no reply.
-fn parse_line(line: &InputLine, fallback_id: u64) -> Option<Result<ParsedRequest, String>> {
-    match line {
-        Err(at) => Some(Err(format!("byte {at} of the line is not UTF-8"))),
-        Ok(text) if text.trim().is_empty() => None,
-        Ok(text) => Some(parse_request(text, fallback_id)),
-    }
-}
-
-/// The id an id-less request gets after a request with `id`: one past the
-/// largest id seen, saturating instead of wrapping. Past [`MAX_REQUEST_ID`]
-/// it is not handed out: [`parse_request`] rejects the id-less request.
-fn next_request_id(next_id: u64, id: u64) -> u64 {
-    next_id.max(id).saturating_add(1)
-}
-
-/// Render one reply line for the serve loop's stdout.
-fn reply_json(reply: &ServeReply) -> Json {
-    match &reply.result {
-        Ok(p) => Json::Obj(vec![
-            ("id".into(), Json::from(reply.id)),
-            // "node" replies index the training graph; "features" replies
-            // index the request's own rows.
-            ("kind".into(), Json::from(p.kind.name())),
-            ("nodes".into(), Json::from(p.nodes.clone())),
-            ("pred".into(), Json::from(p.pred.clone())),
-            (
-                "proba".into(),
-                Json::Arr(
-                    (0..p.proba.rows())
-                        .map(|i| Json::from(p.proba.row(i).to_vec()))
-                        .collect(),
-                ),
-            ),
-            ("latency_ms".into(), Json::from(reply.latency_ms)),
-            ("cache_hits".into(), Json::from(reply.cache_hits)),
-            ("generation".into(), Json::from(reply.generation)),
-        ]),
-        Err(e) => Json::Obj(vec![
-            ("id".into(), Json::from(reply.id)),
-            ("error".into(), Json::from(e.to_string())),
-            ("generation".into(), Json::from(reply.generation)),
-        ]),
-    }
-}
-
-/// Render one error line for requests that never reached the engine
-/// (parse failures, queue-full sheds).
-fn error_line(id: Option<u64>, msg: String) -> String {
-    let mut line = String::new();
-    Json::Obj(vec![
-        ("id".into(), id.map(Json::from).unwrap_or(Json::Null)),
-        ("error".into(), Json::from(msg)),
-    ])
-    .write(&mut line);
-    line.push('\n');
-    line
 }
 
 /// Side-output accumulator for `rdd serve`. `--proba-out` keys rows by
@@ -1280,13 +1101,13 @@ fn serve_single(
                 },
             }
         };
-        let Some(parsed) = parse_line(&line, next_id) else {
+        let Some(parsed) = wire::parse_line(&line, next_id) else {
             continue;
         };
         match parsed {
             Err(msg) => buf.push_str(&error_line(None, format!("bad request: {msg}"))),
             Ok((id, req, deadline_ms)) => {
-                next_id = next_request_id(next_id, id);
+                next_id = wire::next_request_id(next_id, id);
                 let deadline = deadline_ms
                     .or(default_deadline_ms)
                     .map(|ms| Instant::now() + Duration::from_secs_f64(ms / 1e3));
@@ -1485,13 +1306,13 @@ fn serve_pooled(
                 }
             }
         };
-        let Some(parsed) = parse_line(&line, next_id) else {
+        let Some(parsed) = wire::parse_line(&line, next_id) else {
             continue;
         };
         match parsed {
             Err(msg) => write_error(error_line(None, format!("bad request: {msg}")))?,
             Ok((id, req, deadline_ms)) => {
-                next_id = next_request_id(next_id, id);
+                next_id = wire::next_request_id(next_id, id);
                 let deadline = deadline_ms
                     .or(default_deadline_ms)
                     .map(|ms| Instant::now() + Duration::from_secs_f64(ms / 1e3));
@@ -1561,26 +1382,9 @@ fn serve_pooled(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn request_ids_up_to_2_pow_53_minus_1_round_trip_exactly() {
-        let (id, _, _) = parse_request(r#"{"id":9007199254740991,"nodes":[1]}"#, 0).unwrap();
-        assert_eq!(id, MAX_REQUEST_ID);
-        let mut line = String::new();
-        Json::from(id).write(&mut line);
-        assert_eq!(line, "9007199254740991");
-    }
-
-    #[test]
-    fn request_ids_an_f64_cannot_hold_are_rejected() {
-        for id in ["9007199254740992", "9007199254740993", "1e300"] {
-            let err = parse_request(&format!(r#"{{"id":{id},"nodes":[1]}}"#), 0).unwrap_err();
-            assert!(err.contains("2^53-1"), "id {id}: {err}");
-        }
-        assert!(parse_request(r#"{"id":-1}"#, 0).is_err());
-        assert!(parse_request(r#"{"id":1.5}"#, 0).is_err());
-    }
+    // The serve loops' id bookkeeping (`next_id` over one stream) lives
+    // here; the parsers it drives are tested in `rdd_serve::wire`.
+    use rdd_serve::wire::{next_request_id, parse_request, MAX_REQUEST_ID};
 
     #[test]
     fn id_less_requests_follow_the_largest_id_without_wrapping() {
@@ -1622,11 +1426,21 @@ mod tests {
     }
 
     #[test]
-    fn lines_that_are_not_utf8_or_blank_are_told_apart() {
-        let err = parse_line(&Err(9), 0).unwrap().unwrap_err();
-        assert_eq!(err, "byte 9 of the line is not UTF-8");
-        assert!(parse_line(&Ok("  ".into()), 0).is_none());
-        let (id, _, _) = parse_line(&Ok(r#"{"id":3}"#.into()), 0).unwrap().unwrap();
-        assert_eq!(id, 3);
+    fn feature_rows_outside_f32_range_are_refused() {
+        for bad in ["nan", "inf", "-inf", "1e39", "-1e39"] {
+            let err = super::feature_rows_from_text("rows.tsv", &format!("0.5 {bad}\n"))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("rows.tsv:1:") && err.contains("not a finite f32"),
+                "{bad}: {err}"
+            );
+        }
+        // The largest finite f32 and subnormals are still rows.
+        let m = super::feature_rows_from_text("rows.tsv", "3.4028235e38 1e-45\n-0 2\n").unwrap();
+        assert_eq!((m.rows(), m.cols()), (2, 2));
+        assert_eq!(m.as_slice()[0], f32::MAX);
+        assert_eq!(m.as_slice()[1].to_bits(), 1);
+        assert_eq!(m.as_slice()[2].to_bits(), (-0.0f32).to_bits());
     }
 }

@@ -831,10 +831,12 @@ pub(crate) fn execute_batch<P: Predictor, C: BatchCache>(
     for &lat_ms in &latencies {
         HIST_REQUEST_NS.record((lat_ms * 1e6) as u64);
     }
+    // `nodes` counts node rows only, so `hits + misses == nodes` holds
+    // (the trace schema checks it); feature rows bypass the cache.
     rdd_obs::emit_serve_batch(
         worker,
         batch.len(),
-        nodes_served + feature_rows,
+        nodes_served,
         hits,
         nodes_served.saturating_sub(hits),
         exec_ms,

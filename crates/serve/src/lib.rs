@@ -45,6 +45,10 @@
 //!   (p99 latency + shed rate) that sheds admission with typed
 //!   [`ServeError::Overloaded`] replies while open and recovers through
 //!   half-open probe rounds;
+//! * [`wire`] — the `rdd serve` line-JSON wire format: request parsing
+//!   ([`wire::parse_line`], with a scanner that reads the hot
+//!   `{"id","features"}` shape straight into f32s, bit-identical to the
+//!   general parser it falls back to) and reply rendering;
 //! * [`error`] — [`ServeError`] plus the crate-spanning [`RddError`] the
 //!   CLI funnels every subsystem's failures through.
 //!
@@ -72,6 +76,7 @@ pub mod pool;
 pub mod quant;
 pub mod shard;
 pub mod swap;
+pub mod wire;
 
 pub use artifact::{
     export_run, export_run_as, fnv1a64, write_artifact, write_artifact_as, write_ensemble,
