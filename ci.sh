@@ -197,10 +197,10 @@ done
 
 echo "==> SIMD-equivalence gate (RDD_SIMD=off vs auto, compare bitwise)"
 # RDD_SIMD=off must route every kernel through the verbatim pre-SIMD scalar
-# bodies; the SSE2/AVX2 tiers are allowed bounded-ULP drift inside kernels
-# but the tiny end-to-end pipeline must come out prediction-identical (the
-# equivalence property tests bound the per-kernel drift; this catches any
-# dispatch-path divergence end to end).
+# bodies; the AVX2 tier is allowed bounded-ULP drift inside the kernels
+# with a hand-written AVX2 body, but the tiny end-to-end pipeline must come
+# out prediction-identical (the equivalence property tests bound the
+# per-kernel drift; this catches any dispatch-path divergence end to end).
 SIMD_DIR="$GUARD_DIR/simd"
 mkdir -p "$SIMD_DIR"
 RDD_SIMD=off $RDD train tiny --models 2 --pred-out "$SIMD_DIR/off.txt" >/dev/null
@@ -212,6 +212,14 @@ cmp "$SIMD_DIR/off.txt" "$SIMD_DIR/auto.txt" \
 RDD_SIMD=off $RDD train tiny --models 2 --pred-out "$SIMD_DIR/off2.txt" >/dev/null
 cmp "$SIMD_DIR/off.txt" "$SIMD_DIR/off2.txt" \
   || { echo "simd gate: RDD_SIMD=off is not deterministic" >&2; exit 1; }
+# RDD_SIMD takes auto|off only: a retired tier name (sse2) warns, naming
+# the accepted values, and keeps auto.
+RDD_SIMD=sse2 $RDD train tiny --models 2 --pred-out "$SIMD_DIR/sse2.txt" \
+  >/dev/null 2> "$SIMD_DIR/sse2.err"
+grep -qF 'RDD_SIMD="sse2" is invalid (expected auto|off)' "$SIMD_DIR/sse2.err" \
+  || { echo "simd gate: RDD_SIMD=sse2 was accepted without a warning" >&2; exit 1; }
+cmp "$SIMD_DIR/auto.txt" "$SIMD_DIR/sse2.txt" \
+  || { echo "simd gate: RDD_SIMD=sse2 did not fall back to auto" >&2; exit 1; }
 
 echo "==> v2q serve smoke (export --quantize, drift bound, serve, compare)"
 # Quantized export of the serve-smoke run: the v2q artifact must load, stay

@@ -9,28 +9,15 @@
 
 use rdd_baselines::lp::{predict as lp_predict, LpConfig};
 use rdd_graph::{DatasetStats, SynthConfig};
-use rdd_models::{train, Gcn, GcnConfig, GraphContext, Mlp, PredictorExt, TrainConfig};
+use rdd_models::{train, Gcn, GraphContext, Mlp, PredictorExt};
 use rdd_tensor::seeded_rng;
-
-fn preset_by_name(name: &str) -> Option<SynthConfig> {
-    match name {
-        "cora" | "cora-sim" => Some(SynthConfig::cora_sim()),
-        "citeseer" | "citeseer-sim" => Some(SynthConfig::citeseer_sim()),
-        "pubmed" | "pubmed-sim" => Some(SynthConfig::pubmed_sim()),
-        "nell" | "nell-sim" => Some(SynthConfig::nell_sim()),
-        "tiny" => Some(SynthConfig::tiny()),
-        _ => None,
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let presets: Vec<SynthConfig> = if args.is_empty() {
         vec![SynthConfig::cora_sim(), SynthConfig::citeseer_sim()]
     } else {
-        args.iter()
-            .map(|a| preset_by_name(a).unwrap_or_else(|| panic!("unknown preset {a}")))
-            .collect()
+        args.iter().map(|a| rdd_bench::preset(a)).collect()
     };
 
     println!("{}", DatasetStats::header());
@@ -39,11 +26,7 @@ fn main() {
         println!("{}", DatasetStats::of(&data).row());
 
         let ctx = GraphContext::new(&data);
-        let (gcn_cfg, train_cfg) = if cfg.name.starts_with("nell") {
-            (GcnConfig::nell(), TrainConfig::nell())
-        } else {
-            (GcnConfig::citation(), TrainConfig::citation())
-        };
+        let (gcn_cfg, train_cfg) = rdd_bench::model_configs(cfg.name);
 
         let mut rng = seeded_rng(1);
         let mut mlp = Mlp::new(&ctx, gcn_cfg.clone(), &mut rng);

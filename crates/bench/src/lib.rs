@@ -9,17 +9,10 @@ use rdd_core::RddConfig;
 use rdd_graph::{Dataset, SynthConfig};
 use rdd_models::{GcnConfig, TrainConfig};
 
-/// Look up a synthetic preset by short or full name.
+/// Look up a synthetic preset by short or full name
+/// ([`SynthConfig::preset`]); panics on an unknown name.
 pub fn preset(name: &str) -> SynthConfig {
-    match name {
-        "cora" | "cora-sim" => SynthConfig::cora_sim(),
-        "citeseer" | "citeseer-sim" => SynthConfig::citeseer_sim(),
-        "pubmed" | "pubmed-sim" => SynthConfig::pubmed_sim(),
-        "nell" | "nell-sim" => SynthConfig::nell_sim(),
-        "nell-full" | "nell-sim-full" => SynthConfig::nell_sim_full(),
-        "tiny" => SynthConfig::tiny(),
-        other => panic!("unknown dataset preset {other}"),
-    }
+    SynthConfig::preset(name).unwrap_or_else(|| panic!("unknown dataset preset {name}"))
 }
 
 /// The base-model architecture + optimizer settings the paper uses on a
@@ -173,14 +166,6 @@ pub mod paper {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preset_lookup_roundtrip() {
-        for name in ["cora", "citeseer", "pubmed", "nell", "tiny"] {
-            let cfg = preset(name);
-            assert!(cfg.name.starts_with(name) || name == "nell");
-        }
-    }
 
     #[test]
     #[should_panic(expected = "unknown dataset preset")]

@@ -72,20 +72,9 @@ fn proba_rows_text(out: &mut String, m: &Matrix) {
     }
 }
 
-fn preset(name: &str) -> Option<SynthConfig> {
-    match name {
-        "cora" | "cora-sim" => Some(SynthConfig::cora_sim()),
-        "citeseer" | "citeseer-sim" => Some(SynthConfig::citeseer_sim()),
-        "pubmed" | "pubmed-sim" => Some(SynthConfig::pubmed_sim()),
-        "nell" | "nell-sim" => Some(SynthConfig::nell_sim()),
-        "tiny" => Some(SynthConfig::tiny()),
-        _ => None,
-    }
-}
-
 /// Load a dataset from a preset name or a saved TSV directory.
 fn load(source: &str, seed: Option<u64>) -> Result<Dataset, RddError> {
-    if let Some(cfg) = preset(source) {
+    if let Some(cfg) = SynthConfig::preset(source) {
         return Ok(match seed {
             Some(s) => cfg.generate_with_seed(s),
             None => cfg.generate(),
@@ -96,7 +85,7 @@ fn load(source: &str, seed: Option<u64>) -> Result<Dataset, RddError> {
         Ok(io::load_dataset(path)?)
     } else {
         Err(RddError::Cli(format!(
-            "{source:?} is neither a preset (cora|citeseer|pubmed|nell|tiny) nor a dataset directory"
+            "{source:?} is neither a preset (cora|citeseer|pubmed|nell|nell-full|tiny) nor a dataset directory"
         )))
     }
 }
@@ -135,7 +124,8 @@ pub fn generate(args: &Args) -> Result<(), RddError> {
     let [_, name, dir] = args.positional.as_slice() else {
         return Err(RddError::Cli("usage: rdd generate <preset> <dir>".into()));
     };
-    let cfg = preset(name).ok_or_else(|| RddError::Cli(format!("unknown preset {name}")))?;
+    let cfg =
+        SynthConfig::preset(name).ok_or_else(|| RddError::Cli(format!("unknown preset {name}")))?;
     let seed: u64 = args.get_or("seed", cfg.seed)?;
     let data = cfg.generate_with_seed(seed);
     io::save_dataset(&data, Path::new(dir))?;

@@ -187,6 +187,21 @@ impl SynthConfig {
         }
     }
 
+    /// Look up a preset by short or full name (`cora` or `cora-sim`,
+    /// `citeseer`, `pubmed`, `nell`, `nell-full` or `nell-sim-full`,
+    /// `tiny`); `None` for any other name.
+    pub fn preset(name: &str) -> Option<SynthConfig> {
+        Some(match name {
+            "cora" | "cora-sim" => Self::cora_sim(),
+            "citeseer" | "citeseer-sim" => Self::citeseer_sim(),
+            "pubmed" | "pubmed-sim" => Self::pubmed_sim(),
+            "nell" | "nell-sim" => Self::nell_sim(),
+            "nell-full" | "nell-sim-full" => Self::nell_sim_full(),
+            "tiny" => Self::tiny(),
+            _ => return None,
+        })
+    }
+
     /// All four paper datasets in Table 2 order.
     pub fn paper_datasets() -> Vec<SynthConfig> {
         vec![
@@ -387,6 +402,23 @@ pub fn generate(cfg: &SynthConfig, rng: &mut Rng) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn preset_lookup_roundtrip() {
+        for (name, full) in [
+            ("cora", "cora-sim"),
+            ("citeseer", "citeseer-sim"),
+            ("pubmed", "pubmed-sim"),
+            ("nell", "nell-sim"),
+            ("nell-full", "nell-sim-full"),
+            ("tiny", "tiny"),
+        ] {
+            let cfg = SynthConfig::preset(name).expect(name);
+            assert_eq!(cfg.name, full);
+            assert_eq!(SynthConfig::preset(full).expect(full).name, full);
+        }
+        assert!(SynthConfig::preset("imaginary").is_none());
+    }
 
     #[test]
     fn tiny_respects_config() {

@@ -35,7 +35,7 @@
 //! | `counter`   | `name value` — cumulative snapshot                                     |
 //! | `gauge`     | `name value` — last/peak value                                         |
 //! | `pool_init` | `threads` — resolved worker-pool width                                 |
-//! | `simd_init` | `tier detected` — resolved SIMD kernel tier (`RDD_SIMD`) vs best available |
+//! | `simd_init` | `tier detected` — resolved kernel tier (`scalar` or `avx2`, from `RDD_SIMD` `auto` or `off`) vs best available |
 //! | `fault`     | `kind site n pass` — an injected [`fault`] fired (`RDD_FAULT`)         |
 //! | `rollback`  | `model epoch retry lr_scale reason` — divergence guard retried an epoch |
 //! | `divergence`| `model epoch rollbacks` — retry budget exhausted, member degraded      |

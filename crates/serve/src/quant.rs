@@ -9,7 +9,9 @@
 //!
 //! Dequantization routes through the SIMD tier
 //! ([`rdd_tensor::simd::dequant_u8`]), so a v2q load vectorizes under
-//! `RDD_SIMD=auto` and stays scalar-exact under `RDD_SIMD=off`.
+//! `RDD_SIMD=auto` and stays scalar-exact under `RDD_SIMD=off`. Its AVX2
+//! body is one of the few hand-written ones the tier keeps, because its
+//! bits differ from scalar: one FMA per code (≤1 ULP from scalar).
 //!
 //! Drift is reported in ULPs ([`ulp_distance`]): the monotone bit-space
 //! distance between the dequantized value and the original. Quantization

@@ -9,26 +9,28 @@
 //! / log-softmax / entropy, the elementwise arms used by the loss hook and
 //! reliability refresh, and the int8 dequantization of the serving
 //! artifacts — are per-slice dispatchers with the tier as first argument.
-//! Each kernel exists in up to three tiers:
+//! There are two tiers:
 //!
 //! * **`Scalar`** — the original autovectorized kernels (see [`scalar`];
 //!   the products use the portable `Lanes` impl, the same scalar tree
 //!   per element). They are the *bitwise oracle*: `RDD_SIMD=off` selects
 //!   this order, so the pre-SIMD numerics are always reachable.
-//! * **`Sse2`** — `std::arch` x86-64 SSE2 intrinsics that replicate the
-//!   scalar expression trees lane-for-lane. Kernels whose scalar op
-//!   order a 4-lane rewrite would have to change (sequential-sum
-//!   reductions like `row_entropy` and the softmax backward dot) simply
-//!   delegate to [`scalar`], and the products run the portable row
-//!   kernels, so the SSE2 tier is bitwise-identical to `Scalar` on every
-//!   kernel (the property tests in `tests/simd_equivalence.rs` pin this
-//!   down).
 //! * **`Avx2`** — AVX2 + FMA. Fused multiply-adds reassociate the
 //!   reductions (the products use an FMA chain on full blocks of eight
 //!   columns and the scalar tree on narrower tails) and the
 //!   transcendental kernels use Cephes-style polynomial vector `exp`/`ln`,
 //!   so this tier is *bounded-ULP* equivalent to `Scalar` rather than
-//!   bitwise (again pinned by property tests).
+//!   bitwise (pinned by property tests in `tests/simd_equivalence.rs`).
+//!
+//! **One source per kernel.** A hand-written AVX2 body exists only where
+//! its bits or its vector maths differ from scalar: the FMA product lanes
+//! and dot, the softmax / log-softmax / entropy family, the backward rows,
+//! `add_scaled_assign` and `dequant_u8`. The pure elementwise kernels
+//! (`add_assign`, `scale_assign`, `mul_assign`, `relu_in_place`,
+//! `relu_bwd`) have no intrinsics: their AVX2 tier is the [`scalar`]
+//! function compiled a second time under `#[target_feature]`, so both
+//! tiers give the same bits on every input, ±0, ±inf, NaN and subnormals
+//! included.
 //!
 //! A product's bits depend only on the tier and on the thread split
 //! (`par_reduce_rows` sums per-task partial outputs); `tests/kernel_oracle.rs`
@@ -40,12 +42,11 @@
 //! The active tier latches once per process from `RDD_SIMD` (same
 //! pattern as `RDD_WORKSPACE` / `RDD_THREADS`):
 //!
-//! * unset / `auto` / `on` — best tier the CPU supports, probed with
-//!   `is_x86_feature_detected!`;
+//! * unset / `auto` / `on` — AVX2 when the CPU has AVX2 and FMA (probed
+//!   with `is_x86_feature_detected!`), else scalar;
 //! * `off` / `scalar` / `0` / `false` / `no` — the scalar oracle;
-//! * `sse2` / `avx2` — force a specific tier (falls back to the best
-//!   detected tier, with a warning, when the CPU lacks it);
-//! * anything else — warning through `rdd_obs`, keeps `auto`.
+//! * anything else — warning through `rdd_obs` naming `auto|off`, keeps
+//!   `auto`.
 //!
 //! The first resolution emits a one-shot `simd_init` trace event naming
 //! the selected and detected tiers. Benches and tests that must compare
@@ -62,19 +63,15 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum SimdTier {
     /// The original autovectorized scalar kernels (the bitwise oracle).
     Scalar = 0,
-    /// SSE2 intrinsics preserving the scalar op order (bitwise-equal).
-    Sse2 = 1,
-    /// AVX2 + FMA intrinsics (bounded-ULP equivalent, fastest).
-    Avx2 = 2,
+    /// AVX2 + FMA (bounded-ULP equivalent, fastest).
+    Avx2 = 1,
 }
 
 impl SimdTier {
-    /// Stable lowercase name, as accepted by `RDD_SIMD` and reported in
-    /// the `simd_init` trace event.
+    /// Stable lowercase name, as reported in the `simd_init` trace event.
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Sse2 => "sse2",
             SimdTier::Avx2 => "avx2",
         }
     }
@@ -87,8 +84,7 @@ static ACTIVE: AtomicU8 = AtomicU8::new(TIER_UNSET);
 
 fn tier_from_u8(v: u8) -> SimdTier {
     match v {
-        1 => SimdTier::Sse2,
-        2 => SimdTier::Avx2,
+        1 => SimdTier::Avx2,
         _ => SimdTier::Scalar,
     }
 }
@@ -96,14 +92,8 @@ fn tier_from_u8(v: u8) -> SimdTier {
 /// Best tier the running CPU supports.
 pub fn detect_best() -> SimdTier {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return SimdTier::Avx2;
-        }
-        if std::arch::is_x86_feature_detected!("sse2") {
-            return SimdTier::Sse2;
-        }
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        return SimdTier::Avx2;
     }
     SimdTier::Scalar
 }
@@ -131,23 +121,10 @@ pub fn force_active(tier: SimdTier) {
 #[cold]
 fn init_from_env() -> SimdTier {
     let best = detect_best();
-    let tier = rdd_obs::env::parse_with("RDD_SIMD", "auto|off|scalar|sse2|avx2", |v| {
+    let tier = rdd_obs::env::parse_with("RDD_SIMD", "auto|off", |v| {
         match v.trim().to_ascii_lowercase().as_str() {
             "" | "auto" | "on" => Some(best),
             "off" | "scalar" | "0" | "false" | "no" => Some(SimdTier::Scalar),
-            "sse2" if available(SimdTier::Sse2) => Some(SimdTier::Sse2),
-            "avx2" if available(SimdTier::Avx2) => Some(SimdTier::Avx2),
-            "sse2" | "avx2" => {
-                // Valid name, unsupported CPU: its own warning (the value
-                // parsed fine; the hardware is the problem), then fall
-                // back to the detected best tier.
-                rdd_obs::env::reject(
-                    "RDD_SIMD",
-                    v,
-                    &format!("a tier this CPU supports (best: {})", best.name()),
-                );
-                Some(best)
-            }
             _ => None,
         }
     })
@@ -173,41 +150,34 @@ fn init_from_env() -> SimdTier {
 // Dispatchers: one public function per kernel, tier as the first argument.
 // ---------------------------------------------------------------------------
 
-/// Slices narrower than one AVX2 vector (8 lanes) always take the scalar
-/// tier: at such widths the vector path is all setup and masked remainder
-/// (measured ~0.9x on 7-class softmax/backward rows), and demoting to the
-/// bitwise oracle can never change results.
+/// Slices narrower than one AVX2 vector (8 lanes) take the scalar tier in
+/// the kernels with a hand-written AVX2 body: at such widths the vector
+/// path is all setup and masked remainder (measured ~0.9x on 7-class
+/// softmax/backward rows), and demoting to the bitwise oracle can never
+/// change results.
 const NARROW: usize = 8;
 
 macro_rules! dispatch {
-    ($tier:expr, $scalar:expr, $sse2:expr, $avx2:expr) => {
+    ($tier:expr, $scalar:expr, $avx2:expr) => {
         match $tier {
-            SimdTier::Scalar => $scalar,
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => unsafe { $sse2 },
+            // SAFETY: the Avx2 tier is only ever latched on CPUs with AVX2+FMA.
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 => unsafe { $avx2 },
-            #[cfg(not(target_arch = "x86_64"))]
             _ => $scalar,
         }
     };
 }
 
-/// Numerically-stable in-place softmax (bitwise across Scalar/Sse2).
+/// Numerically-stable in-place softmax (bounded-ULP under AVX2).
 #[inline]
 pub fn softmax_in_place(tier: SimdTier, row: &mut [f32]) {
     if row.len() < NARROW {
         return scalar::softmax_in_place(row);
     }
-    dispatch!(
-        tier,
-        scalar::softmax_in_place(row),
-        x86::softmax_sse2(row),
-        x86::softmax_avx2(row)
-    )
+    dispatch!(tier, scalar::softmax_in_place(row), x86::softmax_avx2(row))
 }
 
-/// Numerically-stable in-place log-softmax (bitwise across Scalar/Sse2).
+/// Numerically-stable in-place log-softmax (bounded-ULP under AVX2).
 #[inline]
 pub fn log_softmax_in_place(tier: SimdTier, row: &mut [f32]) {
     if row.len() < NARROW {
@@ -216,40 +186,29 @@ pub fn log_softmax_in_place(tier: SimdTier, row: &mut [f32]) {
     dispatch!(
         tier,
         scalar::log_softmax_in_place(row),
-        x86::log_softmax_sse2(row),
         x86::log_softmax_avx2(row)
     )
 }
 
-/// Shannon entropy of one row (`Σ −p ln p` over `p > 0`). The scalar sum
-/// is sequential, so the SSE2 tier delegates to it (bitwise); AVX2 uses
-/// the polynomial vector `ln` (bounded-ULP).
+/// Shannon entropy of one row (`Σ −p ln p` over `p > 0`). AVX2 uses the
+/// polynomial vector `ln` (bounded-ULP).
 #[inline]
 pub fn row_entropy(tier: SimdTier, row: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 && row.len() >= NARROW {
-        return unsafe { x86::row_entropy_avx2(row) };
+    if row.len() < NARROW {
+        return scalar::row_entropy(row);
     }
-    let _ = tier;
-    scalar::row_entropy(row)
+    dispatch!(tier, scalar::row_entropy(row), x86::row_entropy_avx2(row))
 }
 
-/// Elementwise `a += b` (bitwise across Scalar/Sse2).
+/// Elementwise `a += b` (one source: bitwise on every tier).
 #[inline]
 pub fn add_assign(tier: SimdTier, a: &mut [f32], b: &[f32]) {
     debug_assert_eq!(a.len(), b.len());
-    if a.len() < NARROW {
-        return scalar::add_assign(a, b);
-    }
-    dispatch!(
-        tier,
-        scalar::add_assign(a, b),
-        x86::add_assign_sse2(a, b),
-        x86::add_assign_avx2(a, b)
-    )
+    dispatch!(tier, scalar::add_assign(a, b), x86::add_assign_avx2(a, b))
 }
 
-/// Elementwise `a += s * b` (bitwise across Scalar/Sse2).
+/// Elementwise `a += s * b` (one fused multiply-add under AVX2:
+/// bounded-ULP).
 #[inline]
 pub fn add_scaled_assign(tier: SimdTier, a: &mut [f32], b: &[f32], s: f32) {
     debug_assert_eq!(a.len(), b.len());
@@ -259,112 +218,82 @@ pub fn add_scaled_assign(tier: SimdTier, a: &mut [f32], b: &[f32], s: f32) {
     dispatch!(
         tier,
         scalar::add_scaled_assign(a, b, s),
-        x86::add_scaled_sse2(a, b, s),
         x86::add_scaled_avx2(a, b, s)
     )
 }
 
-/// Elementwise `a *= s` (bitwise across Scalar/Sse2).
+/// Elementwise `a *= s` (one source: bitwise on every tier).
 #[inline]
 pub fn scale_assign(tier: SimdTier, a: &mut [f32], s: f32) {
-    if a.len() < NARROW {
-        return scalar::scale_assign(a, s);
-    }
-    dispatch!(
-        tier,
-        scalar::scale_assign(a, s),
-        x86::scale_sse2(a, s),
-        x86::scale_avx2(a, s)
-    )
+    dispatch!(tier, scalar::scale_assign(a, s), x86::scale_avx2(a, s))
 }
 
-/// Elementwise `a *= b` (Hadamard / dropout-mask arm; bitwise across
-/// Scalar/Sse2).
+/// Elementwise `a *= b` (Hadamard / dropout-mask arm; one source: bitwise
+/// on every tier).
 #[inline]
 pub fn mul_assign(tier: SimdTier, a: &mut [f32], b: &[f32]) {
     debug_assert_eq!(a.len(), b.len());
-    if a.len() < NARROW {
-        return scalar::mul_assign(a, b);
-    }
-    dispatch!(
-        tier,
-        scalar::mul_assign(a, b),
-        x86::mul_assign_sse2(a, b),
-        x86::mul_assign_avx2(a, b)
-    )
+    dispatch!(tier, scalar::mul_assign(a, b), x86::mul_assign_avx2(a, b))
 }
 
-/// In-place ReLU `v = max(v, 0)` (bitwise across Scalar/Sse2 for inputs
-/// without `-0.0`/NaN).
+/// In-place ReLU `v = max(v, 0)` (one source: bitwise on every tier).
 #[inline]
 pub fn relu_in_place(tier: SimdTier, a: &mut [f32]) {
-    if a.len() < NARROW {
-        return scalar::relu_in_place(a);
-    }
-    dispatch!(
-        tier,
-        scalar::relu_in_place(a),
-        x86::relu_sse2(a),
-        x86::relu_avx2(a)
-    )
+    dispatch!(tier, scalar::relu_in_place(a), x86::relu_avx2(a))
 }
 
-/// ReLU backward: zero `d` wherever the forward input `x <= 0` (bitwise
-/// across Scalar/Sse2 for non-NaN inputs).
+/// ReLU backward: zero `d` wherever the forward input `x <= 0`, keep it
+/// where `x` is NaN (one source: bitwise on every tier).
 #[inline]
 pub fn relu_bwd(tier: SimdTier, d: &mut [f32], x: &[f32]) {
     debug_assert_eq!(d.len(), x.len());
-    if d.len() < NARROW {
-        return scalar::relu_bwd(d, x);
-    }
-    dispatch!(
-        tier,
-        scalar::relu_bwd(d, x),
-        x86::relu_bwd_sse2(d, x),
-        x86::relu_bwd_avx2(d, x)
-    )
+    dispatch!(tier, scalar::relu_bwd(d, x), x86::relu_bwd_avx2(d, x))
 }
 
-/// Softmax backward over one row: `dx = y ⊙ (dx − Σ dx·y)`. The row dot
-/// is a sequential scalar sum, so SSE2 delegates to scalar (bitwise);
-/// AVX2 vectorizes both passes (bounded-ULP).
+/// Softmax backward over one row: `dx = y ⊙ (dx − Σ dx·y)`. AVX2
+/// vectorizes both passes (bounded-ULP).
 #[inline]
 pub fn softmax_bwd_row(tier: SimdTier, dx: &mut [f32], y: &[f32]) {
     debug_assert_eq!(dx.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 && dx.len() >= NARROW {
-        return unsafe { x86::softmax_bwd_row_avx2(dx, y) };
+    if dx.len() < NARROW {
+        return scalar::softmax_bwd_row(dx, y);
     }
-    let _ = tier;
-    scalar::softmax_bwd_row(dx, y)
+    dispatch!(
+        tier,
+        scalar::softmax_bwd_row(dx, y),
+        x86::softmax_bwd_row_avx2(dx, y)
+    )
 }
 
-/// Log-softmax backward over one row: `dx -= exp(y) * Σ dx`. SSE2
-/// delegates to scalar (sequential sum + scalar `exp`); AVX2 uses the
-/// polynomial vector `exp` (bounded-ULP).
+/// Log-softmax backward over one row: `dx -= exp(y) * Σ dx`. AVX2 uses
+/// the polynomial vector `exp` (bounded-ULP).
 #[inline]
 pub fn log_softmax_bwd_row(tier: SimdTier, dx: &mut [f32], y: &[f32]) {
     debug_assert_eq!(dx.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 && dx.len() >= NARROW {
-        return unsafe { x86::log_softmax_bwd_row_avx2(dx, y) };
+    if dx.len() < NARROW {
+        return scalar::log_softmax_bwd_row(dx, y);
     }
-    let _ = tier;
-    scalar::log_softmax_bwd_row(dx, y)
+    dispatch!(
+        tier,
+        scalar::log_softmax_bwd_row(dx, y),
+        x86::log_softmax_bwd_row_avx2(dx, y)
+    )
 }
 
 /// Affine int8 dequantization `out[i] = zero + scale * q[i]` (the v2q
-/// serving-artifact load path). SSE2 delegates to scalar; AVX2 widens
-/// eight codes per step through `cvtepu8` + FMA (≤1 ULP from scalar).
+/// serving-artifact load path). AVX2 widens eight codes per step through
+/// `cvtepu8` + FMA (≤1 ULP from scalar).
 #[inline]
 pub fn dequant_u8(tier: SimdTier, q: &[u8], scale: f32, zero: f32, out: &mut [f32]) {
     debug_assert_eq!(q.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 && q.len() >= NARROW {
-        return unsafe { x86::dequant_u8_avx2(q, scale, zero, out) };
+    if q.len() < NARROW {
+        return scalar::dequant_u8(q, scale, zero, out);
     }
-    let _ = tier;
-    scalar::dequant_u8(q, scale, zero, out)
+    dispatch!(
+        tier,
+        scalar::dequant_u8(q, scale, zero, out),
+        x86::dequant_u8_avx2(q, scale, zero, out)
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -684,211 +613,18 @@ pub mod scalar {
 }
 
 // ---------------------------------------------------------------------------
-// x86-64 vector tiers.
+// x86-64 AVX2 tier.
 // ---------------------------------------------------------------------------
 
-/// SSE2 and AVX2+FMA kernel implementations. All functions are
+/// AVX2+FMA kernel implementations. All functions are
 /// `#[target_feature]`-gated: callers must have verified the feature via
 /// [`detect_best`] (the dispatchers and the `RDD_SIMD` latch do).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_op_in_unsafe_fn)]
 mod x86 {
-    use super::{col_blocks, dot_rows_with, Lanes, RowKernel};
+    use super::{col_blocks, dot_rows_with, scalar, Lanes, RowKernel};
     use std::arch::x86_64::*;
     use std::ops::Range;
-
-    // -------------------------- SSE2 (bitwise) ---------------------------
-    //
-    // These kernels replicate the scalar expression trees lane-for-lane:
-    // the elementwise kernels perform the identical per-element
-    // product/sum, so they are bitwise-equal to the `scalar` module on
-    // finite inputs. (The products run the portable row kernels, which
-    // are the scalar order by construction.)
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn max_sse2(row: &[f32]) -> f32 {
-        let n = row.len();
-        let quads = n / 4 * 4;
-        let mut max = f32::NEG_INFINITY;
-        if quads >= 4 {
-            let mut vm = _mm_loadu_ps(row.as_ptr());
-            let mut i = 4;
-            while i < quads {
-                vm = _mm_max_ps(vm, _mm_loadu_ps(row.as_ptr().add(i)));
-                i += 4;
-            }
-            let mut lanes = [0.0f32; 4];
-            _mm_storeu_ps(lanes.as_mut_ptr(), vm);
-            max = lanes.iter().cloned().fold(max, f32::max);
-        }
-        for &v in &row[quads..] {
-            max = max.max(v);
-        }
-        max
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn softmax_sse2(row: &mut [f32]) {
-        // Vector max (order-free), scalar exp + sequential sum so `z` is
-        // bitwise-equal to the scalar kernel, then a vector scale pass.
-        let max = max_sse2(row);
-        let mut z = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            z += *v;
-        }
-        let inv = 1.0 / z;
-        let n = row.len();
-        let quads = n / 4 * 4;
-        let vi = _mm_set1_ps(inv);
-        let p = row.as_mut_ptr();
-        let mut i = 0;
-        while i < quads {
-            _mm_storeu_ps(p.add(i), _mm_mul_ps(_mm_loadu_ps(p.add(i)), vi));
-            i += 4;
-        }
-        for v in &mut row[quads..] {
-            *v *= inv;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn log_softmax_sse2(row: &mut [f32]) {
-        let max = max_sse2(row);
-        let mut z = 0.0f32;
-        for &v in row.iter() {
-            z += (v - max).exp();
-        }
-        let lz = z.ln() + max;
-        let n = row.len();
-        let quads = n / 4 * 4;
-        let vlz = _mm_set1_ps(lz);
-        let p = row.as_mut_ptr();
-        let mut i = 0;
-        while i < quads {
-            _mm_storeu_ps(p.add(i), _mm_sub_ps(_mm_loadu_ps(p.add(i)), vlz));
-            i += 4;
-        }
-        for v in &mut row[quads..] {
-            *v -= lz;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn add_assign_sse2(a: &mut [f32], b: &[f32]) {
-        let n = a.len();
-        let quads = n / 4 * 4;
-        let pa = a.as_mut_ptr();
-        let pb = b.as_ptr();
-        let mut i = 0;
-        while i < quads {
-            _mm_storeu_ps(
-                pa.add(i),
-                _mm_add_ps(_mm_loadu_ps(pa.add(i)), _mm_loadu_ps(pb.add(i))),
-            );
-            i += 4;
-        }
-        for k in quads..n {
-            a[k] += b[k];
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn add_scaled_sse2(a: &mut [f32], b: &[f32], s: f32) {
-        let n = a.len();
-        let quads = n / 4 * 4;
-        let vs = _mm_set1_ps(s);
-        let pa = a.as_mut_ptr();
-        let pb = b.as_ptr();
-        let mut i = 0;
-        while i < quads {
-            _mm_storeu_ps(
-                pa.add(i),
-                _mm_add_ps(
-                    _mm_loadu_ps(pa.add(i)),
-                    _mm_mul_ps(vs, _mm_loadu_ps(pb.add(i))),
-                ),
-            );
-            i += 4;
-        }
-        for k in quads..n {
-            a[k] += s * b[k];
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn scale_sse2(a: &mut [f32], s: f32) {
-        let n = a.len();
-        let quads = n / 4 * 4;
-        let vs = _mm_set1_ps(s);
-        let pa = a.as_mut_ptr();
-        let mut i = 0;
-        while i < quads {
-            _mm_storeu_ps(pa.add(i), _mm_mul_ps(_mm_loadu_ps(pa.add(i)), vs));
-            i += 4;
-        }
-        for v in &mut a[quads..n] {
-            *v *= s;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn mul_assign_sse2(a: &mut [f32], b: &[f32]) {
-        let n = a.len();
-        let quads = n / 4 * 4;
-        let pa = a.as_mut_ptr();
-        let pb = b.as_ptr();
-        let mut i = 0;
-        while i < quads {
-            _mm_storeu_ps(
-                pa.add(i),
-                _mm_mul_ps(_mm_loadu_ps(pa.add(i)), _mm_loadu_ps(pb.add(i))),
-            );
-            i += 4;
-        }
-        for k in quads..n {
-            a[k] *= b[k];
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn relu_sse2(a: &mut [f32]) {
-        let n = a.len();
-        let quads = n / 4 * 4;
-        let zero = _mm_setzero_ps();
-        let pa = a.as_mut_ptr();
-        let mut i = 0;
-        while i < quads {
-            _mm_storeu_ps(pa.add(i), _mm_max_ps(_mm_loadu_ps(pa.add(i)), zero));
-            i += 4;
-        }
-        for v in &mut a[quads..] {
-            *v = v.max(0.0);
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn relu_bwd_sse2(d: &mut [f32], x: &[f32]) {
-        let n = d.len();
-        let quads = n / 4 * 4;
-        let zero = _mm_setzero_ps();
-        let pd = d.as_mut_ptr();
-        let px = x.as_ptr();
-        let mut i = 0;
-        while i < quads {
-            // Keep the gradient only where x > 0.
-            let keep = _mm_cmpgt_ps(_mm_loadu_ps(px.add(i)), zero);
-            _mm_storeu_ps(pd.add(i), _mm_and_ps(_mm_loadu_ps(pd.add(i)), keep));
-            i += 4;
-        }
-        for k in quads..n {
-            if x[k] <= 0.0 {
-                d[k] = 0.0;
-            }
-        }
-    }
-
-    // ------------------------- AVX2 + FMA (ULP) --------------------------
 
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn hsum256(v: __m256) -> f32 {
@@ -1291,27 +1027,6 @@ mod x86 {
         }
     }
 
-    // AVX2 elementwise arms.
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn add_assign_avx2(a: &mut [f32], b: &[f32]) {
-        let n = a.len();
-        let octs = n / 8 * 8;
-        let pa = a.as_mut_ptr();
-        let pb = b.as_ptr();
-        let mut i = 0;
-        while i < octs {
-            _mm256_storeu_ps(
-                pa.add(i),
-                _mm256_add_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i))),
-            );
-            i += 8;
-        }
-        for k in octs..n {
-            a[k] += b[k];
-        }
-    }
-
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn add_scaled_avx2(a: &mut [f32], b: &[f32], s: f32) {
         let n = a.len();
@@ -1332,75 +1047,33 @@ mod x86 {
         }
     }
 
+    // One source, compiled twice: the elementwise kernels whose AVX2 bits
+    // equal scalar's are the `scalar` functions themselves, inlined here
+    // and vectorized eight lanes wide by the compiler.
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn add_assign_avx2(a: &mut [f32], b: &[f32]) {
+        scalar::add_assign(a, b)
+    }
+
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn scale_avx2(a: &mut [f32], s: f32) {
-        let n = a.len();
-        let octs = n / 8 * 8;
-        let vs = _mm256_set1_ps(s);
-        let pa = a.as_mut_ptr();
-        let mut i = 0;
-        while i < octs {
-            _mm256_storeu_ps(pa.add(i), _mm256_mul_ps(_mm256_loadu_ps(pa.add(i)), vs));
-            i += 8;
-        }
-        for v in &mut a[octs..n] {
-            *v *= s;
-        }
+        scalar::scale_assign(a, s)
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn mul_assign_avx2(a: &mut [f32], b: &[f32]) {
-        let n = a.len();
-        let octs = n / 8 * 8;
-        let pa = a.as_mut_ptr();
-        let pb = b.as_ptr();
-        let mut i = 0;
-        while i < octs {
-            _mm256_storeu_ps(
-                pa.add(i),
-                _mm256_mul_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i))),
-            );
-            i += 8;
-        }
-        for k in octs..n {
-            a[k] *= b[k];
-        }
+        scalar::mul_assign(a, b)
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn relu_avx2(a: &mut [f32]) {
-        let n = a.len();
-        let octs = n / 8 * 8;
-        let zero = _mm256_setzero_ps();
-        let pa = a.as_mut_ptr();
-        let mut i = 0;
-        while i < octs {
-            _mm256_storeu_ps(pa.add(i), _mm256_max_ps(_mm256_loadu_ps(pa.add(i)), zero));
-            i += 8;
-        }
-        for v in &mut a[octs..] {
-            *v = v.max(0.0);
-        }
+        scalar::relu_in_place(a)
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn relu_bwd_avx2(d: &mut [f32], x: &[f32]) {
-        let n = d.len();
-        let octs = n / 8 * 8;
-        let zero = _mm256_setzero_ps();
-        let pd = d.as_mut_ptr();
-        let px = x.as_ptr();
-        let mut i = 0;
-        while i < octs {
-            let keep = _mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_loadu_ps(px.add(i)), zero);
-            _mm256_storeu_ps(pd.add(i), _mm256_and_ps(_mm256_loadu_ps(pd.add(i)), keep));
-            i += 8;
-        }
-        for k in octs..n {
-            if x[k] <= 0.0 {
-                d[k] = 0.0;
-            }
-        }
+        scalar::relu_bwd(d, x)
     }
 }
 
@@ -1415,14 +1088,10 @@ mod tests {
     }
 
     fn tiers() -> Vec<SimdTier> {
-        let mut t = vec![SimdTier::Scalar];
-        if available(SimdTier::Sse2) {
-            t.push(SimdTier::Sse2);
-        }
-        if available(SimdTier::Avx2) {
-            t.push(SimdTier::Avx2);
-        }
-        t
+        [SimdTier::Scalar, SimdTier::Avx2]
+            .into_iter()
+            .filter(|&t| available(t))
+            .collect()
     }
 
     /// Lengths that cover empty, sub-lane, lane-aligned and ragged tails.
@@ -1456,30 +1125,20 @@ mod tests {
                 let mut lsm = base.clone();
                 log_softmax_in_place(t, &mut lsm);
                 let ent = row_entropy(t, &want_sm);
-                if t == SimdTier::Sse2 {
-                    for (w, g) in want_sm.iter().zip(&sm) {
-                        assert_eq!(w.to_bits(), g.to_bits(), "softmax sse2 len {n}");
-                    }
-                    for (w, g) in want_lsm.iter().zip(&lsm) {
-                        assert_eq!(w.to_bits(), g.to_bits(), "log_softmax sse2 len {n}");
-                    }
-                    assert_eq!(ent.to_bits(), want_ent.to_bits(), "entropy sse2 len {n}");
-                } else {
-                    let sum: f32 = sm.iter().sum();
-                    assert!((sum - 1.0).abs() < 1e-4, "softmax {} sums {sum}", t.name());
-                    for (w, g) in want_sm.iter().zip(&sm) {
-                        assert_close(*g, *w, 1.0, &format!("softmax {} len {n}", t.name()));
-                    }
-                    for (w, g) in want_lsm.iter().zip(&lsm) {
-                        assert_close(
-                            *g,
-                            *w,
-                            w.abs(),
-                            &format!("log_softmax {} len {n}", t.name()),
-                        );
-                    }
-                    assert_close(ent, want_ent, (n as f32).max(1.0), "entropy avx2");
+                let sum: f32 = sm.iter().sum();
+                assert!((sum - 1.0).abs() < 1e-4, "softmax {} sums {sum}", t.name());
+                for (w, g) in want_sm.iter().zip(&sm) {
+                    assert_close(*g, *w, 1.0, &format!("softmax {} len {n}", t.name()));
                 }
+                for (w, g) in want_lsm.iter().zip(&lsm) {
+                    assert_close(
+                        *g,
+                        *w,
+                        w.abs(),
+                        &format!("log_softmax {} len {n}", t.name()),
+                    );
+                }
+                assert_close(ent, want_ent, (n as f32).max(1.0), "entropy");
             }
         }
     }
@@ -1487,31 +1146,60 @@ mod tests {
     #[test]
     fn elementwise_tiers_agree() {
         let mut rng = seeded_rng(0x0123_4567_89ab_cdef);
-        for &n in LENS {
-            let a0 = values(&mut rng, n);
-            let b = values(&mut rng, n);
-            let s = rng.range_f32(-0.5..0.5);
-            for t in tiers() {
-                let bitwise = t != SimdTier::Avx2;
+        let mut sets: Vec<(Vec<f32>, Vec<f32>, f32)> = LENS
+            .iter()
+            .map(|&n| {
+                (
+                    values(&mut rng, n),
+                    values(&mut rng, n),
+                    rng.range_f32(-0.5..0.5),
+                )
+            })
+            .collect();
+        // IEEE corner cases in the vector body and the tail (four octets
+        // and three more lanes): ±0, ±inf, NaN, −NaN and subnormals, met by
+        // each other and by ordinary values.
+        const SPECIAL: [f32; 8] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            1e-40,
+            -1e-40,
+        ];
+        let a0: Vec<f32> = (0..35).map(|i| SPECIAL[i % 8]).collect();
+        let b: Vec<f32> = (0..35)
+            .map(|i| match i % 3 {
+                0 => SPECIAL[i / 3 % 8],
+                _ => rng.range_f32(-0.5..0.5),
+            })
+            .collect();
+        sets.push((a0, b, rng.range_f32(-0.5..0.5)));
 
+        for (a0, b, s) in &sets {
+            let (n, s) = (a0.len(), *s);
+            for t in tiers() {
                 let mut want = a0.clone();
-                scalar::add_assign(&mut want, &b);
+                scalar::add_assign(&mut want, b);
                 let mut got = a0.clone();
-                add_assign(t, &mut got, &b);
+                add_assign(t, &mut got, b);
+                check(&want, &got, true, "add_assign", t, n);
+
+                // One fused multiply-add under AVX2: bounded, not bitwise.
+                let mut want = a0.clone();
+                scalar::add_scaled_assign(&mut want, b, s);
+                let mut got = a0.clone();
+                add_scaled_assign(t, &mut got, b, s);
                 check(
                     &want,
                     &got,
-                    bitwise || t == SimdTier::Avx2,
-                    "add_assign",
+                    t == SimdTier::Scalar,
+                    "add_scaled_assign",
                     t,
                     n,
                 );
-
-                let mut want = a0.clone();
-                scalar::add_scaled_assign(&mut want, &b, s);
-                let mut got = a0.clone();
-                add_scaled_assign(t, &mut got, &b, s);
-                check(&want, &got, bitwise, "add_scaled_assign", t, n);
 
                 let mut want = a0.clone();
                 scalar::scale_assign(&mut want, s);
@@ -1520,9 +1208,9 @@ mod tests {
                 check(&want, &got, true, "scale_assign", t, n);
 
                 let mut want = a0.clone();
-                scalar::mul_assign(&mut want, &b);
+                scalar::mul_assign(&mut want, b);
                 let mut got = a0.clone();
-                mul_assign(t, &mut got, &b);
+                mul_assign(t, &mut got, b);
                 check(&want, &got, true, "mul_assign", t, n);
 
                 let mut want = a0.clone();
@@ -1532,17 +1220,27 @@ mod tests {
                 check(&want, &got, true, "relu", t, n);
 
                 let mut want = b.clone();
-                scalar::relu_bwd(&mut want, &a0);
+                scalar::relu_bwd(&mut want, a0);
                 let mut got = b.clone();
-                relu_bwd(t, &mut got, &a0);
+                relu_bwd(t, &mut got, a0);
                 check(&want, &got, true, "relu_bwd", t, n);
             }
         }
 
+        /// Bitwise (or within `assert_close` where `bitwise` is false, for
+        /// finite values), except that a NaN only has to meet a NaN: its
+        /// payload is not part of the contract.
         fn check(want: &[f32], got: &[f32], bitwise: bool, what: &str, t: SimdTier, n: usize) {
-            for (w, g) in want.iter().zip(got) {
-                if bitwise {
-                    assert_eq!(w.to_bits(), g.to_bits(), "{what} {} len {n}", t.name());
+            for (i, (w, g)) in want.iter().zip(got).enumerate() {
+                if w.is_nan() {
+                    assert!(g.is_nan(), "{what} {} len {n} [{i}]: NaN vs {g}", t.name());
+                } else if bitwise || !w.is_finite() {
+                    assert_eq!(
+                        w.to_bits(),
+                        g.to_bits(),
+                        "{what} {} len {n} [{i}]: {w} vs {g}",
+                        t.name()
+                    );
                 } else {
                     assert_close(*g, *w, w.abs(), &format!("{what} {} len {n}", t.name()));
                 }

@@ -40,7 +40,7 @@ fn tier_lock() -> MutexGuard<'static, ()> {
 fn on_every_tier(mut check: impl FnMut(SimdTier)) {
     let _guard = tier_lock();
     let before = simd::active();
-    for tier in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
+    for tier in [SimdTier::Scalar, SimdTier::Avx2] {
         if simd::available(tier) {
             simd::force_active(tier);
             check(tier);
@@ -235,14 +235,10 @@ mod old {
     const NARROW: usize = 8;
 
     macro_rules! dispatch {
-        ($tier:expr, $scalar:expr, $sse2:expr, $avx2:expr) => {
+        ($tier:expr, $scalar:expr, $avx2:expr) => {
             match $tier {
-                SimdTier::Scalar => $scalar,
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Sse2 => unsafe { $sse2 },
                 #[cfg(target_arch = "x86_64")]
                 SimdTier::Avx2 => unsafe { $avx2 },
-                #[cfg(not(target_arch = "x86_64"))]
                 _ => $scalar,
             }
         };
@@ -253,12 +249,7 @@ mod old {
         if a.len() < NARROW {
             return scalar::dot(a, b);
         }
-        dispatch!(
-            tier,
-            scalar::dot(a, b),
-            x86::dot_sse2(a, b),
-            x86::dot_avx2(a, b)
-        )
+        dispatch!(tier, scalar::dot(a, b), x86::dot_avx2(a, b))
     }
 
     pub fn axpy(tier: SimdTier, out_row: &mut [f32], a: f32, b_row: &[f32]) {
@@ -268,7 +259,6 @@ mod old {
         dispatch!(
             tier,
             scalar::axpy(out_row, a, b_row),
-            x86::axpy_sse2(out_row, a, b_row),
             x86::axpy_avx2(out_row, a, b_row)
         )
     }
@@ -288,7 +278,6 @@ mod old {
         dispatch!(
             tier,
             scalar::axpy4(out_row, a, b0, b1, b2, b3),
-            x86::axpy4_sse2(out_row, a, b0, b1, b2, b3),
             x86::axpy4_avx2(out_row, a, b0, b1, b2, b3)
         )
     }
@@ -347,96 +336,6 @@ mod old {
     #[cfg(target_arch = "x86_64")]
     mod x86 {
         use std::arch::x86_64::*;
-
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn dot_sse2(a: &[f32], b: &[f32]) -> f32 {
-            let n = a.len();
-            let lanes = n / 8 * 8;
-            let pa = a.as_ptr();
-            let pb = b.as_ptr();
-            let mut acc_lo = _mm_setzero_ps();
-            let mut acc_hi = _mm_setzero_ps();
-            let mut i = 0;
-            while i < lanes {
-                acc_lo = _mm_add_ps(
-                    acc_lo,
-                    _mm_mul_ps(_mm_loadu_ps(pa.add(i)), _mm_loadu_ps(pb.add(i))),
-                );
-                acc_hi = _mm_add_ps(
-                    acc_hi,
-                    _mm_mul_ps(_mm_loadu_ps(pa.add(i + 4)), _mm_loadu_ps(pb.add(i + 4))),
-                );
-                i += 8;
-            }
-            let v = _mm_add_ps(acc_lo, acc_hi);
-            let mut lanes4 = [0.0f32; 4];
-            _mm_storeu_ps(lanes4.as_mut_ptr(), v);
-            let mut s = (lanes4[0] + lanes4[1]) + (lanes4[2] + lanes4[3]);
-            for k in lanes..n {
-                s += a[k] * b[k];
-            }
-            s
-        }
-
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn axpy_sse2(out_row: &mut [f32], a: f32, b_row: &[f32]) {
-            if a == 0.0 {
-                return;
-            }
-            let n = out_row.len().min(b_row.len());
-            let quads = n / 4 * 4;
-            let va = _mm_set1_ps(a);
-            let po = out_row.as_mut_ptr();
-            let pb = b_row.as_ptr();
-            let mut i = 0;
-            while i < quads {
-                let o = _mm_loadu_ps(po.add(i));
-                let bch = _mm_loadu_ps(pb.add(i));
-                _mm_storeu_ps(po.add(i), _mm_add_ps(o, _mm_mul_ps(va, bch)));
-                i += 4;
-            }
-            for k in quads..n {
-                out_row[k] += a * b_row[k];
-            }
-        }
-
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn axpy4_sse2(
-            out_row: &mut [f32],
-            a: [f32; 4],
-            b0: &[f32],
-            b1: &[f32],
-            b2: &[f32],
-            b3: &[f32],
-        ) {
-            if a == [0.0; 4] {
-                return;
-            }
-            let n = out_row.len();
-            let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
-            let (va0, va1, va2, va3) = (
-                _mm_set1_ps(a[0]),
-                _mm_set1_ps(a[1]),
-                _mm_set1_ps(a[2]),
-                _mm_set1_ps(a[3]),
-            );
-            let quads = n / 4 * 4;
-            let po = out_row.as_mut_ptr();
-            let mut i = 0;
-            while i < quads {
-                let t = _mm_add_ps(
-                    _mm_mul_ps(va0, _mm_loadu_ps(b0.as_ptr().add(i))),
-                    _mm_mul_ps(va1, _mm_loadu_ps(b1.as_ptr().add(i))),
-                );
-                let t = _mm_add_ps(t, _mm_mul_ps(va2, _mm_loadu_ps(b2.as_ptr().add(i))));
-                let t = _mm_add_ps(t, _mm_mul_ps(va3, _mm_loadu_ps(b3.as_ptr().add(i))));
-                _mm_storeu_ps(po.add(i), _mm_add_ps(_mm_loadu_ps(po.add(i)), t));
-                i += 4;
-            }
-            for k in quads..n {
-                out_row[k] += a[0] * b0[k] + a[1] * b1[k] + a[2] * b2[k] + a[3] * b3[k];
-            }
-        }
 
         #[target_feature(enable = "avx2", enable = "fma")]
         unsafe fn hsum256(v: __m256) -> f32 {
