@@ -239,18 +239,15 @@ $RDD serve --artifact "$SERVE_DIR/model.v2q" \
 cmp "$SERVE_DIR/offline_v2q.proba" "$SERVE_DIR/served_v2q.proba" \
   || { echo "v2q smoke: served rows diverged from offline v2q dump" >&2; exit 1; }
 
-echo "==> sharded multi-worker serve smoke (export --shards, serve --workers, compare bitwise)"
-# The same run exported as a 3-shard set and served through 2 pool workers
-# must produce probability rows byte-identical to the single-file,
-# single-threaded path: sharding and concurrency are pure plumbing.
-$RDD export "$SERVE_DIR/run" "$SERVE_DIR/model.sharded" --shards 3 >/dev/null
-$RDD artifact-info "$SERVE_DIR/model.sharded" --reference "$SERVE_DIR/model.artifact" \
-  --assert-max-ulp 0 >/dev/null
-$RDD serve --artifact "$SERVE_DIR/model.sharded" --workers 2 \
-  --batch 16 --proba-out "$SERVE_DIR/served_sharded.proba" \
-  < "$SERVE_DIR/requests.jsonl" > "$SERVE_DIR/replies_sharded.jsonl" 2>/dev/null
-cmp "$SERVE_DIR/offline.proba" "$SERVE_DIR/served_sharded.proba" \
-  || { echo "sharded smoke: sharded pooled rows diverged from offline ensemble" >&2; exit 1; }
+echo "==> multi-worker serve smoke (serve --workers 2, compare bitwise)"
+# The same artifact served through 2 pool workers must produce probability
+# rows byte-identical to the single-threaded path: concurrency is pure
+# plumbing.
+$RDD serve --artifact "$SERVE_DIR/model.artifact" --workers 2 \
+  --batch 16 --proba-out "$SERVE_DIR/served_pooled.proba" \
+  < "$SERVE_DIR/requests.jsonl" > "$SERVE_DIR/replies_pooled.jsonl" 2>/dev/null
+cmp "$SERVE_DIR/offline.proba" "$SERVE_DIR/served_pooled.proba" \
+  || { echo "pooled smoke: pooled rows diverged from offline ensemble" >&2; exit 1; }
 
 echo "==> hot-swap gate (swap artifact mid-stream, zero drops, per-generation bitwise)"
 # Serve from a FIFO so the request stream can pause mid-flight: first half
@@ -347,14 +344,16 @@ for site in serve_worker serve_batch; do
     || { echo "chaos gate: no worker_respawn event under panic@$site" >&2; exit 1; }
   $RDD report "$CHAOS_DIR/$site.jsonl" >/dev/null
 done
-# A corrupt shard must be detected at load time as a typed error, never
-# served silently.
-if RDD_FAULT=corrupt@shard_load:0 $RDD serve --artifact "$SERVE_DIR/model.sharded" \
+# A corrupt artifact must be detected at load time as a typed checksum
+# error, never served silently: flip one byte of a copy in place.
+cp "$SERVE_DIR/model.artifact" "$CHAOS_DIR/corrupt.artifact"
+printf '#' | dd of="$CHAOS_DIR/corrupt.artifact" bs=1 seek=100 count=1 conv=notrunc 2>/dev/null
+if $RDD serve --artifact "$CHAOS_DIR/corrupt.artifact" \
   --batch 16 < "$SERVE_DIR/requests.jsonl" >/dev/null 2> "$CHAOS_DIR/corrupt.err"; then
-  echo "chaos gate: corrupt shard served without complaint" >&2; exit 1
+  echo "chaos gate: corrupt artifact served without complaint" >&2; exit 1
 fi
-grep -qi "corrupt" "$CHAOS_DIR/corrupt.err" \
-  || { echo "chaos gate: corrupt shard error message missing" >&2; exit 1; }
+grep -q "checksum mismatch" "$CHAOS_DIR/corrupt.err" \
+  || { echo "chaos gate: corrupt artifact error names no checksum mismatch" >&2; exit 1; }
 
 echo "==> swap-rollback gate (io_fail@swap_load: old generation stays live, retry recovers)"
 # The watcher's first replacement load fails with an injected I/O error:

@@ -21,9 +21,9 @@ use rdd_models::{
 use rdd_obs::{gate, TraceSummary};
 use rdd_serve::wire::{self, error_line, reply_json, InputLine};
 use rdd_serve::{
-    export_run_as, export_run_sharded, quant, write_mlp_artifact, AnyArtifact, ArtifactFormat,
-    ArtifactMeta, ArtifactWatcher, BreakerConfig, PoolConfig, RddError, ServeConfig, ServeEngine,
-    ServePool, ServeReply, WatchOutcome,
+    export_run_as, quant, write_mlp_artifact, AnyArtifact, ArtifactFormat, ArtifactMeta,
+    ArtifactWatcher, BreakerConfig, PoolConfig, RddError, ServeConfig, ServeEngine, ServePool,
+    ServeReply, WatchOutcome,
 };
 use rdd_tensor::{seeded_rng, Matrix};
 
@@ -458,17 +458,15 @@ pub fn compare(args: &Args) -> Result<(), RddError> {
     Ok(())
 }
 
-/// `rdd export <run-dir> <artifact> [--quantize int8] [--shards K]` —
-/// distill a completed crash-safe run directory into one versioned,
-/// checksummed artifact file; `--quantize int8` writes the ~0.3×-size v2q
-/// format; `--shards K` (K > 1) writes K node-range shard files plus a
-/// manifest at `<artifact>`, each shard's rows bitwise identical to the
-/// unsharded export's.
+/// `rdd export <run-dir> <artifact> [--quantize int8]` — distill a
+/// completed crash-safe run directory into one versioned, checksummed
+/// artifact file; `--quantize int8` writes the ~0.3×-size v2q format.
 pub fn export(args: &Args) -> Result<(), RddError> {
+    const USAGE: &str = "usage: rdd export <run-dir> <artifact> [--quantize int8]";
+    args.check_options(&["quantize"])
+        .map_err(|e| RddError::Cli(format!("{e}\n{USAGE}")))?;
     let [_, run_dir, artifact_path] = args.positional.as_slice() else {
-        return Err(RddError::Cli(
-            "usage: rdd export <run-dir> <artifact> [--quantize int8] [--shards K]".into(),
-        ));
+        return Err(RddError::Cli(USAGE.into()));
     };
     let format = match args.options.get("quantize").map(String::as_str) {
         None => ArtifactFormat::V1,
@@ -479,33 +477,16 @@ pub fn export(args: &Args) -> Result<(), RddError> {
             )))
         }
     };
-    let shards: usize = args.get_or("shards", 1)?;
-    if shards == 0 {
-        return Err(RddError::Cli("--shards must be >= 1".into()));
-    }
-    let (format_name, meta, checksum) = if shards > 1 {
-        let sharded =
-            export_run_sharded(Path::new(run_dir), Path::new(artifact_path), format, shards)?;
-        (
-            format!(
-                "{} x{} shards",
-                sharded.format().name(),
-                sharded.num_shards()
-            ),
-            sharded.meta().clone(),
-            sharded.checksum(),
-        )
-    } else {
-        let artifact = export_run_as(Path::new(run_dir), Path::new(artifact_path), format)?;
-        (
-            artifact.format().name().to_string(),
-            artifact.meta().clone(),
-            artifact.checksum(),
-        )
-    };
+    let artifact = export_run_as(Path::new(run_dir), Path::new(artifact_path), format)?;
+    let meta = artifact.meta();
     println!(
-        "exported {run_dir} -> {artifact_path} ({format_name}): {} ({} nodes, {} classes), {} members, checksum {checksum:016x}",
-        meta.dataset_name, meta.dataset_n, meta.num_classes, meta.members,
+        "exported {run_dir} -> {artifact_path} ({}): {} ({} nodes, {} classes), {} members, checksum {:016x}",
+        artifact.format().name(),
+        meta.dataset_name,
+        meta.dataset_n,
+        meta.num_classes,
+        meta.members,
+        artifact.checksum(),
     );
     Ok(())
 }
@@ -614,7 +595,6 @@ pub fn artifact_info(args: &Args) -> Result<(), RddError> {
         capability(format.supports_nodes()),
         capability(format.supports_features()),
     );
-    println!("shards:      {}", artifact.num_shards());
     println!("file size:   {file_bytes} bytes");
     println!(
         "dataset:     {} ({} nodes, {} classes)",
@@ -911,7 +891,7 @@ const SERVE_USAGE: &str = "usage: rdd serve --artifact <path> [--workers N] [--b
 /// `id` and the artifact `generation` that answered it), and
 /// `--watch-artifact` polls the artifact path, hot-swapping modified
 /// artifacts in as new generations with zero dropped requests. The
-/// artifact may be a single file or an `export --shards` manifest.
+/// artifact may be any format `rdd export` or `rdd distill-mlp` writes.
 pub fn serve(args: &Args) -> Result<(), RddError> {
     use std::sync::mpsc;
 
@@ -968,13 +948,12 @@ pub fn serve(args: &Args) -> Result<(), RddError> {
     };
     let meta = artifact.meta();
     eprintln!(
-        "serving {} ({} nodes, {} classes, {} members, {} shard(s), checksum {:016x}); \
+        "serving {} ({} nodes, {} classes, {} members, checksum {:016x}); \
          batch {} (flush when full or input drained) cache {} workers {}{}",
         meta.dataset_name,
         meta.dataset_n,
         meta.num_classes,
         meta.members,
-        artifact.num_shards(),
         artifact.checksum(),
         cfg.batch_size,
         cfg.cache_capacity,

@@ -41,7 +41,7 @@ const USAGE: &str = "usage:
   rdd report <trace.jsonl|run-dir>
   rdd report <trace.jsonl> --gate <baseline> [--tol-default PCT] [--floor-ms F] [--inject FACTOR]
   rdd report <trace.jsonl> --write-baseline <out.json>
-  rdd export <run-dir> <artifact> [--quantize int8] [--shards K]
+  rdd export <run-dir> <artifact> [--quantize int8]
   rdd distill-mlp <run-dir> <artifact> [--quantize int8] [--lambda F] [--p F] [--seed N]
             [--epochs N] [--fast]
   rdd artifact-info <artifact> [--proba-out <file>] [--features-in <file>] [--reference <artifact>]
@@ -57,8 +57,8 @@ env: RDD_TRACE=<path|stderr|off> structured telemetry sink, RDD_THREADS=N worker
        oracle, bitwise-identical to builds before the tier existed),
      RDD_METRICS_EVERY=N serve heartbeat seconds (same as --metrics-every),
      RDD_FAULT=<kind>@<site>:<n>[x<k>] deterministic fault injection (nan_loss@epoch, io_fail@ckpt,
-       panic@member, panic@serve_worker, panic@serve_batch, slow@serve_batch, io_fail@swap_load,
-       corrupt@shard_load; :<n>x<k> fires on k consecutive passes)";
+       panic@member, panic@serve_worker, panic@serve_batch, slow@serve_batch, io_fail@swap_load;
+       :<n>x<k> fires on k consecutive passes)";
 
 fn main() {
     let args = match Args::parse(std::env::args().skip(1)) {

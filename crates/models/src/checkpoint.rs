@@ -11,6 +11,10 @@
 //! <v v v ...>          (one line per row)
 //! ...
 //! ```
+//!
+//! The `matrix R C` block is the repository's one text matrix codec:
+//! [`push_matrix`] writes it and [`TextCursor::read_matrix`] reads it back
+//! bitwise, for checkpoints, run directories and the serve artifacts alike.
 
 use std::fs;
 use std::io;
@@ -115,20 +119,151 @@ pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     Ok(())
 }
 
+/// First line of every checkpoint file.
+const HEADER: &str = "rdd-checkpoint v1";
+
+/// A malformed `matrix R C` block, or a missing line, found by a
+/// [`TextCursor`]. The message names the line; each file format maps it
+/// into its own error type.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TextError(pub String);
+
+impl std::fmt::Display for TextError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl From<TextError> for CheckpointError {
+    fn from(e: TextError) -> Self {
+        CheckpointError::Parse(e.0)
+    }
+}
+
+/// Append one `matrix R C` block: the shape line, then one line per row of
+/// the values' shortest-roundtrip `Display` joined by single spaces, so a
+/// [`TextCursor::read_matrix`] gets the same bits back. Checkpoints, run
+/// members, `ensemble.sums` and the v1/v3 artifacts all write their
+/// matrices through this one function.
+pub fn push_matrix(out: &mut String, m: &Matrix) {
+    use std::fmt::Write as _;
+    let (r, c) = m.shape();
+    let _ = writeln!(out, "matrix {r} {c}");
+    for i in 0..r {
+        for (j, v) in m.row(i).iter().enumerate() {
+            if j > 0 {
+                out.push(' ');
+            }
+            let _ = write!(out, "{v}");
+        }
+        out.push('\n');
+    }
+}
+
+/// A line cursor over one text file (or the checksummed body of one):
+/// it numbers the lines it hands out and bounds every count a header
+/// claims by the input's length.
+pub struct TextCursor<'a> {
+    rest: std::str::Lines<'a>,
+    line_no: usize,
+    /// Bytes of the whole input: no block can hold more values than this.
+    len: usize,
+}
+
+impl<'a> TextCursor<'a> {
+    /// A cursor before the first line of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            rest: text.lines(),
+            line_no: 0,
+            len: text.len(),
+        }
+    }
+
+    /// The 1-based number of the line [`Self::next_line`] last returned.
+    pub fn line_no(&self) -> usize {
+        self.line_no
+    }
+
+    /// The next line; running out is a truncation error.
+    pub fn next_line(&mut self) -> Result<&'a str, TextError> {
+        self.line_no += 1;
+        self.rest
+            .next()
+            .ok_or_else(|| TextError(format!("truncated at line {}", self.line_no)))
+    }
+
+    /// The next line, without consuming it.
+    pub fn peek(&self) -> Option<&'a str> {
+        self.rest.clone().next()
+    }
+
+    /// The lines not yet read.
+    pub fn rest(self) -> std::str::Lines<'a> {
+        self.rest
+    }
+
+    /// Check a count the `header` line claims (`None` when computing it
+    /// overflowed). Every value takes at least one byte of text, so a
+    /// count above the input's length is a forged or corrupt header, and
+    /// reserving memory for it could abort the process.
+    pub fn claimed(&self, count: Option<usize>, header: &str) -> Result<usize, TextError> {
+        match count {
+            Some(n) if n <= self.len => Ok(n),
+            _ => Err(TextError(format!(
+                "line {}: {header:?} claims more values than the {}-byte input holds",
+                self.line_no, self.len
+            ))),
+        }
+    }
+
+    /// Read one block written by [`push_matrix`]: exactly `matrix R C`,
+    /// then `R` lines of `C` finite floats. `index` is the block's place
+    /// in its file, for the error messages.
+    pub fn read_matrix(&mut self, index: usize) -> Result<Matrix, TextError> {
+        let header = self.next_line()?;
+        let at = self.line_no;
+        let bad = |what: &str| TextError(format!("line {at}: {what}, found {header:?}"));
+        let mut toks = header.split_whitespace();
+        let (rows, cols) = match (toks.next(), toks.next(), toks.next(), toks.next()) {
+            (Some("matrix"), Some(r), Some(c), None) => (
+                r.parse::<usize>().map_err(|_| bad("bad matrix rows"))?,
+                c.parse::<usize>().map_err(|_| bad("bad matrix cols"))?,
+            ),
+            _ => return Err(bad("expected 'matrix R C'")),
+        };
+        let mut data = Vec::with_capacity(self.claimed(rows.checked_mul(cols), header)?);
+        for r in 0..rows {
+            let row = self.next_line()?;
+            let at = || format!("line {} (matrix {index} row {r})", self.line_no);
+            let before = data.len();
+            for tok in row.split_whitespace() {
+                let v: f32 = tok
+                    .parse()
+                    .map_err(|_| TextError(format!("{}: bad float {tok:?}", at())))?;
+                if !v.is_finite() {
+                    return Err(TextError(format!("{}: non-finite value {tok:?}", at())));
+                }
+                data.push(v);
+            }
+            if data.len() - before != cols {
+                return Err(TextError(format!(
+                    "{}: expected {cols} values, found {}",
+                    at(),
+                    data.len() - before
+                )));
+            }
+        }
+        Ok(Matrix::from_vec(rows, cols, data))
+    }
+}
+
 /// Serialize raw matrices under a model `name` — the same format [`save`]
 /// writes, usable for non-parameter payloads (ensemble outputs, sums).
 pub fn save_matrices(path: &Path, name: &str, mats: &[&Matrix]) -> Result<(), CheckpointError> {
-    let mut out = String::new();
-    out.push_str("rdd-checkpoint v1\n");
-    out.push_str(&format!("model {name}\n"));
-    out.push_str(&format!("params {}\n", mats.len()));
-    for p in mats {
-        out.push_str(&format!("matrix {} {}\n", p.rows(), p.cols()));
-        for i in 0..p.rows() {
-            let row: Vec<String> = p.row(i).iter().map(|v| format!("{v}")).collect();
-            out.push_str(&row.join(" "));
-            out.push('\n');
-        }
+    let mut out = format!("{HEADER}\nmodel {name}\nparams {}\n", mats.len());
+    for m in mats {
+        push_matrix(&mut out, m);
     }
     atomic_write(path, &out)?;
     Ok(())
@@ -141,82 +276,30 @@ pub fn save(model: &dyn Model, path: &Path) -> Result<(), CheckpointError> {
     save_matrices(path, model.name(), &refs)
 }
 
-/// Parse a checkpoint file into raw matrices (model-agnostic).
+/// Parse a checkpoint file into raw matrices (model-agnostic). Blank
+/// lines after the last block are tolerated; anything else is not.
 pub fn load_matrices(path: &Path) -> Result<(String, Vec<Matrix>), CheckpointError> {
     let text = fs::read_to_string(path)?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| CheckpointError::Parse("empty file".into()))?;
-    if header != "rdd-checkpoint v1" {
+    let mut lines = TextCursor::new(&text);
+    let header = lines.next_line()?;
+    if header != HEADER {
         return Err(CheckpointError::Parse(format!("bad header {header:?}")));
     }
-    let model_line = lines
-        .next()
-        .ok_or_else(|| CheckpointError::Parse("missing model line".into()))?;
+    let model_line = lines.next_line()?;
     let model_name = model_line
         .strip_prefix("model ")
         .ok_or_else(|| CheckpointError::Parse(format!("bad model line {model_line:?}")))?
         .to_string();
-    let count_line = lines
-        .next()
-        .ok_or_else(|| CheckpointError::Parse("missing params line".into()))?;
+    let count_line = lines.next_line()?;
     let count: usize = count_line
         .strip_prefix("params ")
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| CheckpointError::Parse(format!("bad params line {count_line:?}")))?;
-
-    // Every value takes at least one byte of text, so a count above the
-    // file's length is forged or corrupt; reserving for it could abort.
-    let claimed = |n: Option<usize>, line: &str| match n {
-        Some(n) if n <= text.len() => Ok(n),
-        _ => Err(CheckpointError::Parse(format!(
-            "{line:?} claims more values than the {}-byte file holds",
-            text.len()
-        ))),
-    };
-    let mut matrices = Vec::with_capacity(claimed(Some(count), count_line)?);
+    let mut matrices = Vec::with_capacity(lines.claimed(Some(count), count_line)?);
     for m in 0..count {
-        let shape_line = lines
-            .next()
-            .ok_or_else(|| CheckpointError::Parse(format!("missing matrix header {m}")))?;
-        let rest = shape_line
-            .strip_prefix("matrix ")
-            .ok_or_else(|| CheckpointError::Parse(format!("bad matrix header {shape_line:?}")))?;
-        let mut it = rest.split_whitespace();
-        let rows: usize = it
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| CheckpointError::Parse("bad rows".into()))?;
-        let cols: usize = it
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| CheckpointError::Parse("bad cols".into()))?;
-        let mut data = Vec::with_capacity(claimed(rows.checked_mul(cols), shape_line)?);
-        for r in 0..rows {
-            let row_line = lines
-                .next()
-                .ok_or_else(|| CheckpointError::Parse(format!("matrix {m} missing row {r}")))?;
-            for tok in row_line.split_whitespace() {
-                let v: f32 = tok
-                    .parse()
-                    .map_err(|_| CheckpointError::Parse(format!("bad value {tok:?}")))?;
-                if !v.is_finite() {
-                    return Err(CheckpointError::Parse(format!(
-                        "non-finite value {tok:?} in matrix {m} row {r}"
-                    )));
-                }
-                data.push(v);
-            }
-            if data.len() != (r + 1) * cols {
-                return Err(CheckpointError::Parse(format!(
-                    "matrix {m} row {r} has wrong width"
-                )));
-            }
-        }
-        matrices.push(Matrix::from_vec(rows, cols, data));
+        matrices.push(lines.read_matrix(m)?);
     }
-    for leftover in lines {
+    for leftover in lines.rest() {
         if !leftover.trim().is_empty() {
             return Err(CheckpointError::Parse(format!(
                 "trailing garbage after {count} matrices: {leftover:?}"

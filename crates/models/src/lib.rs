@@ -32,7 +32,8 @@ pub mod sage;
 pub mod trainer;
 
 pub use checkpoint::{
-    atomic_write, load_into, load_matrices, save as save_checkpoint, save_matrices, CheckpointError,
+    atomic_write, load_into, load_matrices, push_matrix, save as save_checkpoint, save_matrices,
+    CheckpointError, TextCursor, TextError,
 };
 pub use config::{ConfigError, TrainConfigBuilder};
 pub use context::GraphContext;

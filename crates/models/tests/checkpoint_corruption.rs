@@ -160,3 +160,21 @@ fn crafted_counts_are_typed_errors_not_aborts() {
         );
     }
 }
+
+#[test]
+fn block_header_with_a_trailing_token_is_rejected() {
+    // `matrix R C` is the whole header: an extra token is damage, not
+    // something to skip over.
+    let text = checkpoint_text("src_strict_header");
+    let first_matrix = text
+        .lines()
+        .find(|l| l.starts_with("matrix "))
+        .expect("matrix header");
+    let crafted = text.replacen(first_matrix, &format!("{first_matrix} junk"), 1);
+    assert!(crafted != text, "the edit must apply");
+    let path = tmp("strict_header");
+    std::fs::write(&path, crafted).expect("write");
+    let err = load_matrices(&path).expect_err("a trailing header token must fail");
+    let _ = std::fs::remove_file(&path);
+    assert!(matches!(err, CheckpointError::Parse(_)), "got {err}");
+}

@@ -15,8 +15,8 @@
 //!   `catch_unwind` isolation and `rdd resume`.
 //! - `panic@serve_worker:0x2` — the first two batches claimed by serve-pool
 //!   workers panic, exercising worker supervision (requeue + respawn).
-//! - `io_fail@swap_load` / `corrupt@shard_load` — a watched-artifact reload
-//!   or sharded-artifact shard load fails, exercising swap rollback.
+//! - `io_fail@swap_load` — a watched-artifact reload fails, exercising swap
+//!   rollback.
 //! - `slow@serve_batch:0x50` — the first 50 served batches stall, tripping
 //!   the overload circuit breaker.
 //!
@@ -46,9 +46,6 @@ pub enum FaultKind {
     /// The site panics (caught by the crash-safe member isolation or the
     /// serve-pool worker supervisor).
     Panic,
-    /// The site sees deliberately corrupted content (e.g. a shard load
-    /// returns a typed artifact-corruption error).
-    Corrupt,
     /// The site stalls long enough to blow a latency SLO (serve-path chaos
     /// for the overload circuit breaker).
     Slow,
@@ -56,13 +53,12 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Spec-string name of the kind
-    /// (`nan_loss` / `io_fail` / `panic` / `corrupt` / `slow`).
+    /// (`nan_loss` / `io_fail` / `panic` / `slow`).
     pub fn as_str(self) -> &'static str {
         match self {
             FaultKind::NanLoss => "nan_loss",
             FaultKind::IoFail => "io_fail",
             FaultKind::Panic => "panic",
-            FaultKind::Corrupt => "corrupt",
             FaultKind::Slow => "slow",
         }
     }
@@ -72,7 +68,6 @@ impl FaultKind {
             "nan_loss" => Some(FaultKind::NanLoss),
             "io_fail" => Some(FaultKind::IoFail),
             "panic" => Some(FaultKind::Panic),
-            "corrupt" => Some(FaultKind::Corrupt),
             "slow" => Some(FaultKind::Slow),
             _ => None,
         }
@@ -103,8 +98,8 @@ fn parse_spec(raw: &str) -> Result<Option<FaultSpec>, String> {
     let (site, n_s) = rest.rsplit_once(':').ok_or_else(err)?;
     let kind = FaultKind::parse(kind_s).ok_or_else(|| {
         format!(
-            "invalid RDD_FAULT kind {kind_s:?}: expected nan_loss, io_fail, panic, \
-             corrupt or slow"
+            "invalid RDD_FAULT kind {kind_s:?}: expected nan_loss, io_fail, panic \
+             or slow"
         )
     })?;
     if site.is_empty() {
@@ -238,8 +233,6 @@ mod tests {
         let spec = parse_spec("panic@serve_worker:0x2").unwrap().unwrap();
         assert_eq!(spec.kind, FaultKind::Panic);
         assert_eq!((spec.n, spec.k), (0, 2));
-        let spec = parse_spec("corrupt@shard_load:3").unwrap().unwrap();
-        assert_eq!(spec.kind, FaultKind::Corrupt);
         let spec = parse_spec("slow@serve_batch:0x50").unwrap().unwrap();
         assert_eq!(spec.kind, FaultKind::Slow);
         assert_eq!((spec.n, spec.k), (0, 50));
@@ -256,13 +249,14 @@ mod tests {
             "panic@serve_worker:0x",
             "panic@serve_worker:0x0",
             "panic@serve_worker:x2",
+            "corrupt@swap_load:0",
         ] {
             let err = parse_spec(bad).unwrap_err();
             assert!(err.contains("RDD_FAULT"), "{bad:?} -> {err}");
         }
 
         let err = parse_spec("explode@epoch:3").unwrap_err();
-        for kind in ["nan_loss", "io_fail", "panic", "corrupt", "slow"] {
+        for kind in ["nan_loss", "io_fail", "panic", "slow"] {
             assert!(err.contains(kind), "kind list should mention {kind}: {err}");
         }
     }

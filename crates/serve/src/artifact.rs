@@ -44,11 +44,14 @@
 use std::path::Path;
 
 use rdd_core::{Ensemble, RunState};
-use rdd_models::{gather_prediction, PredictError, PredictRequest, Prediction, Predictor};
+use rdd_models::{
+    gather_prediction, push_matrix, PredictError, PredictRequest, Prediction, Predictor, TextCursor,
+};
 use rdd_obs::Json;
 use rdd_tensor::Matrix;
 
 use crate::error::{RddError, ServeError};
+use crate::mlp_artifact::MlpArtifact;
 use crate::quant;
 
 /// First line of a full-precision v1 artifact.
@@ -76,6 +79,12 @@ pub enum ArtifactFormat {
 }
 
 impl ArtifactFormat {
+    const ALL: [ArtifactFormat; 3] = [
+        ArtifactFormat::V1,
+        ArtifactFormat::V2q,
+        ArtifactFormat::V3Mlp,
+    ];
+
     /// The format's header line.
     pub fn header(self) -> &'static str {
         match self {
@@ -243,21 +252,6 @@ pub struct Artifact {
     proba: Matrix,
 }
 
-pub(crate) fn push_matrix(out: &mut String, m: &Matrix) {
-    use std::fmt::Write as _;
-    let (r, c) = m.shape();
-    let _ = writeln!(out, "matrix {r} {c}");
-    for i in 0..r {
-        for (j, v) in m.row(i).iter().enumerate() {
-            if j > 0 {
-                out.push(' ');
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push('\n');
-    }
-}
-
 pub(crate) fn push_qmatrix(out: &mut String, m: &Matrix) {
     use std::fmt::Write as _;
     let (r, c) = m.shape();
@@ -268,14 +262,120 @@ pub(crate) fn push_qmatrix(out: &mut String, m: &Matrix) {
     }
 }
 
-/// Serialize and atomically write a full-precision v1 artifact file.
-pub fn write_artifact(
+/// Validate `meta`, then atomically write one artifact file: the
+/// `format`'s header line, the `meta` line, whatever `body` appends, and
+/// the `checksum` trailer over every preceding byte. Returns the checksum.
+/// Every artifact format is written through here, and read back through
+/// [`open_sealed`].
+pub(crate) fn write_sealed(
     path: &Path,
+    format: ArtifactFormat,
     meta: &ArtifactMeta,
-    proba_sum: &Matrix,
-    logits_sum: &Matrix,
+    body: impl FnOnce(&mut String),
 ) -> Result<u64, ServeError> {
-    write_artifact_as(path, meta, proba_sum, logits_sum, ArtifactFormat::V1)
+    meta.validate().map_err(ServeError::Artifact)?;
+    let mut text = String::new();
+    text.push_str(format.header());
+    text.push('\n');
+    text.push_str("meta ");
+    meta.to_json().write(&mut text);
+    text.push('\n');
+    body(&mut text);
+    let checksum = fnv1a64(text.as_bytes());
+    use std::fmt::Write as _;
+    let _ = writeln!(text, "checksum {checksum:016x}");
+    rdd_models::atomic_write(path, &text).map_err(ServeError::Io)?;
+    Ok(checksum)
+}
+
+/// A verified artifact file, as [`open_sealed`] hands it to a format's
+/// body parser.
+pub(crate) struct Sealed<'a> {
+    /// The format its header line names.
+    pub(crate) format: ArtifactFormat,
+    /// The parsed and validated meta line.
+    pub(crate) meta: ArtifactMeta,
+    /// The lines between the meta line and the checksum trailer.
+    pub(crate) body: TextCursor<'a>,
+    /// The verified file checksum.
+    pub(crate) checksum: u64,
+}
+
+/// Verify `text`'s checksum trailer, then read its header and meta lines.
+/// The checksum comes first, so corruption anywhere surfaces as
+/// [`ServeError::Checksum`], not as a random parse failure deeper in. A
+/// header that names an `rdd-artifact` format outside `accept` is
+/// [`ServeError::WrongVersion`].
+pub(crate) fn open_sealed<'a>(
+    text: &'a str,
+    accept: &[ArtifactFormat],
+) -> Result<Sealed<'a>, ServeError> {
+    let body_end = text
+        .rfind("\nchecksum ")
+        .ok_or_else(|| ServeError::Artifact("missing checksum line".into()))?
+        + 1;
+    let stored_line = text[body_end..].trim_end();
+    let stored = stored_line
+        .strip_prefix("checksum ")
+        .and_then(|h| u64::from_str_radix(h.trim(), 16).ok())
+        .ok_or_else(|| ServeError::Artifact(format!("bad checksum line {stored_line:?}")))?;
+    if !text[body_end..].ends_with('\n') {
+        return Err(ServeError::Artifact(
+            "missing newline after checksum line".into(),
+        ));
+    }
+    if text[body_end..].lines().count() != 1 {
+        return Err(ServeError::Artifact(
+            "trailing garbage after checksum line".into(),
+        ));
+    }
+    let computed = fnv1a64(&text.as_bytes()[..body_end]);
+    if computed != stored {
+        return Err(ServeError::Checksum { stored, computed });
+    }
+
+    let mut body = TextCursor::new(&text[..body_end]);
+    let header = body.next_line()?;
+    let format = match ArtifactFormat::ALL
+        .into_iter()
+        .find(|f| f.header() == header)
+    {
+        Some(format) if accept.contains(&format) => format,
+        _ if header.starts_with("rdd-artifact") => {
+            return Err(ServeError::WrongVersion {
+                found: header.to_string(),
+            })
+        }
+        _ => {
+            return Err(ServeError::Artifact(format!(
+                "not an rdd artifact (first line {header:?})"
+            )))
+        }
+    };
+    let meta_line = body.next_line()?;
+    let meta_src = meta_line
+        .strip_prefix("meta ")
+        .ok_or_else(|| ServeError::Artifact("line 2: expected 'meta {{...}}'".into()))?;
+    let meta_json = rdd_obs::parse(meta_src)
+        .map_err(|e| ServeError::Artifact(format!("bad meta json: {e}")))?;
+    let meta = ArtifactMeta::from_json(&meta_json).map_err(ServeError::Artifact)?;
+    meta.validate().map_err(ServeError::Artifact)?;
+    Ok(Sealed {
+        format,
+        meta,
+        body,
+        checksum: stored,
+    })
+}
+
+/// Reject body lines left over after a format's last block.
+pub(crate) fn end_of_body(body: &TextCursor<'_>) -> Result<(), ServeError> {
+    match body.peek() {
+        Some(_) => Err(ServeError::Artifact(
+            "trailing garbage before checksum line".into(),
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Serialize and atomically write an artifact in the given format.
@@ -286,7 +386,6 @@ pub fn write_artifact_as(
     logits_sum: &Matrix,
     format: ArtifactFormat,
 ) -> Result<u64, ServeError> {
-    meta.validate().map_err(ServeError::Artifact)?;
     for (name, m) in [("proba_sum", proba_sum), ("logits_sum", logits_sum)] {
         if m.shape() != (meta.dataset_n, meta.num_classes) {
             return Err(ServeError::Artifact(format!(
@@ -297,21 +396,9 @@ pub fn write_artifact_as(
             )));
         }
     }
-    let mut text = String::new();
-    text.push_str(format.header());
-    text.push('\n');
-    text.push_str("meta ");
-    meta.to_json().write(&mut text);
-    text.push('\n');
-    match format {
-        ArtifactFormat::V1 => {
-            push_matrix(&mut text, proba_sum);
-            push_matrix(&mut text, logits_sum);
-        }
-        ArtifactFormat::V2q => {
-            push_qmatrix(&mut text, proba_sum);
-            push_qmatrix(&mut text, logits_sum);
-        }
+    let push = match format {
+        ArtifactFormat::V1 => push_matrix,
+        ArtifactFormat::V2q => push_qmatrix,
         ArtifactFormat::V3Mlp => {
             return Err(ServeError::Artifact(
                 "v3 (mlp) artifacts hold student weight matrices, not ensemble sums; \
@@ -319,24 +406,19 @@ pub fn write_artifact_as(
                     .into(),
             ))
         }
-    }
-    let checksum = fnv1a64(text.as_bytes());
-    use std::fmt::Write as _;
-    let _ = writeln!(text, "checksum {checksum:016x}");
-    rdd_models::atomic_write(path, &text).map_err(ServeError::Io)?;
-    Ok(checksum)
+    };
+    write_sealed(path, format, meta, |text| {
+        push(text, proba_sum);
+        push(text, logits_sum);
+    })
 }
 
-/// Distill a **completed** crash-safe run directory into a single v1
-/// artifact file. Zero re-training: the kept members' frozen outputs are
-/// replayed (bitwise-verified against the stored `ensemble.sums` by
-/// [`RunState::load_ensemble`]) and the running sums written out.
-pub fn export_run(run_dir: &Path, artifact_path: &Path) -> Result<Artifact, RddError> {
-    export_run_as(run_dir, artifact_path, ArtifactFormat::V1)
-}
-
-/// [`export_run`] with an explicit output format (`--quantize int8` →
-/// [`ArtifactFormat::V2q`]).
+/// Distill a **completed** crash-safe run directory into a single artifact
+/// file in `format` (`rdd export`; `--quantize int8` →
+/// [`ArtifactFormat::V2q`]). Zero re-training: the kept members' frozen
+/// outputs are replayed (bitwise-verified against the stored
+/// `ensemble.sums` by [`RunState::load_ensemble`]) and the running sums
+/// written out.
 pub fn export_run_as(
     run_dir: &Path,
     artifact_path: &Path,
@@ -411,92 +493,11 @@ pub fn write_ensemble_as(
     write_artifact_as(path, &meta, proba_sum, logits_sum, format)
 }
 
-pub(crate) struct Lines<'a> {
-    pub(crate) rest: std::str::Lines<'a>,
-    pub(crate) line_no: usize,
-    /// Bytes of the whole input: no block can hold more values than this.
-    len: usize,
-}
-
-impl<'a> Lines<'a> {
-    pub(crate) fn new(text: &'a str) -> Self {
-        Self {
-            rest: text.lines(),
-            line_no: 0,
-            len: text.len(),
-        }
-    }
-
-    /// Check a count the current header line claims (`None` when computing
-    /// it overflowed). Every value takes at least one byte of text, so a
-    /// count above the input's length is a forged or corrupt header, and
-    /// reserving memory for it could abort the process.
-    pub(crate) fn claimed(&self, count: Option<usize>, header: &str) -> Result<usize, ServeError> {
-        match count {
-            Some(n) if n <= self.len => Ok(n),
-            _ => Err(ServeError::Artifact(format!(
-                "line {}: {header:?} claims more values than the {}-byte input holds",
-                self.line_no, self.len
-            ))),
-        }
-    }
-
-    pub(crate) fn next(&mut self) -> Result<&'a str, ServeError> {
-        self.line_no += 1;
-        self.rest
-            .next()
-            .ok_or_else(|| ServeError::Artifact(format!("truncated at line {}", self.line_no)))
-    }
-}
-
-pub(crate) fn parse_matrix(lines: &mut Lines<'_>) -> Result<Matrix, ServeError> {
-    let header = lines.next()?;
-    let dims: Vec<&str> = header.split_whitespace().collect();
-    let (r, c) = match dims.as_slice() {
-        ["matrix", r, c] => (
-            r.parse::<usize>()
-                .map_err(|_| ServeError::Artifact(format!("bad matrix rows: {header:?}")))?,
-            c.parse::<usize>()
-                .map_err(|_| ServeError::Artifact(format!("bad matrix cols: {header:?}")))?,
-        ),
-        _ => {
-            return Err(ServeError::Artifact(format!(
-                "line {}: expected 'matrix R C', found {header:?}",
-                lines.line_no
-            )))
-        }
-    };
-    let mut data = Vec::with_capacity(lines.claimed(r.checked_mul(c), header)?);
-    for _ in 0..r {
-        let row = lines.next()?;
-        let line_no = lines.line_no;
-        let before = data.len();
-        for tok in row.split_whitespace() {
-            let v: f32 = tok
-                .parse()
-                .map_err(|_| ServeError::Artifact(format!("line {line_no}: bad float {tok:?}")))?;
-            if !v.is_finite() {
-                return Err(ServeError::Artifact(format!(
-                    "line {line_no}: non-finite value {v}"
-                )));
-            }
-            data.push(v);
-        }
-        if data.len() - before != c {
-            return Err(ServeError::Artifact(format!(
-                "line {line_no}: expected {c} values, found {}",
-                data.len() - before
-            )));
-        }
-    }
-    Ok(Matrix::from_vec(r, c, data))
-}
-
 pub(crate) fn parse_qmatrix(
-    lines: &mut Lines<'_>,
+    lines: &mut TextCursor<'_>,
     tier: rdd_tensor::SimdTier,
 ) -> Result<Matrix, ServeError> {
-    let header = lines.next()?;
+    let header = lines.next_line()?;
     let dims: Vec<&str> = header.split_whitespace().collect();
     let (r, c) = match dims.as_slice() {
         ["qmatrix", r, c, "int8"] => (
@@ -508,15 +509,15 @@ pub(crate) fn parse_qmatrix(
         _ => {
             return Err(ServeError::Artifact(format!(
                 "line {}: expected 'qmatrix R C int8', found {header:?}",
-                lines.line_no
+                lines.line_no()
             )))
         }
     };
     lines.claimed(r.checked_mul(c), header)?;
     let mut out = Matrix::zeros(r, c);
     for i in 0..r {
-        let row = lines.next()?;
-        let line = lines.line_no;
+        let row = lines.next_line()?;
+        let line = lines.line_no();
         let qr = quant::decode_qrow(row, c)
             .map_err(|e| ServeError::Artifact(format!("line {line}: {e}")))?;
         if !(qr.scale.is_finite() && qr.scale >= 0.0) {
@@ -537,81 +538,37 @@ pub(crate) fn parse_qmatrix(
 }
 
 impl Artifact {
-    /// Load and fully validate an artifact file: header/version, checksum,
-    /// meta parse, matrix shapes, finiteness.
+    /// Load and fully validate a v1 or v2q artifact file: checksum,
+    /// header/version, meta, matrix shapes, finiteness.
     pub fn load(path: &Path) -> Result<Self, ServeError> {
         let text = std::fs::read_to_string(path)?;
+        Self::from_sealed(open_sealed(
+            &text,
+            &[ArtifactFormat::V1, ArtifactFormat::V2q],
+        )?)
+    }
 
-        // The checksum line covers every byte before it; verify first so
-        // corruption anywhere surfaces as a checksum error, not a random
-        // parse failure deeper in.
-        let body_end = text
-            .rfind("\nchecksum ")
-            .ok_or_else(|| ServeError::Artifact("missing checksum line".into()))?
-            + 1;
-        let stored_line = text[body_end..].trim_end();
-        let stored = stored_line
-            .strip_prefix("checksum ")
-            .and_then(|h| u64::from_str_radix(h.trim(), 16).ok())
-            .ok_or_else(|| ServeError::Artifact(format!("bad checksum line {stored_line:?}")))?;
-        if !text[body_end..].ends_with('\n') {
-            return Err(ServeError::Artifact(
-                "missing newline after checksum line".into(),
-            ));
-        }
-        if text[body_end..].lines().count() != 1 {
-            return Err(ServeError::Artifact(
-                "trailing garbage after checksum line".into(),
-            ));
-        }
-        let computed = fnv1a64(&text.as_bytes()[..body_end]);
-        if computed != stored {
-            return Err(ServeError::Checksum { stored, computed });
-        }
-
-        let mut lines = Lines::new(&text[..body_end]);
-        let header = lines.next()?;
-        let format = if header == HEADER {
-            ArtifactFormat::V1
-        } else if header == HEADER_V2Q {
-            ArtifactFormat::V2q
-        } else if header.starts_with("rdd-artifact") {
-            return Err(ServeError::WrongVersion {
-                found: header.to_string(),
-            });
-        } else {
-            return Err(ServeError::Artifact(format!(
-                "not an rdd artifact (first line {header:?})"
-            )));
-        };
-        let meta_line = lines.next()?;
-        let meta_src = meta_line
-            .strip_prefix("meta ")
-            .ok_or_else(|| ServeError::Artifact("line 2: expected 'meta {{...}}'".into()))?;
-        let meta_json = rdd_obs::parse(meta_src)
-            .map_err(|e| ServeError::Artifact(format!("bad meta json: {e}")))?;
-        let meta = ArtifactMeta::from_json(&meta_json).map_err(ServeError::Artifact)?;
-        meta.validate().map_err(ServeError::Artifact)?;
-
+    fn from_sealed(sealed: Sealed<'_>) -> Result<Self, ServeError> {
+        let Sealed {
+            format,
+            meta,
+            mut body,
+            checksum,
+        } = sealed;
         let (proba_sum, logits_sum) = match format {
-            ArtifactFormat::V1 => (parse_matrix(&mut lines)?, parse_matrix(&mut lines)?),
+            ArtifactFormat::V1 => (body.read_matrix(0)?, body.read_matrix(1)?),
             ArtifactFormat::V2q => {
                 // Dequantize through the SIMD tier; one resolve per load.
                 let tier = rdd_tensor::simd::active();
                 (
-                    parse_qmatrix(&mut lines, tier)?,
-                    parse_qmatrix(&mut lines, tier)?,
+                    parse_qmatrix(&mut body, tier)?,
+                    parse_qmatrix(&mut body, tier)?,
                 )
             }
-            // The v3 header is caught above as WrongVersion: this loader
-            // reads ensemble sums; students load via MlpArtifact::load.
+            // Callers only pass v1/v2q: students load via MlpArtifact.
             ArtifactFormat::V3Mlp => unreachable!("v3 header never reaches the v1/v2q parser"),
         };
-        if lines.rest.next().is_some() {
-            return Err(ServeError::Artifact(
-                "trailing garbage before checksum line".into(),
-            ));
-        }
+        end_of_body(&body)?;
         for (name, m) in [("proba_sum", &proba_sum), ("logits_sum", &logits_sum)] {
             if m.shape() != (meta.dataset_n, meta.num_classes) {
                 return Err(ServeError::Artifact(format!(
@@ -630,7 +587,7 @@ impl Artifact {
             format,
             proba_sum,
             logits_sum,
-            checksum: stored,
+            checksum,
             proba,
         })
     }
@@ -684,6 +641,109 @@ impl Predictor for Artifact {
 
     fn predict_batch(&self, req: &PredictRequest) -> Result<Prediction, PredictError> {
         gather_prediction(&self.proba, req)
+    }
+}
+
+/// Any artifact kind behind one loader: reads the file once, verifies its
+/// checksum, and dispatches on the header to the v1/v2q or the v3 body
+/// parser. This is what the CLI serves from, so `rdd serve` and
+/// `rdd artifact-info` take an ensemble artifact or a distilled student
+/// interchangeably — capability differences surface through
+/// [`ArtifactFormat::supports_nodes`] / [`ArtifactFormat::supports_features`]
+/// and typed [`PredictError`]s, never through separate entry points.
+#[derive(Clone, Debug)]
+pub enum AnyArtifact {
+    /// A single-file ensemble artifact (v1 or v2q).
+    Single(Artifact),
+    /// A distilled graph-free MLP student (v3), feature-vector requests
+    /// only.
+    Mlp(MlpArtifact),
+}
+
+impl AnyArtifact {
+    /// Load `path` as whichever artifact kind its header declares.
+    pub fn load(path: &Path) -> Result<Self, ServeError> {
+        let text = std::fs::read_to_string(path)?;
+        let sealed = open_sealed(&text, &ArtifactFormat::ALL)?;
+        Ok(match sealed.format {
+            ArtifactFormat::V3Mlp => AnyArtifact::Mlp(MlpArtifact::from_sealed(sealed)?),
+            ArtifactFormat::V1 | ArtifactFormat::V2q => {
+                AnyArtifact::Single(Artifact::from_sealed(sealed)?)
+            }
+        })
+    }
+
+    /// The artifact's metadata (the teacher run's meta for a distilled
+    /// student).
+    pub fn meta(&self) -> &ArtifactMeta {
+        match self {
+            AnyArtifact::Single(a) => a.meta(),
+            AnyArtifact::Mlp(m) => m.meta(),
+        }
+    }
+
+    /// The on-disk encoding.
+    pub fn format(&self) -> ArtifactFormat {
+        match self {
+            AnyArtifact::Single(a) => a.format(),
+            AnyArtifact::Mlp(m) => m.format(),
+        }
+    }
+
+    /// The file checksum (the serve cache's key epoch).
+    pub fn checksum(&self) -> u64 {
+        match self {
+            AnyArtifact::Single(a) => a.checksum(),
+            AnyArtifact::Mlp(m) => m.checksum(),
+        }
+    }
+
+    /// The distilled student, when this is a v3 artifact.
+    pub fn as_mlp(&self) -> Option<&MlpArtifact> {
+        match self {
+            AnyArtifact::Mlp(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    /// The `Σ α_t · proba_t`, cloned out. `None` for a v3 student, which
+    /// stores weight matrices instead of per-node sums.
+    pub fn proba_sum(&self) -> Option<Matrix> {
+        match self {
+            AnyArtifact::Single(a) => Some(a.proba_sum().clone()),
+            AnyArtifact::Mlp(_) => None,
+        }
+    }
+
+    /// The `Σ α_t · logits_t`, cloned out. `None` for a v3 student.
+    pub fn logits_sum(&self) -> Option<Matrix> {
+        match self {
+            AnyArtifact::Single(a) => Some(a.logits_sum().clone()),
+            AnyArtifact::Mlp(_) => None,
+        }
+    }
+}
+
+impl Predictor for AnyArtifact {
+    fn num_nodes(&self) -> usize {
+        match self {
+            AnyArtifact::Single(a) => a.num_nodes(),
+            AnyArtifact::Mlp(m) => m.num_nodes(),
+        }
+    }
+
+    fn num_classes(&self) -> usize {
+        match self {
+            AnyArtifact::Single(a) => a.num_classes(),
+            AnyArtifact::Mlp(m) => m.num_classes(),
+        }
+    }
+
+    fn predict_batch(&self, req: &PredictRequest) -> Result<Prediction, PredictError> {
+        match self {
+            AnyArtifact::Single(a) => a.predict_batch(req),
+            AnyArtifact::Mlp(m) => m.predict_batch(req),
+        }
     }
 }
 

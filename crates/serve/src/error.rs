@@ -1,7 +1,7 @@
 //! Typed errors for the serving stack, plus the crate-spanning
 //! [`RddError`] the CLI funnels every subsystem's failures through.
 
-use rdd_models::{CheckpointError, ConfigError, PredictError};
+use rdd_models::{CheckpointError, ConfigError, PredictError, TextError};
 
 /// Why an artifact could not be loaded or a request could not be served.
 #[derive(Debug)]
@@ -148,6 +148,12 @@ impl From<std::io::Error> for ServeError {
 impl From<PredictError> for ServeError {
     fn from(e: PredictError) -> Self {
         ServeError::Predict(e)
+    }
+}
+
+impl From<TextError> for ServeError {
+    fn from(e: TextError) -> Self {
+        ServeError::Artifact(e.0)
     }
 }
 

@@ -5,19 +5,16 @@
 //! ensemble into a versioned, checksummed **artifact** file and serve
 //! predictions from it with zero re-training.
 //!
-//! * [`artifact`] — `export_run` distills a completed crash-safe run
+//! * [`artifact`] — `export_run_as` distills a completed crash-safe run
 //!   directory into one artifact file; [`Artifact::load`] validates
 //!   header/version, checksum, shapes and finiteness, and the loaded
 //!   artifact implements the `Predictor` trait with responses bitwise
 //!   identical to the live run's `Ensemble::proba`; the int8-quantized
 //!   v2q format ([`quant`]) trades that bitwise guarantee for ~0.3× the
-//!   bytes, behind the same loader and trait;
-//! * [`shard`] — node-range-sharded artifacts: `write_sharded` splits an
-//!   export into K checksummed shard files plus a manifest, and
-//!   [`ShardedArtifact`] composes them back behind the same `Predictor`
-//!   trait with per-shard rows bitwise identical to the unsharded export
-//!   ([`AnyArtifact`] sniffs the first line and loads single-file,
-//!   manifest, or v3 student interchangeably);
+//!   bytes, behind the same loader and trait. Every format shares one
+//!   checksummed envelope (header, meta line, body, `checksum` trailer)
+//!   and `rdd_models`' one `matrix R C` codec; [`AnyArtifact`] reads a
+//!   file once and loads whichever format its verified header names;
 //! * [`mlp_artifact`] — the v3 (mlp) format: `rdd distill-mlp` freezes a
 //!   graph-free distilled student's weight matrices (optionally int8)
 //!   into a checksummed artifact; [`MlpArtifact`] serves arbitrary
@@ -74,13 +71,12 @@ pub mod error;
 pub mod mlp_artifact;
 pub mod pool;
 pub mod quant;
-pub mod shard;
 pub mod swap;
 pub mod wire;
 
 pub use artifact::{
-    export_run, export_run_as, fnv1a64, write_artifact, write_artifact_as, write_ensemble,
-    write_ensemble_as, Artifact, ArtifactFormat, ArtifactMeta,
+    export_run_as, fnv1a64, write_artifact_as, write_ensemble, write_ensemble_as, AnyArtifact,
+    Artifact, ArtifactFormat, ArtifactMeta,
 };
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{LruCache, ShardedLru};
@@ -91,7 +87,6 @@ pub use engine::{
 pub use error::{RddError, ServeError};
 pub use mlp_artifact::{write_mlp_artifact, MlpArtifact};
 pub use pool::{PoolConfig, PoolReport, ServePool, WorkerReport};
-pub use shard::{export_run_sharded, write_sharded, AnyArtifact, ShardedArtifact};
 pub use swap::{checked_load, ArtifactWatcher, SwapCell, WatchOutcome};
 
 #[cfg(test)]

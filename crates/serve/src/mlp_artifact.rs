@@ -27,14 +27,14 @@
 use std::path::Path;
 
 use rdd_models::{
-    mlp_forward_features, validate_layer_chain, PredictError, PredictRequest, Prediction,
-    PredictionKind, Predictor,
+    mlp_forward_features, push_matrix, validate_layer_chain, PredictError, PredictRequest,
+    Prediction, PredictionKind, Predictor,
 };
 use rdd_tensor::Matrix;
 
 use crate::artifact::{
-    fnv1a64, parse_matrix, parse_qmatrix, push_matrix, push_qmatrix, ArtifactFormat, ArtifactMeta,
-    Lines, HEADER_V3_MLP,
+    end_of_body, open_sealed, parse_qmatrix, push_qmatrix, write_sealed, ArtifactFormat,
+    ArtifactMeta, Sealed,
 };
 use crate::error::ServeError;
 
@@ -48,7 +48,6 @@ pub fn write_mlp_artifact(
     params: &[Matrix],
     quantize: bool,
 ) -> Result<u64, ServeError> {
-    meta.validate().map_err(ServeError::Artifact)?;
     validate_layer_chain(params).map_err(ServeError::Artifact)?;
     let k = params[params.len() - 1].cols();
     if k != meta.num_classes {
@@ -57,25 +56,14 @@ pub fn write_mlp_artifact(
             meta.num_classes
         )));
     }
-    let mut text = String::new();
-    text.push_str(HEADER_V3_MLP);
-    text.push('\n');
-    text.push_str("meta ");
-    meta.to_json().write(&mut text);
-    text.push('\n');
-    use std::fmt::Write as _;
-    let _ = writeln!(text, "mlp {} {} {}", params[0].rows(), k, params.len());
-    for w in params {
-        if quantize {
-            push_qmatrix(&mut text, w);
-        } else {
-            push_matrix(&mut text, w);
+    let push = if quantize { push_qmatrix } else { push_matrix };
+    write_sealed(path, ArtifactFormat::V3Mlp, meta, |text| {
+        use std::fmt::Write as _;
+        let _ = writeln!(text, "mlp {} {} {}", params[0].rows(), k, params.len());
+        for w in params {
+            push(text, w);
         }
-    }
-    let checksum = fnv1a64(text.as_bytes());
-    let _ = writeln!(text, "checksum {checksum:016x}");
-    rdd_models::atomic_write(path, &text).map_err(ServeError::Io)?;
-    Ok(checksum)
+    })
 }
 
 /// A loaded, validated v3 artifact: the frozen student as a feature-only
@@ -97,47 +85,17 @@ impl MlpArtifact {
     /// (consistent encoding, consistent layer chain, finite values).
     pub fn load(path: &Path) -> Result<Self, ServeError> {
         let text = std::fs::read_to_string(path)?;
-        let body_end = text
-            .rfind("\nchecksum ")
-            .ok_or_else(|| ServeError::Artifact("missing checksum line".into()))?
-            + 1;
-        let stored_line = text[body_end..].trim_end();
-        let stored = stored_line
-            .strip_prefix("checksum ")
-            .and_then(|h| u64::from_str_radix(h.trim(), 16).ok())
-            .ok_or_else(|| ServeError::Artifact(format!("bad checksum line {stored_line:?}")))?;
-        if !text[body_end..].ends_with('\n') || text[body_end..].lines().count() != 1 {
-            return Err(ServeError::Artifact(
-                "trailing garbage after checksum line".into(),
-            ));
-        }
-        let computed = fnv1a64(&text.as_bytes()[..body_end]);
-        if computed != stored {
-            return Err(ServeError::Checksum { stored, computed });
-        }
+        Self::from_sealed(open_sealed(&text, &[ArtifactFormat::V3Mlp])?)
+    }
 
-        let mut lines = Lines::new(&text[..body_end]);
-        let header = lines.next()?;
-        if header != HEADER_V3_MLP {
-            if header.starts_with("rdd-artifact") {
-                return Err(ServeError::WrongVersion {
-                    found: header.to_string(),
-                });
-            }
-            return Err(ServeError::Artifact(format!(
-                "not an rdd artifact (first line {header:?})"
-            )));
-        }
-        let meta_line = lines.next()?;
-        let meta_src = meta_line
-            .strip_prefix("meta ")
-            .ok_or_else(|| ServeError::Artifact("line 2: expected 'meta {{...}}'".into()))?;
-        let meta_json = rdd_obs::parse(meta_src)
-            .map_err(|e| ServeError::Artifact(format!("bad meta json: {e}")))?;
-        let meta = ArtifactMeta::from_json(&meta_json).map_err(ServeError::Artifact)?;
-        meta.validate().map_err(ServeError::Artifact)?;
-
-        let shape_line = lines.next()?;
+    pub(crate) fn from_sealed(sealed: Sealed<'_>) -> Result<Self, ServeError> {
+        let Sealed {
+            meta,
+            body: mut lines,
+            checksum,
+            ..
+        } = sealed;
+        let shape_line = lines.next_line()?;
         let toks: Vec<&str> = shape_line.split_whitespace().collect();
         let (in_dim, k, layers) = match toks.as_slice() {
             ["mlp", d, k, l] => {
@@ -171,13 +129,11 @@ impl MlpArtifact {
             // Sniff the block keyword without consuming it; the block
             // parsers own their header lines.
             let kw = lines
-                .rest
-                .clone()
-                .next()
-                .map(|line| line.split_whitespace().next().unwrap_or(""))
+                .peek()
+                .and_then(|line| line.split_whitespace().next())
                 .unwrap_or("");
             let (w, is_q) = match kw {
-                "matrix" => (parse_matrix(&mut lines)?, false),
+                "matrix" => (lines.read_matrix(l)?, false),
                 "qmatrix" => (parse_qmatrix(&mut lines, tier)?, true),
                 _ => {
                     return Err(ServeError::Artifact(format!(
@@ -192,11 +148,7 @@ impl MlpArtifact {
             }
             params.push(w);
         }
-        if lines.rest.next().is_some() {
-            return Err(ServeError::Artifact(
-                "trailing garbage before checksum line".into(),
-            ));
-        }
+        end_of_body(&lines)?;
         validate_layer_chain(&params).map_err(ServeError::Artifact)?;
         if params[0].rows() != in_dim {
             return Err(ServeError::Artifact(format!(
@@ -214,7 +166,7 @@ impl MlpArtifact {
             meta,
             params,
             quantized: quantized.unwrap_or(false),
-            checksum: stored,
+            checksum,
         })
     }
 
@@ -301,6 +253,7 @@ impl Predictor for MlpArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::fnv1a64;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
+use crate::artifact::AnyArtifact;
 use crate::error::ServeError;
-use crate::shard::AnyArtifact;
 
 /// An atomically swappable `Arc<T>` with a monotonically increasing epoch.
 /// Epoch 0 is the value the cell was built with; every [`SwapCell::swap`]
@@ -235,7 +235,7 @@ impl ArtifactWatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{write_artifact, ArtifactMeta};
+    use crate::artifact::{write_artifact_as, ArtifactFormat, ArtifactMeta};
     use crate::testutil::FAULT_LOCK;
     use rdd_tensor::Matrix;
 
@@ -260,7 +260,7 @@ mod tests {
         let t = tag as f32 * 0.05;
         let proba = Matrix::from_vec(2, 2, vec![0.6 + t, 0.4 - t, 0.3, 0.7]);
         let logits = Matrix::from_vec(2, 2, vec![0.5, -0.5, -1.0, 1.0]);
-        write_artifact(path, &meta, &proba, &logits).unwrap()
+        write_artifact_as(path, &meta, &proba, &logits, ArtifactFormat::V1).unwrap()
     }
 
     #[test]

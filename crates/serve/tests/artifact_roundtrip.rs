@@ -8,11 +8,14 @@ use std::path::PathBuf;
 
 use rdd_core::{distill_run, DistillConfig, Ensemble, RddConfig, RddTrainer, RunState};
 use rdd_graph::SynthConfig;
-use rdd_models::{mlp_forward_features, Model, PredictRequest, PredictionKind, Predictor};
+use rdd_models::{
+    mlp_forward_features, push_matrix, save_matrices, Model, PredictRequest, PredictionKind,
+    Predictor, TextCursor,
+};
 use rdd_serve::quant::{encode_qrow, QuantRow};
 use rdd_serve::{
-    export_run, write_ensemble, write_ensemble_as, write_mlp_artifact, AnyArtifact, Artifact,
-    ArtifactFormat, ArtifactMeta, MlpArtifact, ServeError,
+    export_run_as, write_artifact_as, write_ensemble, write_ensemble_as, write_mlp_artifact,
+    AnyArtifact, Artifact, ArtifactFormat, ArtifactMeta, MlpArtifact, ServeError,
 };
 use rdd_tensor::{seeded_rng, Matrix, Rng};
 
@@ -107,7 +110,7 @@ fn export_run_matches_the_live_ensemble_bitwise() {
         .expect("train");
 
     let path = tmp("export_run_artifact");
-    let artifact = export_run(&dir, &path).expect("export");
+    let artifact = export_run_as(&dir, &path, ArtifactFormat::V1).expect("export");
     assert_eq!(
         artifact.meta().members,
         outcome.base_models.iter().filter(|m| !m.dropped).count()
@@ -130,7 +133,7 @@ fn export_refuses_an_incomplete_run() {
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = RddConfig::fast();
     let _state = rdd_core::RunState::create(&dir, "tiny", &cfg, &dataset).expect("create");
-    let err = export_run(&dir, &tmp("incomplete_artifact")).unwrap_err();
+    let err = export_run_as(&dir, &tmp("incomplete_artifact"), ArtifactFormat::V1).unwrap_err();
     assert!(
         err.to_string().contains("not complete"),
         "unexpected error: {err}"
@@ -254,13 +257,29 @@ fn v2q_roundtrip_drift_is_bounded_by_half_a_quant_step() {
 
 #[test]
 fn v1_artifacts_still_load_and_report_their_format() {
+    // Each single-file ensemble format loads the same through its own
+    // loader and through the header-dispatching `AnyArtifact`.
     let ensemble = random_ensemble(0x31, 6, 4, 2);
-    let path = tmp("v1_format");
-    write_ensemble(&path, &ensemble, "sweep", "unit-test").expect("write");
-    let artifact = Artifact::load(&path).expect("load");
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(artifact.format(), ArtifactFormat::V1);
-    assert_bitwise_equal(artifact.proba(), &ensemble.proba(), "proba");
+    for format in [ArtifactFormat::V1, ArtifactFormat::V2q] {
+        let path = tmp(&format!("format_{}", format.name()));
+        let checksum =
+            write_ensemble_as(&path, &ensemble, "sweep", "unit-test", format).expect("write");
+        let artifact = Artifact::load(&path).expect("load");
+        let any = AnyArtifact::load(&path).expect("any load");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(artifact.format(), format);
+        if format == ArtifactFormat::V1 {
+            assert_bitwise_equal(artifact.proba(), &ensemble.proba(), "proba");
+        }
+        assert!(matches!(any, AnyArtifact::Single(_)), "{format:?}");
+        assert_eq!(any.format(), format);
+        assert_eq!(any.checksum(), checksum);
+        assert_eq!(any.meta().dataset_n, 6);
+        assert!(any.as_mlp().is_none());
+        let a = artifact.predict_batch(&PredictRequest::all()).unwrap();
+        let b = any.predict_batch(&PredictRequest::all()).unwrap();
+        assert_bitwise_equal(&a.proba, &b.proba, "AnyArtifact vs Artifact rows");
+    }
 }
 
 #[test]
@@ -349,10 +368,20 @@ fn bad_quant_scales_and_zero_points_are_typed_errors() {
 #[test]
 fn wrong_version_is_a_typed_error() {
     let text = artifact_text("version");
-    let bumped = text.replacen("rdd-artifact v1", "rdd-artifact v9", 1);
-    match load_text("version", &rechecksum(&bumped)).unwrap_err() {
-        ServeError::WrongVersion { found } => assert_eq!(found, "rdd-artifact v9"),
-        other => panic!("expected WrongVersion, got {other}"),
+    // An unknown version, and the retired shard-manifest header (stale
+    // manifests must fail typed, not load as something else).
+    for header in ["rdd-artifact v9", "rdd-artifact-manifest v1"] {
+        let bumped = rechecksum(&text.replacen("rdd-artifact v1", header, 1));
+        let path = tmp("version_any");
+        std::fs::write(&path, &bumped).expect("write");
+        let any = AnyArtifact::load(&path).map(|_| ());
+        let _ = std::fs::remove_file(&path);
+        for err in [load_text("version", &bumped).unwrap_err(), any.unwrap_err()] {
+            match err {
+                ServeError::WrongVersion { found } => assert_eq!(found, header),
+                other => panic!("{header}: expected WrongVersion, got {other}"),
+            }
+        }
     }
 }
 
@@ -401,7 +430,6 @@ fn v3_roundtrip_serves_features_bitwise_and_loads_via_any_artifact() {
         let any = AnyArtifact::load(&path).expect("any load");
         assert_eq!(any.format(), ArtifactFormat::V3Mlp, "case {seed}");
         assert_eq!(any.checksum(), checksum, "case {seed}");
-        assert_eq!(any.num_shards(), 1, "case {seed}");
         assert!(any.as_mlp().is_some(), "case {seed}");
         assert!(any.proba_sum().is_none(), "mlp artifacts hold no sums");
 
@@ -623,4 +651,48 @@ fn crafted_block_headers_are_typed_errors_not_aborts() {
             other => panic!("{tag}: expected an Artifact error, got {other}"),
         }
     }
+}
+
+#[test]
+fn matrix_codec_bytes_are_pinned() {
+    // Edge values through the one writer: the bytes are pinned here, and
+    // the parser must give the same bits back.
+    let m = Matrix::from_vec(
+        2,
+        3,
+        vec![-0.0, f32::from_bits(1), f32::MAX, 0.1, 1.0, -3.5],
+    );
+    let block = "matrix 2 3\n\
+                 -0 0.000000000000000000000000000000000000000000001 \
+                 340282350000000000000000000000000000000\n\
+                 0.1 1 -3.5\n";
+    let mut text = String::new();
+    push_matrix(&mut text, &m);
+    assert_eq!(text, block);
+    let back = TextCursor::new(&text).read_matrix(0).expect("parse");
+    assert_bitwise_equal(&back, &m, "codec round trip");
+
+    // Checkpoints and v1 artifacts embed exactly that block.
+    let path = tmp("codec_checkpoint");
+    save_matrices(&path, "pinned", &[&m]).expect("save");
+    let saved = std::fs::read_to_string(&path).expect("read");
+    assert_eq!(
+        saved,
+        format!("rdd-checkpoint v1\nmodel pinned\nparams 1\n{block}")
+    );
+    let meta = ArtifactMeta {
+        dataset_name: "pinned".into(),
+        dataset_n: 2,
+        num_classes: 3,
+        source: "unit-test".into(),
+        members: 1,
+        alphas: vec![1.0],
+        alpha_total: 1.0,
+    };
+    write_artifact_as(&path, &meta, &m, &m, ArtifactFormat::V1).expect("write");
+    let written = std::fs::read_to_string(&path).expect("read");
+    let _ = std::fs::remove_file(&path);
+    let body_start = written.find("\nmatrix ").expect("first block") + 1;
+    let body_end = written.rfind("\nchecksum ").expect("trailer") + 1;
+    assert_eq!(&written[body_start..body_end], format!("{block}{block}"));
 }
