@@ -19,12 +19,6 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> kernel oracle on one thread (sequential reduce splits)"
-# The thread count latches once per process, so the run above checks the
-# product row kernels only under the default split; matmul_at_b/spmm_t
-# reduce per-task partials, and their one-thread split needs its own run.
-RDD_THREADS=1 cargo test -q -p rdd-tensor --test kernel_oracle
-
 echo "==> workspace-off equivalence guard"
 # The buffer pool must be a pure optimization: with RDD_WORKSPACE=off the
 # env-gated default path runs unpooled and the bitwise-equivalence suite
@@ -43,6 +37,30 @@ test ! -e "$GUARD_DIR/off.jsonl" \
   || { echo "telemetry guard: a trace file appeared with telemetry disabled" >&2; exit 1; }
 RDD_TRACE="$GUARD_DIR/on.jsonl" $RDD train tiny --method rdd --models 2 >/dev/null
 $RDD report "$GUARD_DIR/on.jsonl" >/dev/null
+
+echo "==> thread-count gate (RDD_THREADS 1, 2, 3 write the same bytes)"
+# Every kernel gives each output element one summation order, whatever the
+# thread count, and the count latches once per process, so each count runs
+# in its own process. The golden test pins a tiny cascade's run bytes at
+# one and three threads; a cora cascade's predictions and run directory
+# (the one-line manifest minus its wall_time_s values) must then be the
+# same at 1, 2 and 3 threads.
+for t in 1 3; do
+  RDD_THREADS=$t cargo test -q -p rdd-core --test golden_run
+done
+THREAD_DIR="$GUARD_DIR/threads"
+mkdir -p "$THREAD_DIR"
+for t in 1 2 3; do
+  RDD_THREADS=$t $RDD train cora --models 3 --run-dir "$THREAD_DIR/run$t" \
+    --pred-out "$THREAD_DIR/pred$t.txt" >/dev/null
+  sed -i -E 's/"wall_time_s":[^,}]*//g' "$THREAD_DIR/run$t/manifest.json"
+done
+for t in 2 3; do
+  cmp "$THREAD_DIR/pred1.txt" "$THREAD_DIR/pred$t.txt" \
+    || { echo "thread gate: predictions at RDD_THREADS=$t differ from 1" >&2; exit 1; }
+  diff -rq "$THREAD_DIR/run1" "$THREAD_DIR/run$t" >&2 \
+    || { echo "thread gate: run directory at RDD_THREADS=$t differs from 1" >&2; exit 1; }
+done
 
 echo "==> trace validator rejects schema violations"
 # This script relies on `rdd report`'s exit status to validate every trace, so

@@ -33,13 +33,14 @@ pub fn rdd_config(dataset_name: &str) -> RddConfig {
 }
 
 /// Number of repeated trials: the paper averages 10 runs; the harness
-/// defaults to 3 for CPU budget and honors `RDD_TRIALS`.
+/// defaults to 3 for CPU budget and honors `RDD_TRIALS`. A value that is
+/// not a positive integer is reported (like a bad `RDD_THREADS`) and
+/// the default kept.
 pub fn num_trials() -> usize {
-    std::env::var("RDD_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(3)
+    rdd_obs::env::parse_with("RDD_TRIALS", "a positive integer", |v| {
+        v.parse::<usize>().ok().filter(|&n| n >= 1)
+    })
+    .unwrap_or(3)
 }
 
 /// Generate `trials` variants of a preset, one per seed (both the graph and

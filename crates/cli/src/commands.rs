@@ -121,6 +121,7 @@ fn configs_for(data: &Dataset) -> (GcnConfig, TrainConfig, RddConfig) {
 
 /// `rdd generate <preset> <dir>`
 pub fn generate(args: &Args) -> Result<(), RddError> {
+    args.check_options(&["seed"]).map_err(RddError::Cli)?;
     let [_, name, dir] = args.positional.as_slice() else {
         return Err(RddError::Cli("usage: rdd generate <preset> <dir>".into()));
     };
@@ -140,6 +141,7 @@ pub fn generate(args: &Args) -> Result<(), RddError> {
 
 /// `rdd info <preset|dir>`
 pub fn info(args: &Args) -> Result<(), RddError> {
+    args.check_options(&[]).map_err(RddError::Cli)?;
     let [_, source] = args.positional.as_slice() else {
         return Err(RddError::Cli("usage: rdd info <preset|dir>".into()));
     };
@@ -276,6 +278,10 @@ pub fn train_cmd_inner(args: &Args, print: bool) -> Result<(String, f32), RddErr
 }
 
 pub fn train(args: &Args) -> Result<(), RddError> {
+    args.check_options(&[
+        "method", "models", "seed", "gamma", "beta", "p", "run-dir", "pred-out", "save",
+    ])
+    .map_err(RddError::Cli)?;
     train_cmd_inner(args, true).map(|_| ())
 }
 
@@ -284,6 +290,7 @@ pub fn train(args: &Args) -> Result<(), RddError> {
 /// the completed run is bitwise-identical to one that was never
 /// interrupted.
 pub fn resume(args: &Args) -> Result<(), RddError> {
+    args.check_options(&["pred-out"]).map_err(RddError::Cli)?;
     let [_, dir] = args.positional.as_slice() else {
         return Err(RddError::Cli(
             "usage: rdd resume <run-dir> [--pred-out <file>]".into(),
@@ -429,6 +436,10 @@ pub fn report(args: &Args) -> Result<(), RddError> {
 
 /// `rdd compare <preset|dir>` — every method side by side.
 pub fn compare(args: &Args) -> Result<(), RddError> {
+    // Every method runs through `train_cmd_inner`, which reads these; the
+    // method itself and the per-run outputs are not compare's to set.
+    args.check_options(&["models", "seed", "gamma", "beta", "p"])
+        .map_err(RddError::Cli)?;
     let source = args
         .positional
         .get(1)
@@ -499,6 +510,8 @@ pub fn export(args: &Args) -> Result<(), RddError> {
 /// unseen feature vectors — `rdd serve` `{"features": [...]}` requests —
 /// with no adjacency, bitwise identical to the offline student forward.
 pub fn distill_mlp(args: &Args) -> Result<(), RddError> {
+    args.check_options(&["quantize", "lambda", "p", "seed", "epochs", "fast"])
+        .map_err(RddError::Cli)?;
     let [_, run_dir, artifact_path] = args.positional.as_slice() else {
         return Err(RddError::Cli(
             "usage: rdd distill-mlp <run-dir> <artifact> [--quantize int8] [--lambda F] [--p F] \
@@ -576,6 +589,8 @@ pub fn distill_mlp(args: &Args) -> Result<(), RddError> {
 /// artifacts, `--features-in <file>` redirects `--proba-out` through the
 /// student's canonical feature forward over the file's rows.
 pub fn artifact_info(args: &Args) -> Result<(), RddError> {
+    args.check_options(&["proba-out", "features-in", "reference", "assert-max-ulp"])
+        .map_err(RddError::Cli)?;
     let [_, path] = args.positional.as_slice() else {
         return Err(RddError::Cli(
             "usage: rdd artifact-info <artifact> [--proba-out <file>] [--features-in <file>] \
@@ -1354,6 +1369,74 @@ mod tests {
     // The serve loops' id bookkeeping (`next_id` over one stream) lives
     // here; the parsers it drives are tested in `rdd_serve::wire`.
     use rdd_serve::wire::{next_request_id, parse_request, MAX_REQUEST_ID};
+
+    use super::*;
+
+    type Command = fn(&Args) -> Result<(), RddError>;
+
+    /// Every command, with paths under `/dev/null` (which can never
+    /// exist), so a command that gets past its option check fails at its
+    /// first read or write.
+    const COMMANDS: &[(&str, Command)] = &[
+        ("generate tiny /dev/null/rdd-data", generate),
+        ("info /dev/null/rdd-data", info),
+        ("train /dev/null/rdd-data", train),
+        ("resume /dev/null/rdd-run", resume),
+        ("compare /dev/null/rdd-data", compare),
+        ("report /dev/null/rdd.jsonl", report),
+        ("export /dev/null/rdd-run /dev/null/a.artifact", export),
+        (
+            "distill-mlp /dev/null/rdd-run /dev/null/s.artifact",
+            distill_mlp,
+        ),
+        ("artifact-info /dev/null/a.artifact", artifact_info),
+        ("serve --artifact /dev/null/a.artifact", serve),
+    ];
+
+    fn run(command: Command, line: &str) -> String {
+        let args = Args::parse(line.split_whitespace().map(String::from)).expect("parse");
+        match command(&args) {
+            Ok(()) => panic!("`rdd {line}` succeeded"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn every_command_rejects_an_unknown_option_by_name() {
+        for &(line, command) in COMMANDS {
+            let err = run(command, &format!("{line} --bogus 1"));
+            assert!(
+                err.contains("unknown option --bogus"),
+                "`rdd {line} --bogus 1`: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_options_ci_and_the_benchmark_pass_are_known() {
+        for (line, command) in [
+            (
+                "train /dev/null/d --method rdd --models 3 --seed 7 --run-dir r --pred-out p",
+                train as Command,
+            ),
+            ("resume /dev/null/r --pred-out p", resume),
+            (
+                "distill-mlp /dev/null/r s --quantize int8 --fast --epochs 2 --seed 1",
+                distill_mlp,
+            ),
+            (
+                "artifact-info /dev/null/a --proba-out p --features-in f",
+                artifact_info,
+            ),
+            (
+                "artifact-info /dev/null/a --reference r --assert-max-ulp 9",
+                artifact_info,
+            ),
+        ] {
+            let err = run(command, line);
+            assert!(!err.contains("unknown option"), "`rdd {line}`: {err}");
+        }
+    }
 
     #[test]
     fn id_less_requests_follow_the_largest_id_without_wrapping() {

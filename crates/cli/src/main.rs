@@ -36,6 +36,7 @@ const USAGE: &str = "usage:
   rdd train <preset|dir> [--method gcn|gat|sage|rdd|bagging|bans|lp|self-training|co-training|snapshot|mean-teacher]
             [--models N] [--seed N] [--gamma F] [--beta F] [--p F]
             [--run-dir <dir>] [--pred-out <file>]      (rdd method only)
+            [--save <file>]                            (gcn|sage|gat: write a checkpoint)
   rdd resume <run-dir> [--pred-out <file>]
   rdd compare <preset|dir> [--models N] [--seed N]
   rdd report <trace.jsonl|run-dir>

@@ -124,14 +124,16 @@ impl Graph {
         assert!(n > 0, "pagerank on empty graph");
         let uniform = 1.0 / n as f32;
         let mut rank = vec![uniform; n];
-        // Transposed walk on the transition matrix P = D^-1 A: incoming mass
-        // is P^T rank, computed by the parallel scatter kernel. Dangling
-        // nodes have empty rows in P, so their mass is redistributed
-        // uniformly by hand.
-        let transition = self.transition_matrix();
+        // Incoming mass is P^T rank for the transition matrix P = D^-1 A.
+        // A is symmetric, so P^T = A D^-1 has the adjacency's pattern with
+        // entry (r, c) scaled by 1 / deg(c), and the walk is a row gather:
+        // each node sums its neighbors' shares in column order, whatever
+        // the thread count. Dangling nodes have empty columns in P^T, so
+        // their mass is redistributed uniformly by hand.
+        let transition_t = self.adj.map_values(|_, c, v| v / self.degree(c) as f32);
         let dangling_nodes: Vec<usize> = (0..n).filter(|&i| self.degree(i) == 0).collect();
         for _ in 0..iterations {
-            let mut next = transition.spmv_t(&rank);
+            let mut next = transition_t.spmv(&rank);
             let dangling: f32 = dangling_nodes.iter().map(|&i| rank[i]).sum();
             let base = (1.0 - damping) * uniform + damping * dangling * uniform;
             let mut delta = 0.0f32;

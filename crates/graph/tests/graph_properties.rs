@@ -4,11 +4,24 @@
 //!
 //! Each property runs `CASES` cases; case `seed` draws its inputs from
 //! `seeded_rng(seed)`, and every assertion message names the seed.
+//!
+//! `force_pool` pins `RDD_THREADS=4` (unless the caller set it) before the
+//! first kernel call latches the thread count, so PageRank's kernels run
+//! on a multi-thread pool even on a single-core runner.
 
 use rdd_graph::{planetoid_split, Graph, SynthConfig};
 use rdd_tensor::{seeded_rng, Rng};
 
 const CASES: u64 = 32;
+
+/// Force a multi-thread pool unless the caller pinned RDD_THREADS. Must run
+/// before any kernel call in every test: the thread count latches once per
+/// process.
+fn force_pool() {
+    if std::env::var("RDD_THREADS").is_err() {
+        std::env::set_var("RDD_THREADS", "4");
+    }
+}
 
 /// A random edge list over `n` nodes with fewer than `max_edges` edges.
 fn edges(rng: &mut Rng, n: usize, max_edges: usize) -> Vec<(usize, usize)> {
@@ -20,6 +33,7 @@ fn edges(rng: &mut Rng, n: usize, max_edges: usize) -> Vec<(usize, usize)> {
 
 #[test]
 fn pagerank_is_a_distribution() {
+    force_pool();
     for seed in 0..CASES {
         let e = edges(&mut seeded_rng(seed), 20, 60);
         let g = Graph::from_edges(20, &e);
@@ -36,8 +50,54 @@ fn pagerank_is_a_distribution() {
     }
 }
 
+/// PageRank as a plain sequential scatter over the transition matrix
+/// `P = D^-1 A`: every node's incoming mass sums its in-neighbors in row
+/// order, with the same damping and dangling-mass steps as the library.
+fn sequential_pagerank(g: &Graph, damping: f32, iterations: usize) -> Vec<f32> {
+    let n = g.n();
+    let p = g.transition_matrix();
+    let uniform = 1.0 / n as f32;
+    let mut rank = vec![uniform; n];
+    for _ in 0..iterations {
+        let mut next = vec![0.0f32; n];
+        for (r, c, w) in p.iter() {
+            next[c] += w * rank[r];
+        }
+        let dangling: f32 = (0..n).filter(|&i| g.degree(i) == 0).map(|i| rank[i]).sum();
+        let base = (1.0 - damping) * uniform + damping * dangling * uniform;
+        for nx in &mut next {
+            *nx = base + damping * *nx;
+        }
+        rank = next;
+    }
+    rank
+}
+
+#[test]
+fn pagerank_matches_sequential_scatter_bitwise_above_the_parallel_gate() {
+    force_pool();
+    // 40k stored adjacency entries (past 2^15, and past 8 per node) over
+    // 4000 nodes, the last 100 of them isolated: large enough that a
+    // thread-split reduction would reorder the sums.
+    let n = 4000;
+    let mut rng = seeded_rng(0x9a9e_4a4c);
+    let raw: Vec<(usize, usize)> = (0..20_000)
+        .map(|_| (rng.range(0..n - 100), rng.range(0..n - 100)))
+        .collect();
+    let g = Graph::from_edges(n, &raw);
+    assert!(g.adjacency().nnz() > 1 << 15 && g.adjacency().nnz() > 8 * n);
+    assert!((n - 100..n).all(|i| g.degree(i) == 0));
+    // tol 0 never stops early, so both sides run every iteration.
+    let got = g.pagerank(0.85, 30, 0.0);
+    let want = sequential_pagerank(&g, 0.85, 30);
+    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "node {i}: {a} vs {b}");
+    }
+}
+
 #[test]
 fn normalized_adjacency_is_symmetric_and_bounded() {
+    force_pool();
     for seed in 0..CASES {
         let e = edges(&mut seeded_rng(seed), 15, 40);
         let g = Graph::from_edges(15, &e);
@@ -65,6 +125,7 @@ fn normalized_adjacency_is_symmetric_and_bounded() {
 
 #[test]
 fn adjacency_is_undirected_and_loopless() {
+    force_pool();
     for seed in 0..CASES {
         let e = edges(&mut seeded_rng(seed), 12, 30);
         let g = Graph::from_edges(12, &e);
@@ -81,6 +142,7 @@ fn adjacency_is_undirected_and_loopless() {
 
 #[test]
 fn components_are_edge_consistent() {
+    force_pool();
     for seed in 0..CASES {
         let e = edges(&mut seeded_rng(seed), 12, 25);
         let g = Graph::from_edges(12, &e);
@@ -96,6 +158,7 @@ fn components_are_edge_consistent() {
 
 #[test]
 fn planetoid_split_is_disjoint_and_balanced() {
+    force_pool();
     for seed in 0..CASES {
         let mut case = seeded_rng(seed);
         let split_seed = case.range(0..1000) as u64;
@@ -121,6 +184,7 @@ fn planetoid_split_is_disjoint_and_balanced() {
 
 #[test]
 fn generator_feature_rows_are_normalized() {
+    force_pool();
     for seed in 0..CASES {
         let gen_seed = seeded_rng(seed).range(0..50) as u64;
         let mut cfg = SynthConfig::tiny();
@@ -145,6 +209,7 @@ fn generator_feature_rows_are_normalized() {
 
 #[test]
 fn homophily_increases_with_config() {
+    force_pool();
     for seed in 0..CASES {
         let gen_seed = seeded_rng(seed).range(0..20) as u64;
         let mut low = SynthConfig::tiny();

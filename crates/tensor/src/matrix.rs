@@ -6,21 +6,21 @@
 //! operand is reused while it is still resident, and unroll the reduction
 //! dimension into independent accumulator lanes so LLVM can autovectorize
 //! the `f32` sums (a plain `acc += a * b` loop is a serial dependency
-//! chain). All of them run on the persistent worker pool (see
-//! [`crate::par`]): the forward products split the *output* rows across
-//! tasks, while the transposed backprop product `A^T @ dC` splits the
-//! *input* rows and reduces per-task partial buffers.
+//! chain). The forward products split their *output* rows across the
+//! persistent worker pool (see [`crate::par`]); the transposed backprop
+//! product `A^T @ dC` scatters into shared output rows, so it runs as one
+//! sequential pass over the input rows.
 //!
 //! Each public method here hoists the latched [`crate::simd::active`]
 //! tier once and hands whole blocks of rows to the tier's kernels. The
 //! products are row kernels — `matmul` the gather body over a dense index
 //! list, `matmul_at_b` the scatter body over dense columns (both in
 //! `rows.rs`), `matmul_a_bt` the dot body in [`crate::simd`] — whose bits
-//! depend only on the tier and the thread split (`RDD_SIMD=off` gives the
-//! scalar order); the row-wise softmax/entropy/elementwise kernels are
+//! depend only on the tier, never on the thread count (`RDD_SIMD=off` gives
+//! the scalar order); the row-wise softmax/entropy/elementwise kernels are
 //! [`crate::simd`] dispatchers.
 
-use crate::par::{par_reduce_rows, par_row_chunks};
+use crate::par::par_row_chunks;
 use crate::rows::{Gather, Scatter};
 use crate::simd;
 use rdd_obs::SpanCell;
@@ -248,34 +248,34 @@ impl Matrix {
             (self.cols, rhs.cols),
             "matmul_at_b_into output shape mismatch"
         );
-        // out is (self.cols x rhs.cols); every input row k scatters into all
-        // output rows, so the parallel split is over *input* rows with one
-        // partial output buffer per task, reduced at the end
-        // (par_reduce_rows). Input rows go in quads from the task's first
-        // row: the quad's four `rhs` rows stay in registers while they
-        // scatter into every output row, then leftover rows one at a time.
+        // out is (self.cols x rhs.cols) and every input row k scatters into
+        // all output rows, so the product is one scatter over the input rows
+        // from row 0: each output element sums in one order, whatever the
+        // thread count. Input rows go in quads: the quad's four `rhs` rows
+        // stay in registers while they scatter into every output row, then
+        // leftover rows one at a time.
         let _span = SPAN_MATMUL_AT_B.enter();
         let n = rhs.cols;
-        let m = self.cols;
-        let work = self.rows * m * n;
+        let quads = self.rows / 4;
         let tier = simd::active();
-        par_reduce_rows(&mut out.data, self.rows, work, |r0, r1, acc| {
-            let quads = (r1 - r0) / 4;
-            let quad = |t: usize| {
-                let k = r0 + 4 * t;
-                let a = [
-                    self.row(k),
-                    self.row(k + 1),
-                    self.row(k + 2),
-                    self.row(k + 3),
-                ];
-                let b = [rhs.row(k), rhs.row(k + 1), rhs.row(k + 2), rhs.row(k + 3)];
-                (a, 0, b)
-            };
-            simd::run_rows(tier, &Scatter::new(acc, n, quad), 0..quads);
-            let single = |k: usize| ([self.row(k)], 0, [rhs.row(k)]);
-            simd::run_rows(tier, &Scatter::new(acc, n, single), r0 + 4 * quads..r1);
-        });
+        let quad = |t: usize| {
+            let k = 4 * t;
+            let a = [
+                self.row(k),
+                self.row(k + 1),
+                self.row(k + 2),
+                self.row(k + 3),
+            ];
+            let b = [rhs.row(k), rhs.row(k + 1), rhs.row(k + 2), rhs.row(k + 3)];
+            (a, 0, b)
+        };
+        simd::run_rows(tier, &Scatter::new(&mut out.data, n, quad), 0..quads);
+        let single = |k: usize| ([self.row(k)], 0, [rhs.row(k)]);
+        simd::run_rows(
+            tier,
+            &Scatter::new(&mut out.data, n, single),
+            4 * quads..self.rows,
+        );
     }
 
     /// `self @ rhs^T` without materializing the transpose.

@@ -7,16 +7,14 @@
 //! (lazily, on the first parallel call), sized by [`num_threads`], and lives
 //! for the rest of the process.
 //!
-//! Two primitives cover every kernel in the crate:
-//!
-//! * [`par_row_chunks`] — split a row-major output buffer into contiguous row
-//!   blocks, one task per block ("each task owns its output rows").
-//! * [`par_reduce_rows`] — split the *input* rows into blocks, give each task
-//!   a private zeroed copy of the output to scatter into, then sum the
-//!   partial buffers ("each task owns its input rows"). This is what makes
-//!   the transposed backprop products (`A^T @ dC`, `S^T @ dC`) parallel: the
-//!   scatter destination is shared, so each worker accumulates into its own
-//!   buffer and the buffers are reduced at the end.
+//! One primitive covers every parallel kernel in the crate:
+//! [`par_row_chunks`] splits a row-major output buffer into contiguous row
+//! blocks, one task per block ("each task owns its output rows"). A task
+//! computes each of its output elements exactly as a sequential call
+//! would, so the thread count never changes a bit. The transposed
+//! backprop products (`A^T @ dC`, `S^T @ dC`) scatter into shared output
+//! rows; they run as one sequential scatter instead of summing per-thread
+//! partial buffers, whose order would depend on the thread count.
 //!
 //! Work distribution is a single injector queue (condvar-guarded
 //! `VecDeque`; blocked workers release the lock while they wait). The
@@ -34,11 +32,10 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use rdd_obs::{CounterCell, GaugeCell};
 
 /// Pool telemetry (all no-ops unless `RDD_TRACE` enables the recorder):
-/// `run_tasks` invocations, tasks fanned out, `par_reduce_rows` invocations,
-/// and the deepest injector queue observed.
+/// `run_tasks` invocations, tasks fanned out, and the deepest injector
+/// queue observed.
 static OBS_RUN_TASKS: CounterCell = CounterCell::new("pool.run_tasks");
 static OBS_TASKS: CounterCell = CounterCell::new("pool.tasks");
-static OBS_PAR_REDUCE: CounterCell = CounterCell::new("pool.par_reduce_rows");
 static OBS_QUEUE_PEAK: GaugeCell = GaugeCell::new("pool.queue_peak");
 
 /// Number of worker threads to use for data-parallel kernels.
@@ -273,73 +270,6 @@ where
     });
 }
 
-/// Parallel scatter-reduction over input rows.
-///
-/// Splits the input row range `0..in_rows` into contiguous blocks and runs
-/// `f(row_start, row_end, acc)` once per block, where `acc` is an
-/// accumulation buffer the same length as `out`. Block 0 accumulates
-/// directly into `out`; every other block gets a private zeroed buffer, and
-/// the partial buffers are summed into `out` at the end (itself in
-/// parallel). `f` must only ever *add* into `acc`.
-///
-/// `out` must arrive zeroed (the sequential fallback runs `f` directly on
-/// it). `work` is an estimate of the total number of accumulations `f`
-/// performs across all rows (e.g. `nnz * cols` for a sparse scatter); it
-/// gates the parallel path so that tiny scatters skip the buffer setup.
-pub fn par_reduce_rows<F>(out: &mut [f32], in_rows: usize, work: usize, f: F)
-where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
-{
-    OBS_PAR_REDUCE.add(1);
-    let threads = num_threads();
-    // The parallel path costs one zeroed buffer + one reduction pass of
-    // `out.len()` per extra block; require the scattered work to dwarf it.
-    if threads <= 1 || in_rows < 2 || work < 1 << 15 || work < 8 * out.len() {
-        f(0, in_rows, out);
-        return;
-    }
-    let n_chunks = threads.min(in_rows);
-    let chunk_rows = in_rows.div_ceil(n_chunks);
-    let n_chunks = in_rows.div_ceil(chunk_rows);
-    let len = out.len();
-    let mut partials: Vec<Vec<f32>> = (1..n_chunks).map(|_| Vec::new()).collect();
-    {
-        let out_base = SendPtr(out.as_mut_ptr());
-        let partials_base = partials.as_mut_ptr() as usize;
-        run_tasks(n_chunks, &|t| {
-            let start = t * chunk_rows;
-            let end = (start + chunk_rows).min(in_rows);
-            if t == 0 {
-                // SAFETY: only task 0 touches `out` during this phase.
-                let acc = unsafe { std::slice::from_raw_parts_mut(out_base.get(), len) };
-                f(start, end, acc);
-            } else {
-                // SAFETY: slot `t - 1` is owned exclusively by task `t`, and
-                // `partials` outlives `run_tasks`.
-                let slot = unsafe { &mut *(partials_base as *mut Vec<f32>).add(t - 1) };
-                *slot = vec![0.0; len];
-                f(start, end, slot);
-            }
-        });
-    }
-    // Reduce the partial buffers into `out`, split by output range.
-    let r_chunk = len.div_ceil(threads).max(1024);
-    let r_tasks = len.div_ceil(r_chunk);
-    let out_base = SendPtr(out.as_mut_ptr());
-    let partials = &partials;
-    run_tasks(r_tasks, &|t| {
-        let start = t * r_chunk;
-        let end = (start + r_chunk).min(len);
-        // SAFETY: ranges are disjoint across tasks.
-        let dst = unsafe { std::slice::from_raw_parts_mut(out_base.get().add(start), end - start) };
-        for p in partials {
-            for (o, &v) in dst.iter_mut().zip(&p[start..end]) {
-                *o += v;
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,33 +342,5 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn par_reduce_rows_sums_partials() {
-        // Scatter: every input row adds 1.0 to every output slot; the result
-        // must equal the number of input rows regardless of chunking.
-        let in_rows = 512;
-        let mut out = vec![0.0f32; 2048];
-        let work = in_rows * out.len(); // force the parallel path when pooled
-        par_reduce_rows(&mut out, in_rows, work, |r0, r1, acc| {
-            for _ in r0..r1 {
-                for v in acc.iter_mut() {
-                    *v += 1.0;
-                }
-            }
-        });
-        assert!(out.iter().all(|&v| v == in_rows as f32));
-    }
-
-    #[test]
-    fn par_reduce_rows_small_work_runs_sequentially_on_out() {
-        let mut out = vec![0.0f32; 4];
-        par_reduce_rows(&mut out, 3, 12, |r0, r1, acc| {
-            for r in r0..r1 {
-                acc[r % 4] += (r + 1) as f32;
-            }
-        });
-        assert_eq!(out, vec![1.0, 2.0, 3.0, 0.0]);
     }
 }

@@ -8,8 +8,8 @@
 //! row its entries name. A dense row is the index list `k0, k0 + 1, ...`.
 //! The bodies are generic over [`Lanes`]; [`crate::simd::run_rows`] picks
 //! the lane types of the active tier, so the operation order of every
-//! output element is fixed by the tier (and, for a scatter under
-//! `par_reduce_rows`, by the thread split).
+//! output element is fixed by the tier alone: a gather's row blocks never
+//! split a row, and a scatter runs as one pass from input row 0.
 
 use std::marker::PhantomData;
 

@@ -32,10 +32,9 @@
 //! tiers give the same bits on every input, ±0, ±inf, NaN and subnormals
 //! included.
 //!
-//! A product's bits depend only on the tier and on the thread split
-//! (`par_reduce_rows` sums per-task partial outputs); `tests/kernel_oracle.rs`
-//! checks every tier against the per-element kernels the row kernels
-//! replaced.
+//! A product's bits depend only on the tier, never on the thread count;
+//! `tests/kernel_oracle.rs` checks every tier against the per-element
+//! kernels the row kernels replaced.
 //!
 //! # Tier selection
 //!

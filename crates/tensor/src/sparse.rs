@@ -5,14 +5,15 @@
 //! only ever appear on the left of a product with a dense matrix, so CSR with
 //! a row-gather SpMM is the natural layout. The transpose product
 //! (`self^T @ dense`, needed by backprop through `X @ W`) is implemented as a
-//! scatter over the same CSR arrays, avoiding a materialized CSC copy. The
-//! scatter-style transposed kernels (`spmm_t`, `spmv_t`) share their output
-//! rows across input rows, so they parallelize with per-task partial output
-//! buffers reduced at the end ([`crate::par::par_reduce_rows`]); the
-//! gather-style kernels (`spmm`, `spmv`) split output rows directly.
+//! scatter over the same CSR arrays, avoiding a materialized CSC copy (input
+//! dropout builds a new X every epoch, so a transpose would be rebuilt per
+//! call). The scatter `spmm_t` shares its output rows across input rows, so
+//! it runs as one sequential pass from input row 0; the gather kernels
+//! (`spmm`, `spmv`) split output rows across the pool. Either way every
+//! output element has one summation order, whatever the thread count.
 
 use crate::matrix::Matrix;
-use crate::par::{par_reduce_rows, par_row_chunks};
+use crate::par::par_row_chunks;
 use crate::rows::{Gather, Scatter};
 use crate::simd;
 use rdd_obs::SpanCell;
@@ -22,7 +23,6 @@ use rdd_obs::SpanCell;
 static SPAN_SPMM: SpanCell = SpanCell::new("spmm");
 static SPAN_SPMM_T: SpanCell = SpanCell::new("spmm_t");
 static SPAN_SPMV: SpanCell = SpanCell::new("spmv");
-static SPAN_SPMV_T: SpanCell = SpanCell::new("spmv_t");
 
 /// CSR sparse matrix of `f32`.
 #[derive(Clone, Debug, PartialEq)]
@@ -282,8 +282,8 @@ impl CsrMatrix {
         });
     }
 
-    /// Transpose-product `self^T @ rhs` via scatter, parallel over input
-    /// rows with per-task partial output buffers.
+    /// Transpose-product `self^T @ rhs` via one sequential scatter over the
+    /// input rows.
     ///
     /// Needed by backprop: for `C = S @ W` with constant sparse `S`,
     /// `dW = S^T @ dC`.
@@ -310,17 +310,15 @@ impl CsrMatrix {
         );
         let _span = SPAN_SPMM_T.enter();
         let n = rhs.cols();
-        let work = self.nnz() * n;
-        let tier = simd::active();
-        par_reduce_rows(out.as_mut_slice(), self.rows, work, |r0, r1, acc| {
-            // Row i of `rhs` stays in registers while it scatters into the
-            // output rows named by row i's column indices.
-            let scatter = Scatter::new(acc, n, |i| {
-                let (cols, vals) = self.row(i);
-                ([vals], cols, [rhs.row(i)])
-            });
-            simd::run_rows(tier, &scatter, r0..r1);
+        // One scatter over the input rows from row 0, so each output
+        // element sums in one order whatever the thread count. Row i of
+        // `rhs` stays in registers while it scatters into the output rows
+        // named by row i's column indices.
+        let scatter = Scatter::new(out.as_mut_slice(), n, |i| {
+            let (cols, vals) = self.row(i);
+            ([vals], cols, [rhs.row(i)])
         });
+        simd::run_rows(simd::active(), &scatter, 0..self.rows);
     }
 
     /// Sparse-vector product `self @ v` (row-gather, parallel over rows).
@@ -336,23 +334,6 @@ impl CsrMatrix {
                     .zip(vals)
                     .map(|(&c, &w)| w * v[c as usize])
                     .sum();
-            }
-        });
-        out
-    }
-
-    /// Transpose-vector product `self^T @ v` (scatter, parallel over input
-    /// rows with per-task partial buffers).
-    pub fn spmv_t(&self, v: &[f32]) -> Vec<f32> {
-        assert_eq!(self.rows, v.len(), "spmv_t shape mismatch");
-        let _span = SPAN_SPMV_T.enter();
-        let mut out = vec![0.0f32; self.cols];
-        par_reduce_rows(&mut out, self.rows, self.nnz(), |r0, r1, acc| {
-            for (i, &vi) in v.iter().enumerate().take(r1).skip(r0) {
-                let (cols, vals) = self.row(i);
-                for (&c, &w) in cols.iter().zip(vals) {
-                    acc[c as usize] += w * vi;
-                }
             }
         });
         out
@@ -464,8 +445,9 @@ mod tests {
             let slow: f32 = (0..3).map(|j| dense.get(i, j) * v[j]).sum();
             assert!((fast[i] - slow).abs() < 1e-6);
         }
+        // `self^T @ u` is a gather over the materialized transpose.
         let u = [2.0, -1.0];
-        let fast_t = m.spmv_t(&u);
+        let fast_t = m.transpose().spmv(&u);
         for j in 0..3 {
             let slow: f32 = (0..2).map(|i| dense.get(i, j) * u[i]).sum();
             assert!((fast_t[j] - slow).abs() < 1e-6);

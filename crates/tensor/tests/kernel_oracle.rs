@@ -12,10 +12,11 @@
 //! Equality is bitwise, except that any NaN equals any other NaN: x86
 //! returns the first operand's payload when both operands of an add are
 //! NaN, and the compiler may commute an add, so the payload is not part of
-//! the contract. The reference uses the same `par_row_chunks` /
-//! `par_reduce_rows` splits as the library, so the comparison holds under
-//! any `RDD_THREADS`; run it once more with `RDD_THREADS=1` to cover the
-//! sequential splits (the thread count latches once per process).
+//! the contract. The transposed products (`matmul_at_b`, `spmm_t`) are
+//! one scatter from input row 0 in the library and in the reference; the
+//! others split output rows with `par_row_chunks`, which leaves every
+//! element's order alone. So the comparison holds under any
+//! `RDD_THREADS`.
 //!
 //! Each test draws from its own seeded generator, so a failure names a
 //! reproducible case.
@@ -182,8 +183,7 @@ fn matmul_gather_matches_per_element_oracle() {
 fn matmul_at_b_scatter_matches_per_element_oracle() {
     let mut rng = seeded_rng(0x0a11_0c1e_0004);
     on_every_tier(|tier| {
-        // 299 input rows: on 1, 2, 4, 8 or 16 threads, every task but the
-        // first starts off a multiple of four and ends with leftover rows.
+        // 299 input rows: 74 quads, then three leftover rows.
         for m in [5, 20] {
             for &w in WIDTHS {
                 for specials in [false, true] {
@@ -226,7 +226,7 @@ fn matmul_a_bt_dot_matches_per_element_oracle() {
 /// kernels, verbatim apart from `self`/`rhs` becoming arguments.
 #[allow(clippy::all, unsafe_op_in_unsafe_fn)]
 mod old {
-    use rdd_tensor::par::{par_reduce_rows, par_row_chunks};
+    use rdd_tensor::par::par_row_chunks;
     use rdd_tensor::simd::SimdTier;
     use rdd_tensor::{CsrMatrix, Matrix};
 
@@ -479,41 +479,39 @@ mod old {
     pub fn matmul_at_b(a: &Matrix, rhs: &Matrix, tier: SimdTier) -> Matrix {
         let n = rhs.cols();
         let m = a.cols();
-        let work = a.rows() * m * n;
         let mut out = Matrix::zeros(m, n);
-        par_reduce_rows(out.as_mut_slice(), a.rows(), work, |r0, r1, acc| {
-            let mut k = r0;
-            while k + 4 <= r1 {
-                let a0 = a.row(k);
-                let a1 = a.row(k + 1);
-                let a2 = a.row(k + 2);
-                let a3 = a.row(k + 3);
-                let b0 = rhs.row(k);
-                let b1 = rhs.row(k + 1);
-                let b2 = rhs.row(k + 2);
-                let b3 = rhs.row(k + 3);
-                for j in 0..m {
-                    axpy4(
-                        tier,
-                        &mut acc[j * n..(j + 1) * n],
-                        [a0[j], a1[j], a2[j], a3[j]],
-                        b0,
-                        b1,
-                        b2,
-                        b3,
-                    );
-                }
-                k += 4;
+        let acc = out.as_mut_slice();
+        let mut k = 0;
+        while k + 4 <= a.rows() {
+            let a0 = a.row(k);
+            let a1 = a.row(k + 1);
+            let a2 = a.row(k + 2);
+            let a3 = a.row(k + 3);
+            let b0 = rhs.row(k);
+            let b1 = rhs.row(k + 1);
+            let b2 = rhs.row(k + 2);
+            let b3 = rhs.row(k + 3);
+            for j in 0..m {
+                axpy4(
+                    tier,
+                    &mut acc[j * n..(j + 1) * n],
+                    [a0[j], a1[j], a2[j], a3[j]],
+                    b0,
+                    b1,
+                    b2,
+                    b3,
+                );
             }
-            while k < r1 {
-                let a_row = a.row(k);
-                let b_row = rhs.row(k);
-                for (j, &a) in a_row.iter().enumerate() {
-                    axpy(tier, &mut acc[j * n..(j + 1) * n], a, b_row);
-                }
-                k += 1;
+            k += 4;
+        }
+        while k < a.rows() {
+            let a_row = a.row(k);
+            let b_row = rhs.row(k);
+            for (j, &a) in a_row.iter().enumerate() {
+                axpy(tier, &mut acc[j * n..(j + 1) * n], a, b_row);
             }
-        });
+            k += 1;
+        }
         out
     }
 
@@ -570,18 +568,16 @@ mod old {
 
     pub fn spmm_t(s: &CsrMatrix, rhs: &Matrix, tier: SimdTier) -> Matrix {
         let n = rhs.cols();
-        let work = s.nnz() * n;
         let mut out = Matrix::zeros(s.cols(), n);
-        par_reduce_rows(out.as_mut_slice(), s.rows(), work, |r0, r1, acc| {
-            for i in r0..r1 {
-                let (cols, vals) = s.row(i);
-                let b_row = rhs.row(i);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    let c = c as usize;
-                    axpy(tier, &mut acc[c * n..(c + 1) * n], v, b_row);
-                }
+        let acc = out.as_mut_slice();
+        for i in 0..s.rows() {
+            let (cols, vals) = s.row(i);
+            let b_row = rhs.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let c = c as usize;
+                axpy(tier, &mut acc[c * n..(c + 1) * n], v, b_row);
             }
-        });
+        }
         out
     }
 }

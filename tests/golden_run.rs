@@ -1,0 +1,147 @@
+//! Golden run bytes: a crash-safe `tiny` cascade must write the same bytes
+//! at every thread count.
+//!
+//! Every kernel gives each output element one summation order per SIMD
+//! tier, whatever `RDD_THREADS` says, so the run directory is a function of
+//! the seed and the tier alone. This test pins it: it trains a 3-member
+//! cascade into a temporary run directory under each tier the CPU has,
+//! hashes every file with FNV-1a-64 (the manifest without its
+//! `wall_time_s` values) and compares the digests with the constants below.
+//! `ci.sh` runs it at `RDD_THREADS=1` and `3`.
+//!
+//! The constants belong to x86_64 Linux with glibc: the scalar tier calls
+//! libm's `expf`/`logf`, whose last bits may differ on another target or
+//! libc, so elsewhere the test is ignored. When a change is *meant* to move
+//! the bits, the failure message prints the new table in this file's
+//! syntax.
+//!
+//! This is its own test binary: `simd::force_active` switches the tier for
+//! the whole process, which would race the tests that compare two runs.
+
+use std::path::{Path, PathBuf};
+
+use rdd_core::{RddConfig, RddTrainer};
+use rdd_graph::SynthConfig;
+use rdd_tensor::simd::{self, SimdTier};
+
+/// FNV-1a, 64-bit: a fixed, documented hash (unlike `DefaultHasher`,
+/// whose algorithm may change between Rust releases).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The manifest with every `"wall_time_s":<number>` removed (the same
+/// edit as `sed -E 's/"wall_time_s":[^,}]*//g'`).
+fn strip_wall_time(manifest: &str) -> String {
+    const KEY: &str = "\"wall_time_s\":";
+    let mut out = String::with_capacity(manifest.len());
+    let mut rest = manifest;
+    while let Some(at) = rest.find(KEY) {
+        out.push_str(&rest[..at]);
+        let value = &rest[at + KEY.len()..];
+        rest = &value[value.find([',', '}']).unwrap_or(value.len())..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Digest of every file in `dir`, sorted by name.
+fn digests(dir: &Path) -> Vec<(String, u64)> {
+    let mut out: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .expect("read run dir")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let bytes = std::fs::read(&path).expect("read run file");
+            let digest = if name == "manifest.json" {
+                let text = String::from_utf8(bytes).expect("manifest is UTF-8");
+                fnv1a64(strip_wall_time(&text).as_bytes())
+            } else {
+                fnv1a64(&bytes)
+            };
+            (name, digest)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+fn run_digests(tier: SimdTier) -> Vec<(String, u64)> {
+    simd::force_active(tier);
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("rdd_golden_{}_{}", tier.name(), std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let data = SynthConfig::tiny().generate();
+    let mut cfg = RddConfig::fast();
+    cfg.num_base_models = 3;
+    RddTrainer::new(cfg)
+        .run_crash_safe(&data, &dir, "tiny")
+        .expect("crash-safe run");
+    let got = digests(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    got
+}
+
+fn table(digests: &[(String, u64)]) -> String {
+    digests
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect()
+}
+
+const SCALAR: &[(&str, u64)] = &[
+    ("ensemble.sums", 0x4e057b83c5503494),
+    ("manifest.json", 0x0ea6176c8d81c3ac),
+    ("member-000.out", 0x49635ead76767c0a),
+    ("member-000.params", 0xfe0837c913d258e0),
+    ("member-001.out", 0xf18e2b80ead6e019),
+    ("member-001.params", 0x44c881042a0cae1f),
+    ("member-002.out", 0x0a0ccb083527c43a),
+    ("member-002.params", 0x2117e094e6025715),
+];
+
+const AVX2: &[(&str, u64)] = &[
+    ("ensemble.sums", 0x4d62c63e595fa9d7),
+    ("manifest.json", 0xca76d95bf0ddaaf5),
+    ("member-000.out", 0xeeab1bd5535630b1),
+    ("member-000.params", 0xd7c9c9c34831fb65),
+    ("member-001.out", 0x5575a9fb70d92822),
+    ("member-001.params", 0x4398fbbdf963cb9c),
+    ("member-002.out", 0x3ebea23367cf4183),
+    ("member-002.params", 0xdde2444bbf5a627c),
+];
+
+#[test]
+#[cfg_attr(
+    not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
+    ignore = "the golden digests are pinned for x86_64 Linux with glibc"
+)]
+fn run_bytes_match_golden_digests() {
+    for (tier, golden) in [(SimdTier::Scalar, SCALAR), (SimdTier::Avx2, AVX2)] {
+        if !simd::available(tier) {
+            continue;
+        }
+        let got = run_digests(tier);
+        let want: Vec<(String, u64)> = golden.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+        assert_eq!(
+            got,
+            want,
+            "{} tier at RDD_THREADS={}: run bytes moved; the new table is\n{}",
+            tier.name(),
+            rdd_tensor::par::num_threads(),
+            table(&got)
+        );
+    }
+}
+
+#[test]
+fn strip_wall_time_removes_every_value() {
+    assert_eq!(
+        strip_wall_time(r#"{"a":1,"wall_time_s":0.25,"m":[{"wall_time_s":3e-2}]}"#),
+        r#"{"a":1,,"m":[{}]}"#
+    );
+    assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+}
