@@ -251,16 +251,18 @@ V1_BYTES="$(wc -c < "$SERVE_DIR/model.artifact")"
 V2Q_BYTES="$(wc -c < "$SERVE_DIR/model.v2q")"
 [ "$((V2Q_BYTES * 10))" -lt "$((V1_BYTES * 7))" ] \
   || { echo "v2q smoke: quantized artifact not smaller ($V2Q_BYTES vs $V1_BYTES bytes)" >&2; exit 1; }
-$RDD serve --artifact "$SERVE_DIR/model.v2q" \
-  --batch 16 --proba-out "$SERVE_DIR/served_v2q.proba" \
-  < "$SERVE_DIR/requests.jsonl" > "$SERVE_DIR/replies_v2q.jsonl" 2>/dev/null
-cmp "$SERVE_DIR/offline_v2q.proba" "$SERVE_DIR/served_v2q.proba" \
-  || { echo "v2q smoke: served rows diverged from offline v2q dump" >&2; exit 1; }
+for workers in 1 2; do
+  $RDD serve --artifact "$SERVE_DIR/model.v2q" --workers "$workers" \
+    --batch 16 --proba-out "$SERVE_DIR/served_v2q$workers.proba" \
+    < "$SERVE_DIR/requests.jsonl" > "$SERVE_DIR/replies_v2q$workers.jsonl" 2>/dev/null
+  cmp "$SERVE_DIR/offline_v2q.proba" "$SERVE_DIR/served_v2q$workers.proba" \
+    || { echo "v2q smoke: served rows diverged from offline v2q dump (workers $workers)" >&2; exit 1; }
+done
 
 echo "==> multi-worker serve smoke (serve --workers 2, compare bitwise)"
 # The same artifact served through 2 pool workers must produce probability
-# rows byte-identical to the single-threaded path: concurrency is pure
-# plumbing.
+# rows byte-identical to the offline dump, as one worker does: concurrency
+# is pure plumbing.
 $RDD serve --artifact "$SERVE_DIR/model.artifact" --workers 2 \
   --batch 16 --proba-out "$SERVE_DIR/served_pooled.proba" \
   < "$SERVE_DIR/requests.jsonl" > "$SERVE_DIR/replies_pooled.jsonl" 2>/dev/null
@@ -337,30 +339,34 @@ grep -q "Swap:" <<< "$($RDD report "$SWAP_DIR/swap.jsonl")" \
 
 echo "==> serve chaos gate (injected panics: every request answered, bitwise, supervision in trace)"
 # Panics injected into the worker loop and the batch kernel must be
-# supervised: the claimed batch is requeued, the worker respawned, and the
-# stream finishes with every request answered and rows bitwise identical
-# to the offline ensemble. Both panic and respawn must reach the trace.
+# supervised at every worker count, the default one worker included: the
+# claimed batch is requeued, the worker respawned, and the stream finishes
+# with every request answered and rows bitwise identical to the offline
+# ensemble. Both panic and respawn must reach the trace.
 CHAOS_DIR="$GUARD_DIR/chaos"
 mkdir -p "$CHAOS_DIR"
-for site in serve_worker serve_batch; do
-  RDD_FAULT="panic@$site:0x2" RDD_TRACE="$CHAOS_DIR/$site.jsonl" $RDD serve \
-    --artifact "$SERVE_DIR/model.artifact" --workers 2 --batch 16 \
-    --proba-out "$CHAOS_DIR/$site.proba" \
-    < "$SERVE_DIR/requests.jsonl" > "$CHAOS_DIR/$site.replies.jsonl" 2>/dev/null \
-    || { echo "chaos gate: serve exited non-zero under panic@$site" >&2; exit 1; }
-  REPLIES="$(wc -l < "$CHAOS_DIR/$site.replies.jsonl")"
-  [ "$REPLIES" -eq "$NODES" ] \
-    || { echo "chaos gate: $REPLIES replies for $NODES requests under panic@$site" >&2; exit 1; }
-  if grep -q '"error"' "$CHAOS_DIR/$site.replies.jsonl"; then
-    echo "chaos gate: error replies under panic@$site (retry budget should absorb it)" >&2; exit 1
-  fi
-  cmp "$SERVE_DIR/offline.proba" "$CHAOS_DIR/$site.proba" \
-    || { echo "chaos gate: rows diverged from offline ensemble under panic@$site" >&2; exit 1; }
-  grep -q '"ev":"worker_panic"' "$CHAOS_DIR/$site.jsonl" \
-    || { echo "chaos gate: no worker_panic event under panic@$site" >&2; exit 1; }
-  grep -q '"ev":"worker_respawn"' "$CHAOS_DIR/$site.jsonl" \
-    || { echo "chaos gate: no worker_respawn event under panic@$site" >&2; exit 1; }
-  $RDD report "$CHAOS_DIR/$site.jsonl" >/dev/null
+for workers in 1 2; do
+  for site in serve_worker serve_batch; do
+    RUN="$CHAOS_DIR/$site.w$workers"
+    RDD_FAULT="panic@$site:0x2" RDD_TRACE="$RUN.jsonl" $RDD serve \
+      --artifact "$SERVE_DIR/model.artifact" --workers "$workers" --batch 16 \
+      --proba-out "$RUN.proba" \
+      < "$SERVE_DIR/requests.jsonl" > "$RUN.replies.jsonl" 2>/dev/null \
+      || { echo "chaos gate: serve exited non-zero under panic@$site (workers $workers)" >&2; exit 1; }
+    REPLIES="$(wc -l < "$RUN.replies.jsonl")"
+    [ "$REPLIES" -eq "$NODES" ] \
+      || { echo "chaos gate: $REPLIES replies for $NODES requests under panic@$site (workers $workers)" >&2; exit 1; }
+    if grep -q '"error"' "$RUN.replies.jsonl"; then
+      echo "chaos gate: error replies under panic@$site, workers $workers (retry budget should absorb it)" >&2; exit 1
+    fi
+    cmp "$SERVE_DIR/offline.proba" "$RUN.proba" \
+      || { echo "chaos gate: rows diverged from offline ensemble under panic@$site (workers $workers)" >&2; exit 1; }
+    grep -q '"ev":"worker_panic"' "$RUN.jsonl" \
+      || { echo "chaos gate: no worker_panic event under panic@$site (workers $workers)" >&2; exit 1; }
+    grep -q '"ev":"worker_respawn"' "$RUN.jsonl" \
+      || { echo "chaos gate: no worker_respawn event under panic@$site (workers $workers)" >&2; exit 1; }
+    $RDD report "$RUN.jsonl" >/dev/null
+  done
 done
 # A corrupt artifact must be detected at load time as a typed checksum
 # error, never served silently: flip one byte of a copy in place.
@@ -489,13 +495,15 @@ awk '{
 }' "$KD_DIR/rows.tsv" > "$KD_DIR/requests.jsonl"
 $RDD artifact-info "$KD_DIR/student.artifact" \
   --features-in "$KD_DIR/rows.tsv" --proba-out "$KD_DIR/offline_student.proba" >/dev/null
-$RDD serve --artifact "$KD_DIR/student.artifact" --batch 8 \
-  --proba-out "$KD_DIR/served.proba" \
-  < "$KD_DIR/requests.jsonl" > "$KD_DIR/replies.jsonl" 2>/dev/null
-cmp "$KD_DIR/offline_student.proba" "$KD_DIR/served.proba" \
-  || { echo "distill gate: served feature rows diverged from offline student" >&2; exit 1; }
-[ "$(grep -c '"kind":"features"' "$KD_DIR/replies.jsonl")" -eq 32 ] \
-  || { echo "distill gate: replies missing kind=features" >&2; exit 1; }
+for workers in 1 2; do
+  $RDD serve --artifact "$KD_DIR/student.artifact" --workers "$workers" --batch 8 \
+    --proba-out "$KD_DIR/served$workers.proba" \
+    < "$KD_DIR/requests.jsonl" > "$KD_DIR/replies$workers.jsonl" 2>/dev/null
+  cmp "$KD_DIR/offline_student.proba" "$KD_DIR/served$workers.proba" \
+    || { echo "distill gate: served feature rows diverged from offline student (workers $workers)" >&2; exit 1; }
+  [ "$(grep -c '"kind":"features"' "$KD_DIR/replies$workers.jsonl")" -eq 32 ] \
+    || { echo "distill gate: replies missing kind=features (workers $workers)" >&2; exit 1; }
+done
 # The same 32 rows again with JSON whitespace and `features` before `id`,
 # plus one row holding 1e39 (a finite f64 that rounds to +inf as an f32):
 # that line gets exactly one typed error naming finiteness, and the 32 rows

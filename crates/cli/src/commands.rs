@@ -5,6 +5,7 @@
 //! serving failures all reach the user through one `Display` path.
 
 use std::path::Path;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rdd_baselines::lp::{predict as lp_predict, LpConfig};
@@ -19,11 +20,11 @@ use rdd_models::{
     PredictorExt, SageConfig, TrainConfig,
 };
 use rdd_obs::{gate, TraceSummary};
-use rdd_serve::wire::{self, error_line, reply_json, InputLine};
+use rdd_serve::wire::{self, error_line, reply_json};
 use rdd_serve::{
     export_run_as, quant, write_mlp_artifact, AnyArtifact, ArtifactFormat, ArtifactMeta,
-    ArtifactWatcher, BreakerConfig, PoolConfig, RddError, ServeConfig, ServeEngine, ServePool,
-    ServeReply, WatchOutcome,
+    ArtifactWatcher, BreakerConfig, PoolConfig, RddError, ServeConfig, ServePool, ServeReply,
+    WatchOutcome,
 };
 use rdd_tensor::{seeded_rng, Matrix};
 
@@ -788,12 +789,14 @@ fn feature_rows_from_text(path: &str, text: &str) -> Result<Matrix, RddError> {
 /// be re-emitted in a deterministic order, plus the next sequence number.
 type OrderedProbaRows = (std::collections::BTreeMap<(u64, u64), String>, u64);
 
-struct ReplySink {
+struct ReplyFiles {
     proba: Option<OrderedProbaRows>,
     served: Option<String>,
+    /// The first stdout write error: a worker has no caller to return it to.
+    failed: Option<String>,
 }
 
-impl ReplySink {
+impl ReplyFiles {
     fn new(args: &Args) -> Self {
         Self {
             proba: args
@@ -801,6 +804,7 @@ impl ReplySink {
                 .get("proba-out")
                 .map(|_| (std::collections::BTreeMap::new(), 0)),
             served: args.options.get("served-out").map(|_| String::new()),
+            failed: None,
         }
     }
 
@@ -824,8 +828,12 @@ impl ReplySink {
         }
     }
 
-    fn finish(self, args: &Args) -> Result<(), RddError> {
-        if let (Some(path), Some((rows, _))) = (args.options.get("proba-out"), self.proba) {
+    /// Report the first stdout write error, else write the side outputs.
+    fn finish(&mut self, args: &Args) -> Result<(), RddError> {
+        if let Some(e) = self.failed.take() {
+            return Err(RddError::Cli(e));
+        }
+        if let (Some(path), Some((rows, _))) = (args.options.get("proba-out"), self.proba.take()) {
             let mut text = String::new();
             for row_text in rows.values() {
                 text.push_str(row_text);
@@ -834,7 +842,7 @@ impl ReplySink {
                 .map_err(|e| RddError::Cli(format!("failed to write {path}: {e}")))?;
             eprintln!("wrote served proba rows to {path}");
         }
-        if let (Some(path), Some(text)) = (args.options.get("served-out"), self.served) {
+        if let (Some(path), Some(text)) = (args.options.get("served-out"), self.served.take()) {
             std::fs::write(path, text)
                 .map_err(|e| RddError::Cli(format!("failed to write {path}: {e}")))?;
             eprintln!("wrote served generation rows to {path}");
@@ -843,11 +851,30 @@ impl ReplySink {
     }
 }
 
-/// Render one reply line onto `buf` and record its side outputs.
-fn push_reply(buf: &mut String, reply: &ServeReply, sink: &mut ReplySink) {
-    reply_json(reply).write(buf);
-    buf.push('\n');
-    sink.record(reply);
+/// The reply sink of `rdd serve`. The worker that answered a batch renders
+/// its reply lines and writes them with one write under the stdout lock,
+/// recording their side outputs under the same lock, so files and stdout
+/// list replies in one order.
+struct StdoutReplies(Mutex<ReplyFiles>);
+
+impl rdd_serve::ReplySink for StdoutReplies {
+    fn deliver(&self, replies: Vec<ServeReply>) {
+        let mut buf = String::new();
+        for reply in &replies {
+            reply_json(reply).write(&mut buf);
+            buf.push('\n');
+        }
+        let mut files = self
+            .0
+            .lock()
+            .expect("no worker panics while writing replies");
+        if let Err(e) = write_out(&mut std::io::stdout().lock(), &mut buf) {
+            files.failed.get_or_insert(e.to_string());
+        }
+        for reply in &replies {
+            files.record(reply);
+        }
+    }
 }
 
 /// Send the rendered lines in `buf` with one write, then clear it.
@@ -862,54 +889,160 @@ fn write_out(out: &mut impl std::io::Write, buf: &mut String) -> Result<(), RddE
     Ok(())
 }
 
-/// Read stdin as lines of bytes on its own thread, so the serve loop can
-/// tell a drained input from a slow one and wake for heartbeats and watch
-/// polls. A line that is not UTF-8 is passed on as such, to be answered
-/// with a typed error; only EOF or a read error ends the stream.
-fn spawn_stdin_reader(tx: std::sync::mpsc::Sender<InputLine>) -> std::thread::JoinHandle<()> {
+/// Read stdin line by line until EOF and admit every request to `pool`:
+/// parse it, give it its id and deadline, and submit it, which applies the
+/// breaker and queue-full shedding. Bad lines and refused requests are
+/// answered here, one error line each under the stdout lock; a line that
+/// is not UTF-8 is answered with a typed error too. Only EOF or a read
+/// error ends the stream.
+fn admit(pool: &ServePool<AnyArtifact>, default_deadline_ms: Option<f64>) -> Result<(), RddError> {
     use std::io::BufRead;
-    std::thread::spawn(move || {
-        let mut stdin = std::io::stdin().lock();
-        loop {
-            let mut bytes = Vec::new();
-            match stdin.read_until(b'\n', &mut bytes) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            if bytes.last() == Some(&b'\n') {
+    let mut stdin = std::io::stdin().lock();
+    let mut next_id: u64 = 0;
+    loop {
+        let mut bytes = Vec::new();
+        match stdin.read_until(b'\n', &mut bytes) {
+            Ok(0) | Err(_) => return Ok(()),
+            Ok(_) => {}
+        }
+        if bytes.last() == Some(&b'\n') {
+            bytes.pop();
+            if bytes.last() == Some(&b'\r') {
                 bytes.pop();
-                if bytes.last() == Some(&b'\r') {
-                    bytes.pop();
-                }
-            }
-            let line = String::from_utf8(bytes).map_err(|e| e.utf8_error().valid_up_to());
-            if tx.send(line).is_err() {
-                break;
             }
         }
-    })
+        let line = String::from_utf8(bytes).map_err(|e| e.utf8_error().valid_up_to());
+        let Some(parsed) = wire::parse_line(&line, next_id) else {
+            continue;
+        };
+        let mut refusal = match parsed {
+            Err(msg) => error_line(None, format!("bad request: {msg}")),
+            Ok((id, req, deadline_ms)) => {
+                next_id = wire::next_request_id(next_id, id);
+                let deadline = deadline_ms
+                    .or(default_deadline_ms)
+                    .map(|ms| Instant::now() + Duration::from_secs_f64(ms / 1e3));
+                match pool.submit_with_deadline(id, req, deadline) {
+                    Ok(()) => continue,
+                    Err(e) => error_line(Some(id), e.to_string()),
+                }
+            }
+        };
+        write_out(&mut std::io::stdout().lock(), &mut refusal)?;
+    }
+}
+
+/// Emit one heartbeat: a `serve_metrics` event plus a one-line status on
+/// stderr.
+fn heartbeat(pool: &ServePool<AnyArtifact>) {
+    let m = pool.metrics();
+    rdd_obs::emit_serve_metrics(&m);
+    eprintln!("{}", m.status_line());
+}
+
+/// Run the heartbeat and the artifact watch until `eof` disconnects: due
+/// heartbeats every `metrics_every` seconds (0 = none), and `watcher`'s
+/// polls (full load + validation before the swap, rollback with
+/// exponential backoff on failure).
+fn poll_until_eof(
+    pool: &ServePool<AnyArtifact>,
+    artifact_path: &str,
+    metrics_every: u64,
+    mut watcher: Option<ArtifactWatcher>,
+    eof: &mpsc::Receiver<()>,
+) {
+    let mut next_beat =
+        (metrics_every > 0).then(|| Instant::now() + Duration::from_secs(metrics_every));
+    loop {
+        if let Some(beat) = next_beat {
+            if Instant::now() >= beat {
+                heartbeat(pool);
+                next_beat = Some(Instant::now() + Duration::from_secs(metrics_every));
+            }
+        }
+        if let Some(w) = watcher.as_mut() {
+            watch_poll(pool, artifact_path, w);
+        }
+        let next_poll = watcher.as_ref().and_then(|w| w.next_poll());
+        let Some(wake) = next_beat.into_iter().chain(next_poll).min() else {
+            let _ = eof.recv();
+            return;
+        };
+        match eof.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+            Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        }
+    }
+}
+
+/// One `--watch-artifact` poll: swap a modified artifact in as the next
+/// generation once it fully loads and the pool accepts it; otherwise keep
+/// the live generation and report why.
+fn watch_poll(pool: &ServePool<AnyArtifact>, artifact_path: &str, w: &mut ArtifactWatcher) {
+    match w.poll(Instant::now()) {
+        WatchOutcome::Pending | WatchOutcome::Unchanged => {}
+        WatchOutcome::Loaded(next) => {
+            // Fully loaded and validated; the pool still gets the final
+            // say (shape checks) before it goes live.
+            let checksum = next.checksum();
+            match pool.try_swap(*next, checksum) {
+                Ok(generation) => {
+                    w.installed(checksum);
+                    rdd_obs::emit_swap(generation, checksum, artifact_path);
+                    eprintln!(
+                        "swapped {artifact_path} in as generation {generation} \
+                         (checksum {checksum:016x})"
+                    );
+                }
+                Err(e) => {
+                    rdd_obs::emit_swap_failed(
+                        artifact_path,
+                        &e.to_string(),
+                        w.failures(),
+                        ArtifactWatcher::DEFAULT_POLL.as_millis() as u64,
+                    );
+                    eprintln!(
+                        "watch: replacement rejected, keeping generation {} live ({e})",
+                        pool.generation()
+                    );
+                }
+            }
+        }
+        WatchOutcome::Failed {
+            error,
+            failures,
+            backoff_ms,
+        } => {
+            // Broken or mid-copy replacement: the current generation stays
+            // live, the poll backs off.
+            rdd_obs::emit_swap_failed(artifact_path, &error.to_string(), failures, backoff_ms);
+            eprintln!(
+                "watch: cannot load {artifact_path} ({error}); keeping current \
+                 generation, retrying in {backoff_ms} ms (failure {failures})"
+            );
+        }
+    }
 }
 
 const SERVE_USAGE: &str = "usage: rdd serve --artifact <path> [--workers N] [--batch N] \
      [--cache N] [--queue N] [--deadline-ms MS] [--watch-artifact] [--breaker-p99-ms MS] \
      [--metrics-every SECS] [--proba-out <file>] [--served-out <file>]
-  (a batch flushes on --batch requests or as soon as the input is drained; no timer)";
+  (a free worker claims up to --batch queued requests at once; no timer)";
 
 /// `rdd serve --artifact <path>` — line-delimited JSON request loop over
 /// stdin/stdout. One request per line
 /// (`{"id":N,"nodes":[...],"deadline_ms":F}`; `nodes` absent = the whole
-/// graph); one reply object per request. Requests are micro-batched: a
-/// batch is flushed when it reaches `--batch` requests or as soon as the
-/// input is drained, with no timer, and answered through the per-node LRU
-/// cache. `--workers N` serves through a [`ServePool`] of N threads
-/// (replies stream back in completion order; each carries its request
-/// `id` and the artifact `generation` that answered it), and
-/// `--watch-artifact` polls the artifact path, hot-swapping modified
-/// artifacts in as new generations with zero dropped requests. The
+/// graph); one reply object per request. The thread reading stdin admits
+/// each request to a [`ServePool`] of `--workers` supervised threads (1 by
+/// default); a free worker claims up to `--batch` queued requests at once,
+/// with no timer, answers them through the per-node LRU cache and writes
+/// their reply lines itself. Replies stream back in completion order; each
+/// carries its request `id` and the artifact `generation` that answered
+/// it. `--watch-artifact` polls the artifact path, hot-swapping modified
+/// artifacts in as new generations with zero dropped requests, and
+/// `--breaker-p99-ms` arms the overload circuit breaker at admission. The
 /// artifact may be any format `rdd export` or `rdd distill-mlp` writes.
 pub fn serve(args: &Args) -> Result<(), RddError> {
-    use std::sync::mpsc;
-
     args.check_options(&[
         "artifact",
         "workers",
@@ -928,7 +1061,6 @@ pub fn serve(args: &Args) -> Result<(), RddError> {
         .options
         .get("artifact")
         .ok_or_else(|| RddError::Cli(SERVE_USAGE.into()))?;
-    let artifact = AnyArtifact::load(Path::new(artifact_path))?;
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
         batch_size: args.get_or("batch", defaults.batch_size)?,
@@ -936,9 +1068,13 @@ pub fn serve(args: &Args) -> Result<(), RddError> {
         queue_capacity: args.get_or("queue", defaults.queue_capacity)?,
     };
     let workers: usize = args.get_or("workers", 1)?;
+    if workers == 0 {
+        return Err(RddError::Cli(
+            "--workers needs a positive number of worker threads, got \"0\"".into(),
+        ));
+    }
     let watch = args.has_flag("watch-artifact");
-    // `--breaker-p99-ms` arms the overload circuit breaker (and forces
-    // the pooled path, which owns the breaker).
+    // `--breaker-p99-ms` arms the overload circuit breaker.
     let breaker_p99_ms: Option<f64> = match args.options.get("breaker-p99-ms") {
         None => None,
         Some(v) => match v.parse::<f64>() {
@@ -961,25 +1097,6 @@ pub fn serve(args: &Args) -> Result<(), RddError> {
             }
         },
     };
-    let meta = artifact.meta();
-    eprintln!(
-        "serving {} ({} nodes, {} classes, {} members, checksum {:016x}); \
-         batch {} (flush when full or input drained) cache {} workers {}{}",
-        meta.dataset_name,
-        meta.dataset_n,
-        meta.num_classes,
-        meta.members,
-        artifact.checksum(),
-        cfg.batch_size,
-        cfg.cache_capacity,
-        workers,
-        match (watch, breaker_p99_ms) {
-            (true, Some(_)) => ", watching artifact, breaker armed",
-            (true, None) => ", watching artifact",
-            (false, Some(_)) => ", breaker armed",
-            (false, None) => "",
-        },
-    );
     // Heartbeat cadence: `--metrics-every SECS` wins, `RDD_METRICS_EVERY`
     // is the fallback, 0/unset disables the heartbeat.
     let metrics_every: u64 = if args.options.contains_key("metrics-every") {
@@ -990,183 +1107,28 @@ pub fn serve(args: &Args) -> Result<(), RddError> {
         })
         .unwrap_or(0)
     };
-
-    let (tx, rx) = mpsc::channel();
-    let reader = spawn_stdin_reader(tx);
-
-    let result = if workers <= 1 && !watch && breaker_p99_ms.is_none() {
-        serve_single(args, artifact, cfg, metrics_every, default_deadline_ms, rx)
-    } else {
-        serve_pooled(
-            args,
-            artifact,
-            artifact_path,
-            cfg,
-            workers.max(1),
-            metrics_every,
-            default_deadline_ms,
-            breaker_p99_ms,
-            rx,
-        )
-    };
-    // The loops only return Ok at stdin EOF, which is also what ends the
-    // reader thread; on error, skip the join so a failed serve can't hang.
-    if result.is_ok() {
-        let _ = reader.join();
-    }
-    result
-}
-
-/// The in-line single-threaded [`ServeEngine`] serve loop (`--workers 1`,
-/// no `--watch-artifact`).
-fn serve_single(
-    args: &Args,
-    artifact: AnyArtifact,
-    cfg: ServeConfig,
-    metrics_every: u64,
-    default_deadline_ms: Option<f64>,
-    rx: std::sync::mpsc::Receiver<InputLine>,
-) -> Result<(), RddError> {
-    use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
-
-    let mut engine = ServeEngine::new(&artifact, cfg, artifact.checksum())?;
-    if metrics_every > 0 {
-        // The window must cover at least one heartbeat interval.
-        engine
-            .set_metrics_window((metrics_every as usize).max(rdd_serve::DEFAULT_METRICS_WINDOW_S));
-    }
-
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut sink = ReplySink::new(args);
-    // Reply and error lines not yet written; sent with one write per flush.
-    let mut buf = String::new();
-    let started = Instant::now();
-    let mut next_id: u64 = 0;
-    let mut next_beat =
-        (metrics_every > 0).then(|| Instant::now() + Duration::from_secs(metrics_every));
-    loop {
-        // Emit a due heartbeat: one `serve_metrics` event plus a one-line
-        // status on stderr.
-        if let Some(beat) = next_beat {
-            if Instant::now() >= beat {
-                let m = engine.metrics();
-                rdd_obs::emit_serve_metrics(&m);
-                eprintln!("{}", m.status_line());
-                next_beat = Some(Instant::now() + Duration::from_secs(metrics_every));
-            }
-        }
-        // Work-conserving batching: take every line already waiting, and
-        // flush the moment the input is drained. Block (no longer than the
-        // next heartbeat) only when nothing is queued or unwritten.
-        let line = if engine.pending_len() > 0 || !buf.is_empty() {
-            match rx.try_recv() {
-                Ok(line) => line,
-                Err(TryRecvError::Empty) => {
-                    for reply in engine.flush() {
-                        push_reply(&mut buf, &reply, &mut sink);
-                    }
-                    write_out(&mut out, &mut buf)?;
-                    continue;
-                }
-                Err(TryRecvError::Disconnected) => break, // EOF
-            }
-        } else {
-            match next_beat {
-                None => match rx.recv() {
-                    Ok(line) => line,
-                    Err(_) => break, // EOF
-                },
-                Some(beat) => match rx.recv_timeout(beat.saturating_duration_since(Instant::now()))
-                {
-                    Ok(line) => line,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break, // EOF
-                },
-            }
-        };
-        let Some(parsed) = wire::parse_line(&line, next_id) else {
-            continue;
-        };
-        match parsed {
-            Err(msg) => buf.push_str(&error_line(None, format!("bad request: {msg}"))),
-            Ok((id, req, deadline_ms)) => {
-                next_id = wire::next_request_id(next_id, id);
-                let deadline = deadline_ms
-                    .or(default_deadline_ms)
-                    .map(|ms| Instant::now() + Duration::from_secs_f64(ms / 1e3));
-                match engine.submit_with_deadline(id, req, deadline) {
-                    Ok(None) => {}
-                    Ok(Some(replies)) => {
-                        // A full batch goes out at once.
-                        for reply in &replies {
-                            push_reply(&mut buf, reply, &mut sink);
-                        }
-                        write_out(&mut out, &mut buf)?;
-                    }
-                    // Queue full: shed this request, keep serving.
-                    Err(e) => buf.push_str(&error_line(Some(id), e.to_string())),
-                }
-            }
-        }
-    }
-    // EOF: answer whatever is still queued, then summarize.
-    for reply in engine.flush() {
-        push_reply(&mut buf, &reply, &mut sink);
-    }
-    write_out(&mut out, &mut buf)?;
-
-    if metrics_every > 0 {
-        // Final heartbeat so even a sub-interval session records one.
-        let m = engine.metrics();
-        rdd_obs::emit_serve_metrics(&m);
-        eprintln!("{}", m.status_line());
-    }
-    let stats = engine.stats();
-    rdd_obs::emit_serve_run(
-        stats.requests,
-        stats.batches,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.shed,
-        stats.expired,
-        stats.failed,
-        stats.rejected,
-        started.elapsed().as_secs_f64() * 1e3,
-    );
+    let artifact = AnyArtifact::load(Path::new(artifact_path))?;
+    let meta = artifact.meta();
+    let checksum = artifact.checksum();
     eprintln!(
-        "served {} requests in {} batches (cache hit rate {:.1}%, shed {}, expired {})",
-        stats.requests,
-        stats.batches,
-        100.0 * stats.hit_rate(),
-        stats.shed,
-        stats.expired
+        "serving {} ({} nodes, {} classes, {} members, checksum {:016x}); \
+         batch {} (a free worker claims up to that many, no timer) cache {} workers {}{}",
+        meta.dataset_name,
+        meta.dataset_n,
+        meta.num_classes,
+        meta.members,
+        checksum,
+        cfg.batch_size,
+        cfg.cache_capacity,
+        workers,
+        match (watch, breaker_p99_ms) {
+            (true, Some(_)) => ", watching artifact, breaker armed",
+            (true, None) => ", watching artifact",
+            (false, Some(_)) => ", breaker armed",
+            (false, None) => "",
+        },
     );
-    sink.finish(args)
-}
 
-/// The multi-worker serve loop: requests fan out to a [`ServePool`] of
-/// supervised workers, a writer thread streams replies back as workers
-/// complete batches, `--watch-artifact` polls the artifact path through an
-/// [`ArtifactWatcher`] (full load + validation before the swap, rollback
-/// with exponential backoff on failure), and `--breaker-p99-ms` arms the
-/// overload circuit breaker at admission.
-#[allow(clippy::too_many_arguments)]
-fn serve_pooled(
-    args: &Args,
-    artifact: AnyArtifact,
-    artifact_path: &str,
-    cfg: ServeConfig,
-    workers: usize,
-    metrics_every: u64,
-    default_deadline_ms: Option<f64>,
-    breaker_p99_ms: Option<f64>,
-    rx: std::sync::mpsc::Receiver<InputLine>,
-) -> Result<(), RddError> {
-    use std::sync::mpsc;
-
-    let watch = args.has_flag("watch-artifact");
-    let current_checksum = artifact.checksum();
     let mut pool_cfg = PoolConfig {
         serve: cfg,
         workers,
@@ -1174,155 +1136,41 @@ fn serve_pooled(
         ..PoolConfig::default()
     };
     if metrics_every > 0 {
+        // The window must cover at least one heartbeat interval.
         pool_cfg.metrics_window_s =
             (metrics_every as usize).max(rdd_serve::DEFAULT_METRICS_WINDOW_S);
     }
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let pool = ServePool::new(artifact, pool_cfg, current_checksum, reply_tx)
+    let replies = Arc::new(StdoutReplies(Mutex::new(ReplyFiles::new(args))));
+    let pool = ServePool::new(artifact, pool_cfg, checksum, Arc::clone(&replies))
         .map_err(|e| RddError::Cli(e.to_string()))?;
 
-    // Replies stream on their own thread: workers finish batches in any
-    // order, and stdout writes must never block admission. Every reply
-    // already waiting is written with one write under one stdout lock, so
-    // lines cannot interleave with the main loop's error lines.
-    let mut sink = ReplySink::new(args);
-    let writer = std::thread::spawn(move || -> Result<ReplySink, RddError> {
-        let mut buf = String::new();
-        while let Ok(reply) = reply_rx.recv() {
-            push_reply(&mut buf, &reply, &mut sink);
-            while let Ok(reply) = reply_rx.try_recv() {
-                push_reply(&mut buf, &reply, &mut sink);
-            }
-            write_out(&mut std::io::stdout().lock(), &mut buf)?;
-        }
-        Ok(sink)
-    });
-    let write_error = |mut line: String| write_out(&mut std::io::stdout().lock(), &mut line);
-
     let started = Instant::now();
-    let mut next_id: u64 = 0;
-    let mut next_beat =
-        (metrics_every > 0).then(|| Instant::now() + Duration::from_secs(metrics_every));
     // The watcher's first poll is always due and always re-reads the file:
     // the artifact may have been replaced between our load and now, and
     // its checksum tracking already suppresses no-op swaps.
-    let mut watcher = watch.then(|| ArtifactWatcher::new(artifact_path, current_checksum));
-    loop {
-        if let Some(beat) = next_beat {
-            if Instant::now() >= beat {
-                let m = pool.metrics();
-                rdd_obs::emit_serve_metrics(&m);
-                eprintln!("{}", m.status_line());
-                next_beat = Some(Instant::now() + Duration::from_secs(metrics_every));
-            }
-        }
-        if let Some(w) = watcher.as_mut() {
-            match w.poll(Instant::now()) {
-                WatchOutcome::Pending | WatchOutcome::Unchanged => {}
-                WatchOutcome::Loaded(next) => {
-                    // Fully loaded and validated; the pool still gets the
-                    // final say (shape checks) before it goes live.
-                    let checksum = next.checksum();
-                    match pool.try_swap(*next, checksum) {
-                        Ok(generation) => {
-                            w.installed(checksum);
-                            rdd_obs::emit_swap(generation, checksum, artifact_path);
-                            eprintln!(
-                                "swapped {artifact_path} in as generation {generation} \
-                                 (checksum {checksum:016x})"
-                            );
-                        }
-                        Err(e) => {
-                            rdd_obs::emit_swap_failed(
-                                artifact_path,
-                                &e.to_string(),
-                                w.failures(),
-                                ArtifactWatcher::DEFAULT_POLL.as_millis() as u64,
-                            );
-                            eprintln!(
-                                "watch: replacement rejected, keeping generation {} live ({e})",
-                                pool.generation()
-                            );
-                        }
-                    }
-                }
-                WatchOutcome::Failed {
-                    error,
-                    failures,
-                    backoff_ms,
-                } => {
-                    // Broken or mid-copy replacement: the current
-                    // generation stays live, the poll backs off.
-                    rdd_obs::emit_swap_failed(
-                        artifact_path,
-                        &error.to_string(),
-                        failures,
-                        backoff_ms,
-                    );
-                    eprintln!(
-                        "watch: cannot load {artifact_path} ({error}); keeping current \
-                         generation, retrying in {backoff_ms} ms (failure {failures})"
-                    );
-                }
-            }
-        }
-        // Workers claim queued requests themselves; the admission loop
-        // only wakes for input lines, heartbeats and watch polls.
-        let next_poll = watcher.as_ref().and_then(|w| w.next_poll());
-        let wake = match (next_beat, next_poll) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let line = match wake {
-            None => match rx.recv() {
-                Ok(line) => line,
-                Err(_) => break, // EOF
-            },
-            Some(deadline) => {
-                let now = Instant::now();
-                if deadline <= now {
-                    continue;
-                }
-                match rx.recv_timeout(deadline - now) {
-                    Ok(line) => line,
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break, // EOF
-                }
-            }
-        };
-        let Some(parsed) = wire::parse_line(&line, next_id) else {
-            continue;
-        };
-        match parsed {
-            Err(msg) => write_error(error_line(None, format!("bad request: {msg}")))?,
-            Ok((id, req, deadline_ms)) => {
-                next_id = wire::next_request_id(next_id, id);
-                let deadline = deadline_ms
-                    .or(default_deadline_ms)
-                    .map(|ms| Instant::now() + Duration::from_secs_f64(ms / 1e3));
-                if let Err(e) = pool.submit_with_deadline(id, req, deadline) {
-                    // Queue full: shed this request, keep serving.
-                    write_error(error_line(Some(id), e.to_string()))?;
-                }
-            }
-        }
-    }
-    // EOF: let the workers drain the queue, take the final heartbeat while
-    // the pool is still alive, then shut down and collect the report.
-    while pool.pending_len() > 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    let watcher = watch.then(|| ArtifactWatcher::new(artifact_path, checksum));
+    let admitted = std::thread::scope(|s| {
+        let (eof_tx, eof) = mpsc::channel::<()>();
+        let pool = &pool;
+        let admission = s.spawn(move || {
+            // Dropped at EOF, which ends the main thread's polls.
+            let _eof = eof_tx;
+            admit(pool, default_deadline_ms)
+        });
+        poll_until_eof(pool, artifact_path, metrics_every, watcher, &eof);
+        admission
+            .join()
+            .unwrap_or_else(|_| Err(RddError::Cli("serve admission thread panicked".into())))
+    });
+    // EOF: let the workers answer everything admitted, take the final
+    // heartbeat (so even a sub-interval session records one), then shut
+    // down and collect the report.
+    pool.drain();
     if metrics_every > 0 {
-        let m = pool.metrics();
-        rdd_obs::emit_serve_metrics(&m);
-        eprintln!("{}", m.status_line());
+        heartbeat(&pool);
     }
     let report = pool.shutdown();
-    let sink = match writer.join() {
-        Ok(Ok(sink)) => sink,
-        Ok(Err(e)) => return Err(e),
-        Err(_) => return Err(RddError::Cli("serve reply writer panicked".into())),
-    };
+    admitted?;
     let stats = report.stats;
     rdd_obs::emit_serve_run(
         stats.requests,
@@ -1361,7 +1209,11 @@ fn serve_pooled(
             w.respawns
         );
     }
-    sink.finish(args)
+    let mut files = replies
+        .0
+        .lock()
+        .expect("no worker panics while writing replies");
+    files.finish(args)
 }
 
 #[cfg(test)]
@@ -1436,6 +1288,18 @@ mod tests {
             let err = run(command, line);
             assert!(!err.contains("unknown option"), "`rdd {line}`: {err}");
         }
+    }
+
+    #[test]
+    fn serve_refuses_zero_workers_by_name() {
+        // Refused before the artifact is read (this path cannot exist).
+        let err = run(serve, "serve --artifact /dev/null/a.artifact --workers 0");
+        assert!(
+            err.contains("--workers needs a positive number"),
+            "`rdd serve --workers 0`: {err}"
+        );
+        let err = run(serve, "serve --artifact /dev/null/a.artifact --workers 1");
+        assert!(!err.contains("--workers"), "`rdd serve --workers 1`: {err}");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! A small hand-rolled LRU map (no external deps): `HashMap` for lookup
 //! plus an intrusive doubly-linked list over a slot arena for recency
-//! order. Used by the serve engine as its prediction cache, and — lock-
-//! partitioned as [`ShardedLru`] — as the shared cache behind the
-//! multi-worker [`crate::pool::ServePool`], where a single global lock
-//! would serialize every worker's row lookups.
+//! order. Lock-partitioned as [`ShardedLru`], it is the prediction cache
+//! shared by the [`crate::pool::ServePool`] workers, where a single global
+//! lock would serialize every worker's row lookups.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -165,6 +164,9 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedLru<K, V> {
     }
 
     fn partition(&self, key: &K) -> &Mutex<LruCache<K, V>> {
+        if let [only] = self.partitions.as_slice() {
+            return only;
+        }
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.partitions[(h.finish() as usize) % self.partitions.len()]

@@ -21,19 +21,24 @@
 //!   **feature vectors** (`PredictRequest::ByFeatures`, no adjacency)
 //!   through the same canonical forward as every offline comparison, so
 //!   served feature replies are bitwise identical to the offline student;
-//! * [`engine`] — [`ServeEngine`]: request micro-batching (bounded queue,
-//!   flush on size or deadline, optional per-request deadlines shed as
-//!   typed [`ServeError::Expired`]) with a per-node LRU prediction cache
-//!   keyed by artifact checksum, emitting per-batch latency/cache
-//!   telemetry through `rdd-obs`;
-//! * [`pool`] — [`ServePool`]: N supervised worker threads over one
-//!   bounded queue and a shared lock-partitioned [`ShardedLru`] cache.
-//!   A panicking worker requeues its batch (bounded per-request retry
-//!   budget, then typed [`ServeError::WorkerFailed`] replies) and is
-//!   respawned; hot artifact swap ([`SwapCell`], [`ServePool::swap`])
-//!   rolls a new generation in with zero dropped requests, and the
-//!   validation-gated [`ServePool::try_swap`] keeps the live generation
-//!   when a replacement cannot serve traffic;
+//! * [`pool`] — [`ServePool`], the one serve loop: N supervised worker
+//!   threads over one bounded queue (typed [`ServeError::QueueFull`]
+//!   backpressure, per-request deadlines shed as typed
+//!   [`ServeError::Expired`]) and a shared [`ShardedLru`] row cache keyed
+//!   by artifact checksum, one lock partition per worker. Each worker
+//!   claims a micro-batch, answers it and delivers the replies to the
+//!   pool's [`ReplySink`] itself. A panicking worker requeues its batch
+//!   (bounded per-request retry budget, then typed
+//!   [`ServeError::WorkerFailed`] replies) and is respawned; hot artifact
+//!   swap ([`SwapCell`], [`ServePool::swap`]) rolls a new generation in
+//!   with zero dropped requests, and the validation-gated
+//!   [`ServePool::try_swap`] keeps the live generation when a replacement
+//!   cannot serve traffic;
+//! * [`engine`] — the batch core every worker runs (deduplicated node
+//!   rows through the cache, stacked feature rows, per-batch latency and
+//!   cache telemetry through `rdd-obs`), and [`ServeEngine`], which runs it
+//!   in-process with no threads: the reference the pool is tested
+//!   against;
 //! * [`swap`] — the epoch-tagged swap slot plus [`ArtifactWatcher`]:
 //!   mtime polling with full load-and-validate before install
 //!   ([`checked_load`]) and exponential capped backoff after failed
@@ -51,16 +56,16 @@
 //!
 //! ```no_run
 //! use rdd_models::PredictRequest;
-//! use rdd_serve::{Artifact, ServeConfig, ServeEngine};
+//! use rdd_serve::{Artifact, PoolConfig, ServePool};
 //!
 //! let artifact = Artifact::load(std::path::Path::new("run.artifact")).unwrap();
 //! let epoch = artifact.checksum();
-//! let mut engine = ServeEngine::new(artifact, ServeConfig::default(), epoch).unwrap();
-//! engine.submit(0, PredictRequest::nodes(vec![42])).unwrap();
-//! // No more input is waiting: flush what is queued.
-//! for reply in engine.flush() {
-//!     println!("{:?}", reply.result.unwrap().pred);
-//! }
+//! let (tx, rx) = std::sync::mpsc::channel();
+//! let pool = ServePool::new(artifact, PoolConfig::default(), epoch, tx).unwrap();
+//! pool.submit(0, PredictRequest::nodes(vec![42])).unwrap();
+//! // The worker that answers the request sends its reply down the channel.
+//! println!("{:?}", rx.recv().unwrap().result.unwrap().pred);
+//! pool.shutdown();
 //! ```
 
 pub mod artifact;
@@ -86,7 +91,7 @@ pub use engine::{
 };
 pub use error::{RddError, ServeError};
 pub use mlp_artifact::{write_mlp_artifact, MlpArtifact};
-pub use pool::{PoolConfig, PoolReport, ServePool, WorkerReport};
+pub use pool::{PoolConfig, PoolReport, ReplySink, ServePool, WorkerReport};
 pub use swap::{checked_load, ArtifactWatcher, SwapCell, WatchOutcome};
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
-//! Multi-worker serving: N supervised threads pulling micro-batches from
-//! one bounded request queue, against a hot-swappable artifact generation.
+//! The serve loop: N supervised threads pulling micro-batches from one
+//! bounded request queue, against a hot-swappable artifact generation.
 //!
 //! This generalizes the persistent condvar worker pool from
 //! `rdd-tensor::par` to the serving tier. One `Mutex<VecDeque>` +
 //! `Condvar` queue admits requests ([`ServePool::submit`] sheds typed
-//! `QueueFull` at capacity, exactly like the single-threaded engine);
-//! a free worker immediately claims whatever is queued, up to
-//! `batch_size` requests — no timer, so a request never waits for
-//! company, while under load arrivals pile up during a flush and the next
-//! claim grows by itself — and runs the same [`crate::engine`] flush core
-//! the single-threaded [`crate::ServeEngine`] uses, against a shared
-//! lock-partitioned [`ShardedLru`] row cache.
+//! `QueueFull` at capacity); a free worker immediately claims whatever is
+//! queued, up to `batch_size` requests — no timer, so a request never
+//! waits for company, while under load arrivals pile up during a flush and
+//! the next claim grows by itself — runs the [`crate::engine`] batch core
+//! on it against a shared lock-partitioned [`ShardedLru`] row cache (one
+//! partition per worker), and hands the batch's replies to the pool's
+//! [`ReplySink`] itself. A request thus crosses one thread hand-off, from
+//! the submitting thread to the worker that answers it.
 //!
 //! Supervision: each batch executes behind `catch_unwind`. A panicking
 //! worker requeues its claimed batch (bounded by
@@ -40,8 +41,10 @@
 //! half-open probes. The live state rides along in [`ServePool::metrics`]
 //! snapshots (`serve_metrics` heartbeats).
 //!
-//! Replies stream to the caller-provided `mpsc::Sender` in completion
-//! order (batch order within a worker; interleaved across workers).
+//! Replies reach the caller-provided [`ReplySink`] one batch per call, in
+//! completion order (batch order within a worker; interleaved across
+//! workers): an `mpsc::Sender` for in-process callers, stdout for
+//! `rdd serve`.
 //! Metrics: per-worker [`RollingWindow`]s plus an admission-side window,
 //! merged lock-free via histogram merge into one
 //! [`ServeMetricsSnapshot`]; [`ServePool::shutdown`] drains the queue,
@@ -61,26 +64,49 @@ use rdd_obs::{HistSnapshot, ServeMetricsSnapshot};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::cache::ShardedLru;
 use crate::engine::{
-    execute_batch, CachedRow, PendingRequest, RollingWindow, ServeConfig, ServeReply, ServeStats,
+    execute_batch, PendingRequest, RollingWindow, RowCache, ServeConfig, ServeReply, ServeStats,
     ShedCause, WindowAccum, DEFAULT_METRICS_WINDOW_S,
 };
 use crate::error::ServeError;
 use crate::swap::SwapCell;
+
+/// Where pool workers deliver replies. Each call hands over one batch's
+/// replies in batch order, from the worker that answered them; the sink
+/// is shared by every worker, so it synchronizes its own output.
+pub trait ReplySink: Send + Sync + 'static {
+    /// Take one batch's replies.
+    fn deliver(&self, replies: Vec<ServeReply>);
+}
+
+/// Replies stream down the channel one at a time. A dropped receiver is
+/// not an error worth a worker dying for: the replies are discarded.
+impl ReplySink for mpsc::Sender<ServeReply> {
+    fn deliver(&self, replies: Vec<ServeReply>) {
+        for reply in replies {
+            let _ = self.send(reply);
+        }
+    }
+}
+
+/// A shared sink, so the caller can read its state after shutdown.
+impl<S: ReplySink> ReplySink for Arc<S> {
+    fn deliver(&self, replies: Vec<ServeReply>) {
+        (**self).deliver(replies);
+    }
+}
 
 /// Pool tuning: the per-flush knobs of [`ServeConfig`] plus the worker
 /// count, metrics-window width, supervision retry budget and the optional
 /// overload breaker.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PoolConfig {
-    /// Batch/queue/cache knobs, shared with the single-threaded engine.
+    /// Batch/queue/cache knobs, shared with [`crate::ServeEngine`].
     pub serve: ServeConfig,
-    /// Number of serve workers (≥ 1).
+    /// Number of serve workers (≥ 1). The shared row cache gets one lock
+    /// partition per worker, so one worker has one exact LRU.
     pub workers: usize,
     /// Seconds of history each rolling metrics window keeps.
     pub metrics_window_s: usize,
-    /// Lock partitions for the shared row cache (≥ 1; more partitions =
-    /// less contention, coarser global LRU order).
-    pub cache_partitions: usize,
     /// Times one request may be requeued after a worker panic before the
     /// supervisor answers it with [`ServeError::WorkerFailed`] (0 = fail
     /// on the first panic).
@@ -95,7 +121,6 @@ impl Default for PoolConfig {
             serve: ServeConfig::default(),
             workers: 2,
             metrics_window_s: DEFAULT_METRICS_WINDOW_S,
-            cache_partitions: 8,
             retry_budget: 2,
             breaker: None,
         }
@@ -103,7 +128,7 @@ impl Default for PoolConfig {
 }
 
 impl PoolConfig {
-    /// Reject zero workers/partitions (and an unusable breaker) on top of
+    /// Reject zero workers (and an unusable breaker) on top of
     /// [`ServeConfig::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.serve.validate()?;
@@ -112,13 +137,6 @@ impl PoolConfig {
                 "serve.workers",
                 self.workers,
                 ">= 1 worker",
-            ));
-        }
-        if self.cache_partitions < 1 {
-            return Err(ConfigError::invalid(
-                "serve.cache_partitions",
-                self.cache_partitions,
-                ">= 1 cache partition",
             ));
         }
         if let Some(breaker) = &self.breaker {
@@ -139,6 +157,9 @@ struct Generation<P> {
 struct QueueState {
     pending: VecDeque<PendingRequest>,
     closed: bool,
+    /// Workers blocked waiting for a request: admission wakes one only
+    /// then (a condvar notify is a syscall even with no waiter).
+    idle: usize,
 }
 
 struct WorkerState {
@@ -161,15 +182,14 @@ struct Shared<P> {
     queue: Mutex<QueueState>,
     available: Condvar,
     cell: SwapCell<Generation<P>>,
-    cache: Option<ShardedLru<(u64, usize), CachedRow>>,
+    cache: Option<RowCache>,
     admission: Mutex<AdmissionState>,
     workers: Vec<Mutex<WorkerState>>,
     /// Worker threads, including replacements spawned by the supervisor;
-    /// `close_and_join` pops until this drains.
+    /// [`ServePool::drain`] pops until this drains.
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Every worker (original or respawned) and the shutdown drain send
-    /// replies through clones of this sender.
-    reply_tx: mpsc::Sender<ServeReply>,
+    /// Every worker (original or respawned) and shutdown deliver here.
+    sink: Box<dyn ReplySink>,
     retry_budget: u32,
     breaker: Option<Mutex<CircuitBreaker>>,
 }
@@ -215,13 +235,13 @@ pub struct ServePool<P: Predictor + Send + Sync + 'static> {
 
 impl<P: Predictor + Send + Sync + 'static> ServePool<P> {
     /// Spawn `cfg.workers` threads serving `predictor`. `cache_epoch` must
-    /// identify the frozen model (the artifact checksum). Replies stream
-    /// to `reply_tx` as workers complete batches.
+    /// identify the frozen model (the artifact checksum). Workers deliver
+    /// each completed batch's replies to `sink`.
     pub fn new(
         predictor: P,
         cfg: PoolConfig,
         cache_epoch: u64,
-        reply_tx: mpsc::Sender<ServeReply>,
+        sink: impl ReplySink,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let breaker = match &cfg.breaker {
@@ -229,12 +249,13 @@ impl<P: Predictor + Send + Sync + 'static> ServePool<P> {
             None => None,
         };
         let cache = (cfg.serve.cache_capacity > 0)
-            .then(|| ShardedLru::new(cfg.serve.cache_capacity, cfg.cache_partitions));
+            .then(|| ShardedLru::new(cfg.serve.cache_capacity, cfg.workers));
         let shared = Arc::new(Shared {
             cfg: cfg.serve.clone(),
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
                 closed: false,
+                idle: 0,
             }),
             available: Condvar::new(),
             cell: SwapCell::new(Arc::new(Generation {
@@ -260,7 +281,7 @@ impl<P: Predictor + Send + Sync + 'static> ServePool<P> {
                 })
                 .collect(),
             handles: Mutex::new(Vec::with_capacity(cfg.workers)),
-            reply_tx,
+            sink: Box::new(sink),
             retry_budget: cfg.retry_budget,
             breaker,
         });
@@ -276,15 +297,10 @@ impl<P: Predictor + Send + Sync + 'static> ServePool<P> {
         })
     }
 
-    /// Number of workers serving.
-    pub fn workers(&self) -> usize {
-        self.shared.workers.len()
-    }
-
     /// Enqueue a request — node ids or raw feature rows
-    /// ([`rdd_models::PredictRequest`]). Unlike the single-threaded
-    /// engine, replies never come back through this call — they stream to
-    /// the pool's reply sender.
+    /// ([`rdd_models::PredictRequest`]). Replies never come back through
+    /// this call: the worker that answers the request delivers its reply
+    /// to the pool's [`ReplySink`].
     pub fn submit(&self, id: u64, req: rdd_models::PredictRequest) -> Result<(), ServeError> {
         self.submit_with_deadline(id, req, None)
     }
@@ -305,7 +321,7 @@ impl<P: Predictor + Send + Sync + 'static> ServePool<P> {
                 return Err(e);
             }
         }
-        let depth = {
+        let (depth, wake) = {
             let mut q = self.shared.queue.lock().unwrap();
             if q.closed {
                 return Err(ServeError::ShuttingDown);
@@ -333,17 +349,14 @@ impl<P: Predictor + Send + Sync + 'static> ServePool<P> {
                 deadline,
                 retries: 0,
             });
-            q.pending.len()
+            (q.pending.len(), q.idle > 0)
         };
-        self.shared.available.notify_one();
+        if wake {
+            self.shared.available.notify_one();
+        }
         let mut a = self.shared.admission.lock().unwrap();
         a.window.record_queue_depth(depth);
         Ok(())
-    }
-
-    /// Requests currently queued (not yet claimed by a worker).
-    pub fn pending_len(&self) -> usize {
-        self.shared.queue.lock().unwrap().pending.len()
     }
 
     /// The current artifact generation (0 until the first swap).
@@ -426,7 +439,11 @@ impl<P: Predictor + Send + Sync + 'static> ServePool<P> {
         stats
     }
 
-    fn close_and_join(&self) {
+    /// Close the queue and block until the workers have answered every
+    /// admitted request and exited. Later submissions get typed
+    /// [`ServeError::ShuttingDown`] errors; [`ServePool::metrics`] and
+    /// [`ServePool::stats`] still read the final state.
+    pub fn drain(&self) {
         {
             let mut q = self.shared.queue.lock().unwrap();
             if q.closed && self.shared.handles.lock().unwrap().is_empty() {
@@ -456,7 +473,7 @@ impl<P: Predictor + Send + Sync + 'static> ServePool<P> {
     /// `serve.worker<i>.request_ns` hist events, and report final
     /// counters + per-worker utilization/panics/respawns.
     pub fn shutdown(self) -> PoolReport {
-        self.close_and_join();
+        self.drain();
         // Workers normally drain the queue before exiting; anything left
         // (all replacements dead, drop-path races) is answered, not
         // dropped with the VecDeque.
@@ -465,15 +482,9 @@ impl<P: Predictor + Send + Sync + 'static> ServePool<P> {
             q.pending.drain(..).collect()
         };
         let generation = self.shared.cell.epoch();
-        for req in stranded {
-            let _ = self.shared.reply_tx.send(ServeReply {
-                id: req.id,
-                result: Err(ServeError::ShuttingDown),
-                latency_ms: req.enqueued.elapsed().as_secs_f64() * 1e3,
-                cache_hits: 0,
-                generation,
-            });
-        }
+        refuse(&*self.shared.sink, stranded, generation, |_| {
+            ServeError::ShuttingDown
+        });
         let wall_ms = self.started.elapsed().as_secs_f64() * 1e3;
         let mut workers = Vec::with_capacity(self.shared.workers.len());
         for (i, w) in self.shared.workers.iter().enumerate() {
@@ -509,7 +520,7 @@ impl<P: Predictor + Send + Sync + 'static> ServePool<P> {
 
 impl<P: Predictor + Send + Sync + 'static> Drop for ServePool<P> {
     fn drop(&mut self) {
-        self.close_and_join();
+        self.drain();
     }
 }
 
@@ -527,18 +538,17 @@ fn spawn_worker<P: Predictor + Send + Sync + 'static>(
 }
 
 fn worker_loop<P: Predictor + Send + Sync + 'static>(shared: &Arc<Shared<P>>, idx: usize) {
-    let tx = shared.reply_tx.clone();
     let (mut generation, mut seen) = shared.cell.load();
     loop {
         // Claim a batch: whatever is queued, up to batch_size requests,
         // right away; sleep only while the queue is empty and open.
         let batch: Vec<PendingRequest> = {
-            let mut q = shared
-                .available
-                .wait_while(shared.queue.lock().unwrap(), |q| {
-                    q.pending.is_empty() && !q.closed
-                })
-                .unwrap();
+            let mut q = shared.queue.lock().unwrap();
+            while q.pending.is_empty() && !q.closed {
+                q.idle += 1;
+                q = shared.available.wait(q).unwrap();
+                q.idle -= 1;
+            }
             let take = q.pending.len().min(shared.cfg.batch_size);
             q.pending.drain(..take).collect()
         };
@@ -553,40 +563,36 @@ fn worker_loop<P: Predictor + Send + Sync + 'static>(shared: &Arc<Shared<P>>, id
             generation = g;
             seen = e;
         }
-        // Supervision: clone the claimed descriptors so a panicking batch
-        // can be requeued, then run the flush core behind catch_unwind.
-        // Both injected sites (`panic@serve_worker` here,
-        // `panic@serve_batch` inside the core) unwind into this catch
-        // without any lock held.
-        let saved: Vec<PendingRequest> = batch.clone();
+        // Supervision: run the flush core behind catch_unwind on a
+        // borrowed batch, so a panicking batch can be requeued. Both
+        // injected sites (`panic@serve_worker` here, `panic@serve_batch`
+        // inside the core) unwind into this catch without any lock held.
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if rdd_obs::fault::fire("serve_worker") == Some(rdd_obs::FaultKind::Panic) {
                 panic!("injected panic at serve_worker (RDD_FAULT)");
             }
-            let mut cache = shared.cache.as_ref();
             execute_batch(
                 idx,
                 &generation.predictor,
                 generation.cache_epoch,
                 seen,
-                batch,
-                &mut cache,
+                &batch,
+                shared.cache.as_ref(),
             )
         }));
         let busy = t0.elapsed();
         let out = match outcome {
             Ok(out) => out,
             Err(_) => {
-                supervise_panic(shared, idx, seen, saved, &tx);
+                supervise_panic(shared, idx, seen, batch);
                 return; // the replacement thread takes over this slot
             }
         };
-        drop(saved);
         {
             let w = &mut *shared.workers[idx].lock().unwrap();
             w.busy += busy;
-            out.record(&mut w.stats, &mut w.window);
+            out.record(&mut w.stats, Some(&mut w.window));
             for &lat_ms in &out.latencies {
                 w.lifetime_lat.record((lat_ms * 1e6) as u64);
             }
@@ -600,11 +606,7 @@ fn worker_loop<P: Predictor + Send + Sync + 'static>(shared: &Arc<Shared<P>>, id
                 b.record_request(lat_ms, now);
             }
         }
-        for reply in out.replies {
-            // A dropped receiver is not an error worth dying for: keep
-            // draining so shutdown still completes.
-            let _ = tx.send(reply);
-        }
+        shared.sink.deliver(out.replies);
     }
 }
 
@@ -617,7 +619,6 @@ fn supervise_panic<P: Predictor + Send + Sync + 'static>(
     idx: usize,
     generation: u64,
     saved: Vec<PendingRequest>,
-    tx: &mpsc::Sender<ServeReply>,
 ) {
     let claimed = saved.len();
     let (retryable, spent): (Vec<_>, Vec<_>) = saved
@@ -637,17 +638,11 @@ fn supervise_panic<P: Predictor + Send + Sync + 'static>(
         shared.available.notify_all();
     }
     let failed = spent.len();
-    for req in spent {
-        let _ = tx.send(ServeReply {
-            id: req.id,
-            result: Err(ServeError::WorkerFailed {
-                retries: req.retries,
-            }),
-            latency_ms: req.enqueued.elapsed().as_secs_f64() * 1e3,
-            cache_hits: 0,
-            generation,
-        });
-    }
+    refuse(&*shared.sink, spent, generation, |req| {
+        ServeError::WorkerFailed {
+            retries: req.retries,
+        }
+    });
     let respawns = {
         let mut w = shared.workers[idx].lock().unwrap();
         w.panics += 1;
@@ -656,13 +651,35 @@ fn supervise_panic<P: Predictor + Send + Sync + 'static>(
         w.respawns + 1
     };
     rdd_obs::emit_worker_panic(idx, claimed, requeued, failed);
-    // Spawn the replacement before this thread exits; close_and_join
-    // keeps popping handles until the list drains, so the new handle is
-    // always joined.
+    // Spawn the replacement before this thread exits; drain keeps popping
+    // handles until the list is empty, so the new handle is always joined.
     let handle = spawn_worker(shared, idx);
     shared.handles.lock().unwrap().push(handle);
     shared.workers[idx].lock().unwrap().respawns = respawns;
     rdd_obs::emit_worker_respawn(idx, respawns);
+}
+
+/// Answer `reqs` with the typed error `error` gives each, as one delivery.
+fn refuse(
+    sink: &dyn ReplySink,
+    reqs: Vec<PendingRequest>,
+    generation: u64,
+    error: impl Fn(&PendingRequest) -> ServeError,
+) {
+    if reqs.is_empty() {
+        return;
+    }
+    sink.deliver(
+        reqs.iter()
+            .map(|req| ServeReply {
+                id: req.id,
+                result: Err(error(req)),
+                latency_ms: req.enqueued.elapsed().as_secs_f64() * 1e3,
+                cache_hits: 0,
+                generation,
+            })
+            .collect(),
+    );
 }
 
 #[cfg(test)]
@@ -755,6 +772,11 @@ mod tests {
             .collect()
     }
 
+    /// Requests queued and not yet claimed by a worker.
+    fn queued(pool: &ServePool<FakePredictor>) -> usize {
+        pool.shared.queue.lock().unwrap().pending.len()
+    }
+
     fn uncached(batch_size: usize) -> PoolConfig {
         PoolConfig {
             serve: ServeConfig {
@@ -787,8 +809,10 @@ mod tests {
             pool.submit(id, PredictRequest::nodes(vec![id as usize]))
                 .unwrap();
         }
+        assert_eq!(queued(&pool), 40, "a busy worker leaves arrivals queued");
         open.send(()).unwrap();
         let ids: Vec<u64> = recv_n(&rx, 41).iter().map(|r| r.id).collect();
+        assert_eq!(queued(&pool), 0);
         let report = pool.shutdown();
         assert_eq!(ids, (0..=40).collect::<Vec<_>>(), "one worker answers FIFO");
         assert_eq!(*rows.lock().unwrap(), vec![1, 32, 8]);
@@ -864,17 +888,12 @@ mod tests {
     }
 
     #[test]
-    fn config_rejects_zero_workers_partitions_and_bad_breaker() {
+    fn config_rejects_zero_workers_and_bad_breaker() {
         let cfg = PoolConfig {
             workers: 0,
             ..PoolConfig::default()
         };
         assert_eq!(cfg.validate().unwrap_err().field, "serve.workers");
-        let cfg = PoolConfig {
-            cache_partitions: 0,
-            ..PoolConfig::default()
-        };
-        assert_eq!(cfg.validate().unwrap_err().field, "serve.cache_partitions");
         let cfg = PoolConfig {
             breaker: Some(BreakerConfig::with_p99_ms(0.0)),
             ..PoolConfig::default()
@@ -923,7 +942,7 @@ mod tests {
         let (tx, _rx) = mpsc::channel();
         let pool =
             ServePool::new(FakePredictor::new(8, 2, 0), PoolConfig::default(), 1, tx).unwrap();
-        pool.close_and_join();
+        pool.drain();
         assert!(matches!(
             pool.submit(0, PredictRequest::nodes(vec![1])),
             Err(ServeError::ShuttingDown)
@@ -1061,9 +1080,9 @@ mod tests {
         assert!(report.workers.iter().map(|w| w.panics).sum::<u64>() >= 2);
     }
 
-    /// A one-worker pool whose worker is held inside request 0 while
-    /// requests 1..=4 fill its 4-slot queue. Send on the returned sender
-    /// to release the worker.
+    /// A one-worker pool with a row cache whose worker is held inside
+    /// request 0 (node 0) while requests 1..=4 (node 1) fill its 4-slot
+    /// queue. Send on the returned sender to release the worker.
     fn held_full_pool(
         breaker: Option<BreakerConfig>,
     ) -> (
@@ -1075,9 +1094,16 @@ mod tests {
         let (open, open_rx) = mpsc::channel();
         let fake = FakePredictor::new(8, 2, 0);
         *fake.gate.lock().unwrap() = Some((entered_tx, open_rx));
-        let mut cfg = uncached(32);
-        cfg.serve.queue_capacity = 4;
-        cfg.breaker = breaker;
+        let cfg = PoolConfig {
+            serve: ServeConfig {
+                batch_size: 32,
+                cache_capacity: 64,
+                queue_capacity: 4,
+            },
+            workers: 1,
+            breaker,
+            ..PoolConfig::default()
+        };
         let (tx, rx) = mpsc::channel();
         let pool = ServePool::new(fake, cfg, 1, tx).unwrap();
         pool.submit(0, PredictRequest::nodes(vec![0])).unwrap();
@@ -1107,6 +1133,22 @@ mod tests {
             (0..=4).collect::<Vec<_>>(),
             "the shed request is never answered"
         );
+        // Node 1 again: the first cache hit (the batch of four looked its
+        // rows up before executing them).
+        pool.submit(6, PredictRequest::nodes(vec![1])).unwrap();
+        assert_eq!(recv_n(&rx, 1)[0].cache_hits, 1);
+        let m = pool.metrics();
+        assert_eq!(m.requests, 6);
+        assert_eq!(
+            m.queue_peak, 4,
+            "four requests were queued behind the worker"
+        );
+        assert!(
+            (m.hit_rate - 1.0 / 6.0).abs() < 1e-12,
+            "1 of 6 rows was a hit"
+        );
+        assert!(m.p50_ms >= 0.0 && m.p99_ms >= m.p50_ms);
+        assert!(m.window_s >= 1);
         let report = pool.shutdown();
         assert_eq!(report.stats.shed, 1);
         assert_eq!(report.stats.rejected, 0);
@@ -1204,7 +1246,7 @@ mod tests {
         let pool = ServePool::new(FakePredictor::new(8, 2, 0), cfg, 1, tx).unwrap();
         // Stop the worker first, then strand a request in the queue —
         // the state a dead-and-not-replaced worker set would leave.
-        pool.close_and_join();
+        pool.drain();
         pool.shared
             .queue
             .lock()

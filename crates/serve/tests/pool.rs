@@ -185,7 +185,8 @@ fn mid_stream_swap_isolates_generations_and_cache_epochs() {
 }
 
 /// Requests whose deadline passes before dispatch come back as typed
-/// `Expired` errors and are counted, while live requests still serve.
+/// `Expired` errors and are counted apart from queue-full sheds, while
+/// live requests, future deadlines included, still serve.
 #[test]
 fn expired_requests_shed_typed_and_counted() {
     let (ensemble, artifact) = fixture("deadline", 3);
@@ -208,25 +209,35 @@ fn expired_requests_shed_typed_and_counted() {
         .expect("admitted");
     pool.submit(1, PredictRequest::nodes(vec![2]))
         .expect("submit");
+    let later = Instant::now() + Duration::from_secs(60);
+    pool.submit_with_deadline(2, PredictRequest::nodes(vec![3]), Some(later))
+        .expect("admitted");
 
     let mut expired = 0;
     let mut served = 0;
-    for _ in 0..2 {
+    for _ in 0..3 {
         let reply = rx.recv_timeout(Duration::from_secs(30)).expect("reply");
         match (&reply.id, &reply.result) {
             (0, Err(ServeError::Expired { waited_ms })) => {
                 assert!(*waited_ms >= 0.0);
                 expired += 1;
             }
-            (1, Ok(p)) => {
-                assert_row_bitwise(p.proba.row(0), offline.row(2), "live request");
+            (id @ (1 | 2), Ok(p)) => {
+                let node = *id as usize + 1;
+                assert_row_bitwise(p.proba.row(0), offline.row(node), "live request");
+                assert_eq!(reply.generation, 0, "no swap ever happened");
                 served += 1;
             }
             (id, other) => panic!("unexpected reply id {id}: {other:?}"),
         }
     }
-    assert_eq!((expired, served), (1, 1));
+    assert_eq!((expired, served), (1, 2));
+    assert_eq!(pool.stats().shed, 0, "expired is not queue-full shed");
+    let m = pool.metrics();
+    assert_eq!(m.shed_expired, 1);
+    assert_eq!(m.shed, 0);
+    assert_eq!(m.requests, 2, "shed request is not a served request");
     let report = pool.shutdown();
     assert_eq!(report.stats.expired, 1);
-    assert_eq!(report.stats.requests, 2);
+    assert_eq!(report.stats.requests, 3);
 }
