@@ -41,18 +41,20 @@ $RDD report "$GUARD_DIR/on.jsonl" >/dev/null
 echo "==> thread-count gate (RDD_THREADS 1, 2, 3 write the same bytes)"
 # Every kernel gives each output element one summation order, whatever the
 # thread count, and the count latches once per process, so each count runs
-# in its own process. The golden test pins a tiny cascade's run bytes at
-# one and three threads; a cora cascade's predictions and run directory
-# (the one-line manifest minus its wall_time_s values) must then be the
-# same at 1, 2 and 3 threads.
+# in its own process. The golden test pins a tiny cascade's run bytes and
+# its distilled student's artifacts at one and three threads; a cora
+# cascade's predictions, run directory (the one-line manifest minus its
+# wall_time_s values) and distilled student must then be the same at 1, 2
+# and 3 threads.
 for t in 1 3; do
-  RDD_THREADS=$t cargo test -q -p rdd-core --test golden_run
+  RDD_THREADS=$t cargo test -q -p rdd-serve --test golden_run
 done
 THREAD_DIR="$GUARD_DIR/threads"
 mkdir -p "$THREAD_DIR"
 for t in 1 2 3; do
   RDD_THREADS=$t $RDD train cora --models 3 --run-dir "$THREAD_DIR/run$t" \
     --pred-out "$THREAD_DIR/pred$t.txt" >/dev/null
+  RDD_THREADS=$t $RDD distill-mlp "$THREAD_DIR/run$t" "$THREAD_DIR/student$t.artifact" >/dev/null
   sed -i -E 's/"wall_time_s":[^,}]*//g' "$THREAD_DIR/run$t/manifest.json"
 done
 for t in 2 3; do
@@ -60,6 +62,8 @@ for t in 2 3; do
     || { echo "thread gate: predictions at RDD_THREADS=$t differ from 1" >&2; exit 1; }
   diff -rq "$THREAD_DIR/run1" "$THREAD_DIR/run$t" >&2 \
     || { echo "thread gate: run directory at RDD_THREADS=$t differs from 1" >&2; exit 1; }
+  cmp "$THREAD_DIR/student1.artifact" "$THREAD_DIR/student$t.artifact" \
+    || { echo "thread gate: distilled student at RDD_THREADS=$t differs from 1" >&2; exit 1; }
 done
 
 echo "==> trace validator rejects schema violations"

@@ -62,8 +62,7 @@ pub fn snapshot_ensemble(
         opt.set_lr(train_cfg.lr * schedule.factor(epoch));
         let mut tape = Tape::new();
         let logits = model.forward(&mut tape, &ctx, true, &mut rng);
-        let logp = tape.log_softmax(logits);
-        let loss = tape.nll_masked(logp, Rc::clone(&labels), Rc::clone(&train_idx));
+        let loss = tape.ce_masked(logits, Rc::clone(&labels), Rc::clone(&train_idx));
         let grads = tape.backward(loss, model.params().len());
         opt.step(model.params_mut(), &grads);
         if schedule.is_cycle_end(epoch) {
@@ -155,8 +154,7 @@ pub fn mean_teacher(
 
         let mut tape = Tape::new();
         let logits = student.forward(&mut tape, &ctx, true, &mut rng);
-        let logp = tape.log_softmax(logits);
-        let ce = tape.nll_masked(logp, Rc::clone(&labels), Rc::clone(&train_idx));
+        let ce = tape.ce_masked(logits, Rc::clone(&labels), Rc::clone(&train_idx));
         let cons = tape.mse_rows(logits, teacher_logits, Rc::clone(&all_nodes));
         let loss = tape.weighted_sum(&[(ce, 1.0), (cons, cfg.consistency)]);
         let grads = tape.backward(loss, student.params().len());

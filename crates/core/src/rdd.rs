@@ -26,6 +26,10 @@ use crate::ensemble::{model_weight, uniform_weight, Ensemble};
 use crate::reliability::ReliabilityWorkspace;
 use crate::run::{MemberRecord, PersistedMember, RunError, RunState};
 
+/// The loss hook's per-epoch reliability refresh (Algorithm 1 on the
+/// current student), a child of `train.loss_hook`.
+static SPAN_RELIABILITY: rdd_obs::SpanCell = rdd_obs::SpanCell::new("rdd.reliability");
+
 /// Feature switches for the paper's Table 8 ablations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ablation {
@@ -654,6 +658,7 @@ impl RddTrainer {
                         // the forward work and the tape node are never duplicated.
                         let probs = tape.softmax(logits);
                         let student_proba = tape.value(probs);
+                        let span_refresh = SPAN_RELIABILITY.enter();
                         if abl.use_node_reliability {
                             relia.compute(
                                 &teacher_proba,
@@ -666,6 +671,7 @@ impl RddTrainer {
                         } else {
                             relia.compute_all_reliable(student_proba, graph);
                         }
+                        drop(span_refresh);
                         let staged = teacher_pred.as_ref().map(|tp| {
                             (
                                 relia.num_reliable(),

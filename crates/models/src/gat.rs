@@ -169,10 +169,9 @@ mod tests {
         let gat = Gat::new(&ctx, small_gat_cfg(), &mut rng);
         let mut tape = Tape::new();
         let logits = gat.forward(&mut tape, &ctx, true, &mut rng);
-        let lp = tape.log_softmax(logits);
         let labels = Rc::new(data.labels.clone());
         let idx = Rc::new(data.train_idx.clone());
-        let loss = tape.nll_masked(lp, labels, idx);
+        let loss = tape.ce_masked(logits, labels, idx);
         let grads = tape.backward(loss, gat.params().len());
         for (i, g) in grads.iter().enumerate() {
             let g = g

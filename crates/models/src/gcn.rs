@@ -8,15 +8,32 @@
 
 use std::rc::Rc;
 
-use rdd_tensor::{glorot_uniform, CsrMatrix, Matrix, Rng, Tape, Var};
+use rdd_tensor::{glorot_uniform, seeded_rng, CsrMatrix, Matrix, Rng, Tape, Var};
 
-use crate::context::GraphContext;
+use crate::context::{GraphContext, RowSet};
 
 /// A trainable node-classification model.
 pub trait Model {
     /// Record the forward pass on `tape`, returning the logits variable
-    /// (`n x num_classes`). `training` enables dropout.
+    /// (`n x num_classes`). `training` enables dropout; an eval-mode
+    /// forward is [`Model::eval_rows`] over [`GraphContext::all_rows`].
     fn forward(&self, tape: &mut Tape, ctx: &GraphContext, training: bool, rng: &mut Rng) -> Var;
+
+    /// Record an eval-mode forward of `rows` only, returning their logits
+    /// (`rows.rows().len() x num_classes`, row `r` for node
+    /// `rows.rows()[r]`), bitwise equal to those rows of the full-graph
+    /// eval. The default runs the full eval forward and picks the rows; a
+    /// model that can compute just the rows' receptive field (a
+    /// [`crate::context::Block`]) overrides it.
+    fn eval_rows(&self, tape: &mut Tape, ctx: &GraphContext, rows: &RowSet) -> Var {
+        // Eval mode ignores the rng; a fixed seed keeps the signature simple.
+        let full = self.forward(tape, ctx, false, &mut seeded_rng(0));
+        if rows.is_all() {
+            full
+        } else {
+            tape.take_rows(full, Rc::clone(rows.rows()))
+        }
+    }
 
     /// Current parameter values (aligned with the tape slots used by
     /// `forward`).
@@ -113,25 +130,49 @@ impl Gcn {
     pub fn config(&self) -> &GcnConfig {
         &self.cfg
     }
-}
 
-impl Model for Gcn {
-    fn forward(&self, tape: &mut Tape, ctx: &GraphContext, training: bool, rng: &mut Rng) -> Var {
-        let x = input_features(ctx, &self.cfg, training, rng);
+    /// The layer stack over features `x`, layer `l` propagating with
+    /// `adj(l)`; `rng` is `Some` in training mode (hidden dropout).
+    fn layers<'a>(
+        &self,
+        tape: &mut Tape,
+        ctx: &GraphContext,
+        x: &Rc<CsrMatrix>,
+        adj: impl Fn(usize) -> &'a Rc<CsrMatrix>,
+        mut rng: Option<&mut Rng>,
+    ) -> Var {
+        // Only Â itself is symmetric (the cheaper backward).
+        let symmetric = |a: &Rc<CsrMatrix>| Rc::ptr_eq(a, &ctx.a_hat);
         // Layer 1: Â (X W1) with sparse X.
         let w1 = tape.param_of(0, &self.params[0]);
-        let xw = tape.spmm(&x, w1, false);
-        let mut h = tape.spmm(&ctx.a_hat, xw, true);
+        let xw = tape.spmm(x, w1, false);
+        let mut h = tape.spmm(adj(0), xw, symmetric(adj(0)));
         for (l, w) in self.params.iter().enumerate().skip(1) {
             h = tape.relu(h);
-            if training {
+            if let Some(rng) = rng.as_deref_mut() {
                 h = tape.dropout(h, self.cfg.dropout, rng);
             }
             let wv = tape.param_of(l, w);
             let hw = tape.matmul(h, wv);
-            h = tape.spmm(&ctx.a_hat, hw, true);
+            h = tape.spmm(adj(l), hw, symmetric(adj(l)));
         }
         h
+    }
+}
+
+impl Model for Gcn {
+    fn forward(&self, tape: &mut Tape, ctx: &GraphContext, training: bool, rng: &mut Rng) -> Var {
+        if !training {
+            return self.eval_rows(tape, ctx, &ctx.all_rows());
+        }
+        let x = ctx.dropout_features(self.cfg.input_dropout, rng);
+        self.layers(tape, ctx, &x, |_| &ctx.a_hat, Some(rng))
+    }
+
+    /// Computes only the rows' receptive field: one hop per layer.
+    fn eval_rows(&self, tape: &mut Tape, ctx: &GraphContext, rows: &RowSet) -> Var {
+        let block = rows.block(self.params.len());
+        self.layers(tape, ctx, &block.features, |l| &block.adj[l], None)
     }
 
     fn params(&self) -> &[Matrix] {
@@ -522,8 +563,7 @@ mod tests {
             let mut tape = Tape::new();
             let mut r = seeded_rng(6);
             let logits = m.forward(&mut tape, &c, true, &mut r);
-            let lp = tape.log_softmax(logits);
-            let loss = tape.nll_masked(lp, Rc::clone(&labels), Rc::clone(&idx));
+            let loss = tape.ce_masked(logits, Rc::clone(&labels), Rc::clone(&idx));
             let grads = tape.backward(loss, m.params().len());
             for (i, g) in grads.iter().enumerate() {
                 let g = g

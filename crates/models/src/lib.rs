@@ -36,7 +36,7 @@ pub use checkpoint::{
     CheckpointError, TextCursor, TextError,
 };
 pub use config::{ConfigError, TrainConfigBuilder};
-pub use context::GraphContext;
+pub use context::{Block, GraphContext, RowSet};
 pub use gat::{Gat, GatConfig};
 pub use gcn::{DenseGcn, Gcn, GcnConfig, JkNet, Mlp, Model, ResGcn};
 pub use metrics::{expected_calibration_error, ConfusionMatrix};

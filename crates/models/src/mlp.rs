@@ -19,9 +19,11 @@
 //!   call this one function, which is what makes served feature rows
 //!   bitwise-identical to the offline student forward.
 
-use rdd_tensor::{glorot_uniform, Matrix, Rng, Tape, Var};
+use std::rc::Rc;
 
-use crate::context::GraphContext;
+use rdd_tensor::{glorot_uniform, CsrMatrix, Matrix, Rng, Tape, Var};
+
+use crate::context::{GraphContext, RowSet};
 use crate::gcn::Model;
 
 /// Architecture/regularization of the distilled MLP student.
@@ -103,24 +105,36 @@ impl MlpModel {
     }
 }
 
-impl Model for MlpModel {
-    fn forward(&self, tape: &mut Tape, ctx: &GraphContext, training: bool, rng: &mut Rng) -> Var {
-        let x = if training {
-            ctx.dropout_features(self.cfg.input_dropout, rng)
-        } else {
-            std::rc::Rc::clone(&ctx.features)
-        };
+impl MlpModel {
+    /// The layer stack over features `x`; `rng` is `Some` in training
+    /// mode (hidden dropout).
+    fn layers(&self, tape: &mut Tape, x: &Rc<CsrMatrix>, mut rng: Option<&mut Rng>) -> Var {
         let w0 = tape.param_of(0, &self.params[0]);
-        let mut h = tape.spmm(&x, w0, false);
+        let mut h = tape.spmm(x, w0, false);
         for (l, w) in self.params.iter().enumerate().skip(1) {
             h = tape.relu(h);
-            if training {
+            if let Some(rng) = rng.as_deref_mut() {
                 h = tape.dropout(h, self.cfg.dropout, rng);
             }
             let wv = tape.param_of(l, w);
             h = tape.matmul(h, wv);
         }
         h
+    }
+}
+
+impl Model for MlpModel {
+    fn forward(&self, tape: &mut Tape, ctx: &GraphContext, training: bool, rng: &mut Rng) -> Var {
+        if !training {
+            return self.eval_rows(tape, ctx, &ctx.all_rows());
+        }
+        let x = ctx.dropout_features(self.cfg.input_dropout, rng);
+        self.layers(tape, &x, Some(rng))
+    }
+
+    /// No graph in the forward: the block is the rows' own features.
+    fn eval_rows(&self, tape: &mut Tape, _ctx: &GraphContext, rows: &RowSet) -> Var {
+        self.layers(tape, &rows.block(0).features, None)
     }
 
     fn params(&self) -> &[Matrix] {

@@ -21,7 +21,7 @@
 
 use rdd_tensor::{Matrix, Workspace};
 
-use crate::context::GraphContext;
+use crate::context::{GraphContext, RowSet};
 use crate::gcn::Model;
 
 /// Why a prediction request could not be answered.
@@ -232,23 +232,33 @@ pub fn gather_prediction(
     }
 }
 
-/// Eval-mode logits, pooled through `ws`. The returned matrix escapes the
-/// tape (cloned out); every intermediate activation is pooled.
+/// Eval-mode logits of every node (the model's eval over all rows),
+/// pooled through `ws`. The returned matrix escapes the tape (cloned out);
+/// every intermediate activation is pooled.
 pub(crate) fn eval_logits_in(model: &dyn Model, ctx: &GraphContext, ws: &Workspace) -> Matrix {
     let mut tape = rdd_tensor::Tape::with_workspace(ws);
-    // Eval mode ignores the rng; a fixed seed keeps the signature simple.
-    let mut rng = rdd_tensor::seeded_rng(0);
-    let v = model.forward(&mut tape, ctx, false, &mut rng);
+    let v = model.eval_rows(&mut tape, ctx, &ctx.all_rows());
     tape.value(v).clone()
 }
 
-/// Eval-mode hard predictions read straight off the tape (no logits
-/// clone) — the trainer's per-epoch validation hot path.
-pub(crate) fn eval_pred_in(model: &dyn Model, ctx: &GraphContext, ws: &Workspace) -> Vec<usize> {
+/// Eval-mode hard predictions for the nodes of `rows`, read straight off
+/// the tape (no logits clone): `preds[node]` is set for every node of
+/// `rows` and no other entry is touched. The trainer's per-epoch
+/// validation hot path; `scratch` keeps its capacity across epochs.
+pub(crate) fn eval_pred_rows_in(
+    model: &dyn Model,
+    ctx: &GraphContext,
+    rows: &RowSet,
+    ws: &Workspace,
+    preds: &mut [usize],
+    scratch: &mut Vec<usize>,
+) {
     let mut tape = rdd_tensor::Tape::with_workspace(ws);
-    let mut rng = rdd_tensor::seeded_rng(0);
-    let v = model.forward(&mut tape, ctx, false, &mut rng);
-    tape.value(v).argmax_rows()
+    let v = model.eval_rows(&mut tape, ctx, rows);
+    tape.value(v).argmax_rows_into(scratch);
+    for (&node, &p) in rows.rows().iter().zip(scratch.iter()) {
+        preds[node] = p;
+    }
 }
 
 /// A workspace the predictor either owns or borrows from its caller.
@@ -306,7 +316,16 @@ impl<'a> ModelPredictor<'a> {
 
     /// Eval-mode hard predictions for every node.
     pub fn predict(&self) -> Vec<usize> {
-        eval_pred_in(self.model, self.ctx, self.ws())
+        let mut preds = vec![0; self.ctx.n];
+        eval_pred_rows_in(
+            self.model,
+            self.ctx,
+            &self.ctx.all_rows(),
+            self.ws(),
+            &mut preds,
+            &mut Vec::new(),
+        );
+        preds
     }
 }
 

@@ -242,9 +242,8 @@ mod tests {
         let sage = GraphSage::new(&ctx, SageConfig::default(), &mut rng);
         let mut tape = Tape::new();
         let logits = sage.forward(&mut tape, &ctx, true, &mut rng);
-        let lp = tape.log_softmax(logits);
-        let loss = tape.nll_masked(
-            lp,
+        let loss = tape.ce_masked(
+            logits,
             Rc::new(data.labels.clone()),
             Rc::new(data.train_idx.clone()),
         );

@@ -18,6 +18,8 @@ static SPAN_EPOCH: rdd_obs::SpanCell = rdd_obs::SpanCell::new("train.epoch");
 static SPAN_FORWARD: rdd_obs::SpanCell = rdd_obs::SpanCell::new("train.forward");
 static SPAN_BACKWARD: rdd_obs::SpanCell = rdd_obs::SpanCell::new("train.backward");
 static SPAN_VALIDATE: rdd_obs::SpanCell = rdd_obs::SpanCell::new("train.validate");
+static SPAN_LOSS_HOOK: rdd_obs::SpanCell = rdd_obs::SpanCell::new("train.loss_hook");
+static SPAN_OPTIMIZER: rdd_obs::SpanCell = rdd_obs::SpanCell::new("train.optimizer");
 
 /// Learning-rate schedule applied on top of `TrainConfig::lr`.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -209,6 +211,19 @@ pub fn train_in(
     let n_params = model.params().len();
     let mut opt = Adam::new(cfg.lr, cfg.weight_decay, model.decay_mask());
 
+    // Validation computes only the rows it reads: the validation rows'
+    // receptive field (built once per context). A traced run's epoch
+    // record also reports train and test accuracy, so there the block
+    // covers those rows too.
+    let traced = rdd_obs::enabled();
+    let eval_rows = if traced {
+        ctx.row_set(&[&data.val_idx[..], &data.train_idx, &data.test_idx].concat())
+    } else {
+        ctx.row_set(&data.val_idx)
+    };
+    let mut preds = vec![0usize; data.n()];
+    let mut block_preds = Vec::new();
+
     let mut best_val = f32::NEG_INFINITY;
     let mut best_epoch = 0usize;
     let mut best_params: Vec<Matrix> = model.params().to_vec();
@@ -235,10 +250,10 @@ pub fn train_in(
         let span_forward = SPAN_FORWARD.enter();
         let mut tape = Tape::with_workspace(ws);
         let logits = model.forward(&mut tape, ctx, true, rng);
-        let logp = tape.log_softmax(logits);
-        let ce = tape.nll_masked(logp, Rc::clone(&labels), Rc::clone(&train_idx));
+        let ce = tape.ce_masked(logits, Rc::clone(&labels), Rc::clone(&train_idx));
         let mut terms = vec![(ce, 1.0f32)];
         if let Some(hook) = extra_loss.as_deref_mut() {
+            let _span = SPAN_LOSS_HOOK.enter();
             terms.extend(hook(&mut tape, logits, epoch));
         }
         let loss = tape.weighted_sum(&terms);
@@ -293,15 +308,24 @@ pub fn train_in(
             continue;
         }
         attempts_this_epoch = 0;
+        let span_optimizer = SPAN_OPTIMIZER.enter();
         opt.step(model.params_mut(), &grads);
         ws.give_grads(grads);
+        drop(span_optimizer);
 
         // --- validation (eval-mode forward) ---
         let span_validate = SPAN_VALIDATE.enter();
-        let preds = crate::predictor::eval_pred_in(model, ctx, ws);
+        crate::predictor::eval_pred_rows_in(
+            model,
+            ctx,
+            &eval_rows,
+            ws,
+            &mut preds,
+            &mut block_preds,
+        );
         let val_acc = accuracy_over(&data.labels, &preds, &data.val_idx);
         drop(span_validate);
-        if rdd_obs::enabled() {
+        if traced {
             // Epoch telemetry: the supervised term alone (`l1`) plus the
             // split accuracies; RDD's loss hook stages its own extra fields
             // (L2/Lreg/γ/|V_r|/...) which `emit` merges into the record.

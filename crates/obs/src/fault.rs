@@ -31,6 +31,7 @@
 //! process-global and per-site: every pass over the armed site increments
 //! its counter whether or not the fault has fired yet.
 
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
 use crate::json::Json;
@@ -142,17 +143,36 @@ static STATE: Mutex<FaultState> = Mutex::new(FaultState {
     fired: 0,
 });
 
+/// [`ARMED`] before the first [`fire`] / [`arm`] latches `RDD_FAULT`.
+const UNLATCHED: u8 = 0;
+/// [`ARMED`] while no spec is set: [`fire`] returns without locking.
+const NOTHING: u8 = 1;
+/// [`ARMED`] while a spec is set.
+const SPEC: u8 = 2;
+
+/// Whether [`STATE`] holds a spec, readable without its lock. Written
+/// only under the lock, whenever `spec` changes.
+static ARMED: AtomicU8 = AtomicU8::new(UNLATCHED);
+
+fn set_spec(state: &mut FaultState, spec: Option<FaultSpec>) {
+    let flag = if spec.is_some() { SPEC } else { NOTHING };
+    state.spec = spec;
+    ARMED.store(flag, Ordering::Release);
+}
+
 fn ensure_init(state: &mut FaultState) {
     if state.initialized {
         return;
     }
     state.initialized = true;
-    if let Ok(raw) = std::env::var("RDD_FAULT") {
-        match parse_spec(&raw) {
-            Ok(spec) => state.spec = spec,
-            Err(msg) => warn(&msg),
-        }
-    }
+    let spec = match std::env::var("RDD_FAULT") {
+        Ok(raw) => parse_spec(&raw).unwrap_or_else(|msg| {
+            warn(&msg);
+            None
+        }),
+        Err(_) => None,
+    };
+    set_spec(state, spec);
 }
 
 /// Arm a fault programmatically (tests), replacing any env-latched spec and
@@ -161,7 +181,7 @@ pub fn arm(spec: &str) -> Result<(), String> {
     let parsed = parse_spec(spec)?;
     let mut state = STATE.lock().unwrap();
     state.initialized = true;
-    state.spec = parsed;
+    set_spec(&mut state, parsed);
     state.count = 0;
     state.fired = 0;
     Ok(())
@@ -188,7 +208,13 @@ pub fn armed() -> bool {
 /// to 1, so a plain `:<n>` spec fires exactly once). Emits a `fault` trace
 /// event each time it fires. Callers decide what the kind means at their
 /// site (unknown combinations are ignored by convention).
+///
+/// With nothing armed this is one atomic load: the trainer passes a site
+/// every epoch and the serve pool twice per batch.
 pub fn fire(site: &str) -> Option<FaultKind> {
+    if ARMED.load(Ordering::Acquire) == NOTHING {
+        return None;
+    }
     let mut state = STATE.lock().unwrap();
     ensure_init(&mut state);
     let (kind, n, k) = match state.spec.as_ref() {

@@ -1,8 +1,9 @@
 //! Overhead guard: with telemetry disabled (`RDD_TRACE` unset) the
 //! instrumentation hot path — `SpanCell::enter` + `HistCell::record` —
-//! must allocate nothing and cost at most a small multiple of an empty
-//! loop. This is the contract that lets kernels and the serve engine
-//! stay instrumented unconditionally.
+//! and an unarmed fault site (`fault::fire` with no `RDD_FAULT`) must
+//! allocate nothing and cost at most a small multiple of an empty loop.
+//! This is the contract that lets kernels, the trainer and the serve
+//! engine stay instrumented unconditionally.
 //!
 //! `ci.sh` runs this test explicitly (`cargo test -p rdd-obs --test
 //! overhead`); it also runs as part of the normal workspace test sweep.
@@ -46,10 +47,11 @@ static HIST: rdd_obs::HistCell = rdd_obs::HistCell::new("overhead.hist");
 
 #[test]
 fn disabled_recorder_is_allocation_free_and_cheap() {
-    if rdd_obs::enabled() {
-        // The guard is about the *disabled* path; a trace sink in the
-        // environment changes the premise, not the contract under test.
-        eprintln!("overhead guard skipped: RDD_TRACE is set in this environment");
+    if rdd_obs::enabled() || rdd_obs::fault::armed() {
+        // The guard is about the *disabled* path; a trace sink or a fault
+        // spec in the environment changes the premise, not the contract
+        // under test.
+        eprintln!("overhead guard skipped: RDD_TRACE or RDD_FAULT is set in this environment");
         return;
     }
 
@@ -61,6 +63,7 @@ fn disabled_recorder_is_allocation_free_and_cheap() {
     for i in 0..10_000u64 {
         let _g = SPAN.enter();
         HIST.record(i);
+        std::hint::black_box(rdd_obs::fault::fire("overhead"));
         acc = acc.wrapping_add(std::hint::black_box(i));
     }
 
@@ -76,6 +79,7 @@ fn disabled_recorder_is_allocation_free_and_cheap() {
     for i in 0..ITERS {
         let _g = std::hint::black_box(&SPAN).enter();
         std::hint::black_box(&HIST).record(i);
+        std::hint::black_box(rdd_obs::fault::fire(std::hint::black_box("overhead")));
         acc = acc.wrapping_add(std::hint::black_box(i));
     }
     let instrumented = t1.elapsed();
@@ -84,7 +88,7 @@ fn disabled_recorder_is_allocation_free_and_cheap() {
 
     assert_eq!(
         allocs, 0,
-        "disabled span/hist hot loop performed {allocs} allocations"
+        "disabled span/hist/fault hot loop performed {allocs} allocations"
     );
 
     // Generous multiple plus an absolute slack term so scheduler noise on

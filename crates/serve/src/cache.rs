@@ -2,7 +2,8 @@
 //! plus an intrusive doubly-linked list over a slot arena for recency
 //! order. Lock-partitioned as [`ShardedLru`], it is the prediction cache
 //! shared by the [`crate::pool::ServePool`] workers, where a single global
-//! lock would serialize every worker's row lookups.
+//! lock would serialize every worker's row lookups. It counts nothing: the
+//! serve engine counts its own hits and misses (`ServeStats`).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -25,8 +26,6 @@ pub struct LruCache<K, V> {
     head: usize,
     tail: usize,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
@@ -39,24 +38,7 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
             head: NIL,
             tail: NIL,
             capacity,
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// `(hits, misses)` counted across every [`LruCache::get`].
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     fn unlink(&mut self, idx: usize) {
@@ -87,20 +69,12 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
 
     /// Look up `key`, promoting it to most-recently-used on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                self.hits += 1;
-                if self.head != idx {
-                    self.unlink(idx);
-                    self.push_front(idx);
-                }
-                Some(&self.slots[idx].value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let idx = self.map.get(key).copied()?;
+        if self.head != idx {
+            self.unlink(idx);
+            self.push_front(idx);
         }
+        Some(&self.slots[idx].value)
     }
 
     /// Insert or overwrite `key`, evicting the least-recently-used entry
@@ -183,32 +157,16 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedLru<K, V> {
     pub fn insert(&self, key: K, value: V) {
         self.partition(&key).lock().unwrap().insert(key, value);
     }
-
-    /// Live entries summed over every partition.
-    pub fn len(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.lock().unwrap().len())
-            .sum()
-    }
-
-    /// Whether every partition is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `(hits, misses)` summed over every partition's [`LruCache::stats`].
-    pub fn stats(&self) -> (u64, u64) {
-        self.partitions.iter().fold((0, 0), |(h, m), p| {
-            let (ph, pm) = p.lock().unwrap().stats();
-            (h + ph, m + pm)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// How many of `keys` are present (each lookup promotes, never inserts).
+    fn present(c: &ShardedLru<u64, u64>, keys: std::ops::Range<u64>) -> usize {
+        keys.filter(|k| c.get(k).is_some()).count()
+    }
 
     #[test]
     fn evicts_least_recently_used() {
@@ -220,7 +178,6 @@ mod tests {
         assert_eq!(c.get(&2), None);
         assert_eq!(c.get(&1), Some(&"a"));
         assert_eq!(c.get(&3), Some(&"c"));
-        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -246,12 +203,11 @@ mod tests {
 
     #[test]
     fn stats_count_hits_and_misses() {
+        // A caller counts hits and misses from `get` itself.
         let mut c = LruCache::new(4);
         c.insert(1, ());
-        let _ = c.get(&1);
-        let _ = c.get(&1);
-        let _ = c.get(&9);
-        assert_eq!(c.stats(), (2, 1));
+        let hits = [1, 1, 9].iter().filter(|k| c.get(k).is_some()).count();
+        assert_eq!((hits, 3 - hits), (2, 1));
     }
 
     #[test]
@@ -260,17 +216,18 @@ mod tests {
         for i in 0..100 {
             c.insert(i, i * 10);
         }
-        assert_eq!(c.len(), 8);
         for i in 92..100 {
             assert_eq!(c.get(&i), Some(&(i * 10)), "recent key {i} must survive");
         }
-        assert_eq!(c.get(&0), None);
+        for i in 0..92 {
+            assert_eq!(c.get(&i), None, "old key {i} must be evicted");
+        }
     }
 
     #[test]
     fn sharded_round_trips_and_counts_stats() {
         let c = ShardedLru::new(64, 4);
-        assert!(c.is_empty());
+        assert_eq!(present(&c, 0..64), 0);
         for i in 0..32u64 {
             c.insert(i, i * 3);
         }
@@ -278,18 +235,18 @@ mod tests {
             assert_eq!(c.get(&i), Some(i * 3));
         }
         assert_eq!(c.get(&999), None);
-        assert_eq!(c.len(), 32);
-        let (hits, misses) = c.stats();
-        assert_eq!((hits, misses), (32, 1));
+        assert_eq!(present(&c, 0..1000), 32);
     }
 
     #[test]
     fn sharded_capacity_is_bounded_per_partition() {
         let c = ShardedLru::new(8, 4); // 2 entries per partition
         for i in 0..1000u64 {
-            c.insert(i, ());
+            c.insert(i, i);
         }
-        assert!(c.len() <= 8, "len {} exceeds total capacity", c.len());
+        let live = present(&c, 0..1000);
+        assert!(live <= 8, "{live} entries exceed total capacity");
+        assert!(live > 0);
     }
 
     #[test]
@@ -312,6 +269,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(c.len() <= 128);
+        assert!(present(&c, 0..200) <= 128);
     }
 }

@@ -22,6 +22,12 @@ use crate::simd;
 use crate::sparse::CsrMatrix;
 use crate::workspace::Workspace;
 
+/// Forward and backward time of the fused masked cross-entropy.
+static SPAN_CE: rdd_obs::SpanCell = rdd_obs::SpanCell::new("ce_masked");
+/// Forward time of the activation and hidden-dropout ops.
+static SPAN_RELU: rdd_obs::SpanCell = rdd_obs::SpanCell::new("relu");
+static SPAN_DROPOUT: rdd_obs::SpanCell = rdd_obs::SpanCell::new("dropout");
+
 /// Handle to a node on the tape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Var(usize);
@@ -51,6 +57,8 @@ enum Op {
     Scale(Var, f32),
     /// Column-wise concatenation.
     ConcatCols(Vec<Var>),
+    /// The rows `rows` of `x`, stacked in that order.
+    TakeRows { x: Var, rows: Rc<Vec<usize>> },
     /// Row-wise log-softmax.
     LogSoftmax(Var),
     /// Row-wise softmax.
@@ -72,11 +80,14 @@ enum Op {
         alpha: Vec<f32>,
         z: Vec<f32>,
     },
-    /// Mean negative log-likelihood over `idx`: `-(1/|idx|) Σ logp[i, y_i]`.
-    NllMasked {
-        logp: Var,
+    /// Mean cross-entropy over `idx`:
+    /// `-(1/|idx|) Σ log_softmax(logits)[i, y_i]`. `logp` holds the
+    /// log-softmax of the `idx` rows, one row per `idx` entry.
+    CeMasked {
+        logits: Var,
         labels: Rc<Vec<usize>>,
         idx: Rc<Vec<usize>>,
+        logp: Matrix,
     },
     /// Mean squared row distance to a constant target over `idx`:
     /// `(1/|idx|) Σ ‖x_i − t_i‖²`. This is RDD's L2 distillation loss.
@@ -300,6 +311,7 @@ impl Tape {
 
     /// ReLU activation.
     pub fn relu(&mut self, x: Var) -> Var {
+        let _span = SPAN_RELU.enter();
         let mut value = self.alloc_copy(self.value(x));
         simd::relu_in_place(simd::active(), value.as_mut_slice());
         self.push(value, Op::Relu(x))
@@ -314,6 +326,7 @@ impl Tape {
         if p == 0.0 {
             return x;
         }
+        let _span = SPAN_DROPOUT.enter();
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
         let xm = self.value(x);
@@ -347,6 +360,17 @@ impl Tape {
         let mats: Vec<&Matrix> = parts.iter().map(|&v| self.value(v)).collect();
         Matrix::hcat_into(&mats, &mut value);
         self.push(value, Op::ConcatCols(parts.to_vec()))
+    }
+
+    /// The rows `rows` of `x`, stacked in that order (an eval over a row
+    /// subset of a full forward).
+    pub fn take_rows(&mut self, x: Var, rows: Rc<Vec<usize>>) -> Var {
+        let xm = self.value(x);
+        let mut value = self.alloc_uninit(rows.len(), xm.cols());
+        for (r, &i) in rows.iter().enumerate() {
+            value.row_mut(r).copy_from_slice(xm.row(i));
+        }
+        self.push(value, Op::TakeRows { x, rows })
     }
 
     /// Row-wise log-softmax.
@@ -461,18 +485,46 @@ impl Tape {
         )
     }
 
-    /// Mean cross-entropy over the rows listed in `idx`, given log-softmax
-    /// inputs. Empty `idx` yields a constant-zero loss.
-    pub fn nll_masked(&mut self, logp: Var, labels: Rc<Vec<usize>>, idx: Rc<Vec<usize>>) -> Var {
-        let lp = self.value(logp);
+    /// Mean cross-entropy of the row-wise softmax of `logits` over the rows
+    /// listed in `idx`: `-(1/|idx|) Σ log_softmax(logits)[i, labels[i]]`.
+    /// Empty `idx` yields a constant-zero loss.
+    ///
+    /// The log-softmax is computed for the `idx` rows only. Value and
+    /// gradient are bitwise those of a full-matrix log-softmax followed by
+    /// a masked negative log-likelihood, including a row outside `idx` that
+    /// holds a NaN or an infinity: such a row's gradient is the log-softmax
+    /// backward of a zero row (NaN where the log-softmax is), which is what
+    /// lets the trainer's divergence guard see it.
+    pub fn ce_masked(&mut self, logits: Var, labels: Rc<Vec<usize>>, idx: Rc<Vec<usize>>) -> Var {
+        let _span = SPAN_CE.enter();
+        let k = self.value(logits).cols();
+        let mut logp = self.alloc_uninit(idx.len(), k);
+        let x = self.value(logits);
+        for (p, &i) in idx.iter().enumerate() {
+            let row = logp.row_mut(p);
+            row.copy_from_slice(x.row(i));
+            log_softmax_in_place(row);
+        }
         let loss = if idx.is_empty() {
             0.0
         } else {
-            let s: f32 = idx.iter().map(|&i| -lp.get(i, labels[i])).sum();
+            let s: f32 = idx
+                .iter()
+                .enumerate()
+                .map(|(p, &i)| -logp.get(p, labels[i]))
+                .sum();
             s / idx.len() as f32
         };
         let value = self.alloc_scalar(loss);
-        self.push(value, Op::NllMasked { logp, labels, idx })
+        self.push(
+            value,
+            Op::CeMasked {
+                logits,
+                labels,
+                idx,
+                logp,
+            },
+        )
     }
 
     /// Mean squared distance between rows of `x` and the constant `target`
@@ -713,6 +765,16 @@ impl Tape {
                     }
                     self.recycle(g);
                 }
+                Op::TakeRows { x, rows } => {
+                    let xv = self.value(*x);
+                    let mut dx = self.alloc_zeros(xv.rows(), xv.cols());
+                    let tier = simd::active();
+                    for (r, &i) in rows.iter().enumerate() {
+                        simd::add_assign(tier, dx.row_mut(i), g.row(r));
+                    }
+                    self.accum(&mut grads, *x, dx);
+                    self.recycle(g);
+                }
                 Op::Softmax(x) => {
                     // y = softmax(x); dx = y ⊙ (g − rowsum(g ⊙ y)).
                     let y = &self.nodes[id].value;
@@ -733,19 +795,53 @@ impl Tape {
                     }
                     self.accum(&mut grads, *x, dx);
                 }
-                Op::NllMasked { logp, labels, idx } => {
+                Op::CeMasked {
+                    logits,
+                    labels,
+                    idx,
+                    logp,
+                } => {
+                    let _span = SPAN_CE.enter();
                     if idx.is_empty() {
                         self.recycle(g);
                         continue;
                     }
                     let scale = g.get(0, 0) / idx.len() as f32;
-                    let lpv = self.value(*logp);
-                    let mut dlp = self.alloc_zeros(lpv.rows(), lpv.cols());
+                    let xv = self.value(*logits);
+                    let (n, k) = xv.shape();
+                    let mut dx = self.alloc_zeros(n, k);
                     for &i in idx.iter() {
                         let j = labels[i];
-                        dlp.set(i, j, dlp.get(i, j) - scale);
+                        dx.set(i, j, dx.get(i, j) - scale);
                     }
-                    self.accum(&mut grads, *logp, dlp);
+                    // Log-softmax backward, once per distinct `idx` row.
+                    let tier = simd::active();
+                    let mut done = self.alloc_vec_zeroed(n);
+                    for (p, &i) in idx.iter().enumerate() {
+                        if done[i] == 0.0 {
+                            done[i] = 1.0;
+                            simd::log_softmax_bwd_row(tier, dx.row_mut(i), logp.row(p));
+                        }
+                    }
+                    // Any other row's gradient is the backward of a zero row:
+                    // +0 when its logits are finite, so only a non-finite row
+                    // needs its log-softmax.
+                    let finite = xv.as_slice().iter().fold(true, |ok, v| ok & v.is_finite());
+                    if !finite {
+                        let mut y = self.alloc_vec(k);
+                        for (i, &d) in done.iter().enumerate() {
+                            let row = xv.row(i);
+                            if d == 0.0 && !row.iter().all(|v| v.is_finite()) {
+                                y.clear();
+                                y.extend_from_slice(row);
+                                log_softmax_in_place(&mut y);
+                                simd::log_softmax_bwd_row(tier, dx.row_mut(i), &y);
+                            }
+                        }
+                        self.recycle_vec(y);
+                    }
+                    self.recycle_vec(done);
+                    self.accum(&mut grads, *logits, dx);
                     self.recycle(g);
                 }
                 Op::MseRows { x, target, idx } => {
@@ -946,6 +1042,7 @@ impl Drop for Tape {
             ws.give(node.value);
             match node.op {
                 Op::Dropout { mask, .. } => ws.give_vec(mask),
+                Op::CeMasked { logp, .. } => ws.give(logp),
                 Op::GraphAttention { alpha, z, .. } => {
                     ws.give_vec(alpha);
                     ws.give_vec(z);
@@ -1042,6 +1139,23 @@ mod tests {
     }
 
     #[test]
+    fn take_rows_gradient() {
+        let mut rng = seeded_rng(10);
+        let x = crate::init::uniform(4, 3, 1.0, &mut rng);
+        grad_check(
+            &x,
+            &|t, p| {
+                let pv = t.param(0, p);
+                // Row 2 twice, row 1 never.
+                let picked = t.take_rows(pv, Rc::new(vec![2, 0, 2, 3]));
+                let target = Rc::new(Matrix::full(4, 3, 0.2));
+                t.mse_rows(picked, target, Rc::new((0..4).collect()))
+            },
+            2e-2,
+        );
+    }
+
+    #[test]
     fn relu_logsoftmax_nll_gradient() {
         let mut rng = seeded_rng(9);
         let x = crate::init::uniform(4, 3, 1.0, &mut rng);
@@ -1052,8 +1166,7 @@ mod tests {
             &|t, p| {
                 let pv = t.param(0, p);
                 let r = t.relu(pv);
-                let lp = t.log_softmax(r);
-                t.nll_masked(lp, Rc::clone(&labels), Rc::clone(&idx))
+                t.ce_masked(r, Rc::clone(&labels), Rc::clone(&idx))
             },
             3e-2,
         );
@@ -1273,7 +1386,7 @@ mod tests {
     fn empty_losses_are_zero_and_safe() {
         let mut t = Tape::new();
         let x = t.param(0, Matrix::full(2, 2, 1.0));
-        let l1 = t.nll_masked(x, Rc::new(vec![0, 0]), Rc::new(vec![]));
+        let l1 = t.ce_masked(x, Rc::new(vec![0, 0]), Rc::new(vec![]));
         let l2 = t.mse_rows(x, Rc::new(Matrix::zeros(2, 2)), Rc::new(vec![]));
         let l3 = t.edge_reg(x, Rc::new(vec![]));
         let total = t.weighted_sum(&[(l1, 1.0), (l2, 1.0), (l3, 1.0)]);

@@ -14,14 +14,15 @@
 //! Each public method here hoists the latched [`crate::simd::active`]
 //! tier once and hands whole blocks of rows to the tier's kernels. The
 //! products are row kernels — `matmul` the gather body over a dense index
-//! list, `matmul_at_b` the scatter body over dense columns (both in
-//! `rows.rs`), `matmul_a_bt` the dot body in [`crate::simd`] — whose bits
+//! list, `matmul_at_b` the scatter body over dense columns (the column body
+//! for outputs narrower than one AVX2 vector; all in `rows.rs`),
+//! `matmul_a_bt` the dot body in [`crate::simd`] — whose bits
 //! depend only on the tier, never on the thread count (`RDD_SIMD=off` gives
 //! the scalar order); the row-wise softmax/entropy/elementwise kernels are
 //! [`crate::simd`] dispatchers.
 
 use crate::par::par_row_chunks;
-use crate::rows::{Gather, Scatter};
+use crate::rows::{self, Columns, Gather, Scatter};
 use crate::simd;
 use rdd_obs::SpanCell;
 
@@ -256,8 +257,18 @@ impl Matrix {
         // leftover rows one at a time.
         let _span = SPAN_MATMUL_AT_B.enter();
         let n = rhs.cols;
-        let quads = self.rows / 4;
         let tier = simd::active();
+        if n < simd::NARROW {
+            // Narrow head (a classifier's few classes): the column body
+            // keeps groups of output rows in registers across the input
+            // quads instead of reloading a narrow output row per quad.
+            if n > 0 && self.cols > 0 {
+                let columns = Columns::new(&mut out.data, &self.data, self.cols, &rhs.data, n);
+                simd::run_rows(tier, &columns, 0..self.cols.div_ceil(rows::COLUMN_GROUP));
+            }
+            return;
+        }
+        let quads = self.rows / 4;
         let quad = |t: usize| {
             let k = 4 * t;
             let a = [

@@ -77,18 +77,23 @@ impl Adam {
             } else {
                 0.0
             };
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
             let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
-            for k in 0..p.len() {
-                let gk = g.as_slice()[k] + decay * p.as_slice()[k];
-                let mk = b1 * m.as_slice()[k] + (1.0 - b1) * gk;
-                let vk = b2 * v.as_slice()[k] + (1.0 - b2) * gk * gk;
-                m.as_mut_slice()[k] = mk;
-                v.as_mut_slice()[k] = vk;
-                let mhat = mk / bc1;
-                let vhat = vk / bc2;
-                p.as_mut_slice()[k] -= lr * mhat / (vhat.sqrt() + eps);
+            // One pass over zipped slices: no per-element bounds checks, so
+            // the loop vectorizes. Each element's operations and their
+            // order are those of the scalar update.
+            let elems = p
+                .as_mut_slice()
+                .iter_mut()
+                .zip(g.as_slice())
+                .zip(self.m[i].as_mut_slice())
+                .zip(self.v[i].as_mut_slice());
+            for (((pk, &gk), mk), vk) in elems {
+                let gk = gk + decay * *pk;
+                *mk = b1 * *mk + (1.0 - b1) * gk;
+                *vk = b2 * *vk + (1.0 - b2) * gk * gk;
+                let mhat = *mk / bc1;
+                let vhat = *vk / bc2;
+                *pk -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
     }
@@ -133,6 +138,44 @@ mod tests {
         }
         // No gradient and no decay: parameter unchanged.
         assert_eq!(params[0].get(0, 0), 5.0);
+    }
+
+    /// The indexed update the one-pass loop replaced, for one slot.
+    fn indexed_step(adam: &Adam, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
+        let t = adam.t as i32 + 1;
+        let bc1 = 1.0 - adam.beta1.powi(t);
+        let bc2 = 1.0 - adam.beta2.powi(t);
+        let (b1, b2, eps, lr, decay) =
+            (adam.beta1, adam.beta2, adam.eps, adam.lr, adam.weight_decay);
+        for k in 0..p.len() {
+            let gk = g[k] + decay * p[k];
+            let mk = b1 * m[k] + (1.0 - b1) * gk;
+            let vk = b2 * v[k] + (1.0 - b2) * gk * gk;
+            m[k] = mk;
+            v[k] = vk;
+            p[k] -= lr * (mk / bc1) / ((vk / bc2).sqrt() + eps);
+        }
+    }
+
+    #[test]
+    fn one_pass_step_matches_the_indexed_update_bitwise() {
+        let mut rng = crate::rng::seeded_rng(12);
+        // 37 elements: vector bodies and a scalar tail both run.
+        let mut params = vec![crate::init::uniform(37, 1, 1.0, &mut rng)];
+        let mut opt = Adam::new(0.01, 5e-4, vec![true]);
+        let (mut p, mut m, mut v) = (params[0].as_slice().to_vec(), vec![0.0; 37], vec![0.0; 37]);
+        for step in 0..20 {
+            let mut g = crate::init::uniform(37, 1, 1.0, &mut rng);
+            if step == 3 {
+                g.as_mut_slice()[5] = 0.0;
+                g.as_mut_slice()[6] = -0.0;
+            }
+            indexed_step(&opt, &mut p, g.as_slice(), &mut m, &mut v);
+            opt.step(&mut params, &[Some(g)]);
+            let got: Vec<u32> = params[0].as_slice().iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = p.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "step {step}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! `Matrix::matmul_at_b` are one *scatter* body: one right-hand row (or a
 //! quad of them) stays in registers while it is added into every output
 //! row its entries name. A dense row is the index list `k0, k0 + 1, ...`.
-//! The bodies are generic over [`Lanes`]; [`crate::simd::run_rows`] picks
+//! `Matrix::matmul_at_b` with an output narrower than one AVX2 vector
+//! runs the *column* body instead: the scatter's sums, gathered per output
+//! row. The bodies are generic over [`Lanes`]; [`crate::simd::run_rows`] picks
 //! the lane types of the active tier, so the operation order of every
 //! output element is fixed by the tier alone: a gather's row blocks never
 //! split a row, and a scatter runs as one pass from input row 0.
@@ -195,6 +197,112 @@ where
             for (v, &bv) in bv.iter().enumerate() {
                 let (p, l) = (out.add(v * L::W), lanes_at(v));
                 L::load(p, l).group(q, bv).store(p, l);
+            }
+        }
+    }
+}
+
+/// Column body: `matmul_at_b` (`out += Aᵀ·B`) for an output narrower than
+/// one AVX2 vector. A step is a group of [`COLUMN_GROUP`] output rows:
+/// their accumulators stay in registers while every input quad of `B`'s
+/// rows is loaded once and added into each of them, so an output row is
+/// not reloaded and re-stored per quad as in the scatter. Per output
+/// element the sum is the scatter's: the same quads from input row 0, the
+/// same tree, the same all-zero quads skipped, then the leftover rows one
+/// at a time.
+pub(crate) struct Columns<'a> {
+    out: *mut f32,
+    /// `A`, row-major with `m` columns (one per output row).
+    a: &'a [f32],
+    m: usize,
+    /// `B`, row-major with `n` columns, as many rows as `A`.
+    b: &'a [f32],
+    n: usize,
+    _out: PhantomData<&'a mut [f32]>,
+}
+
+/// Output rows per [`Columns`] step.
+pub(crate) const COLUMN_GROUP: usize = 4;
+
+impl<'a> Columns<'a> {
+    /// `out` is `m x n` for an `A` with `m` columns and a `B` with `n`.
+    pub(crate) fn new(out: &'a mut [f32], a: &'a [f32], m: usize, b: &'a [f32], n: usize) -> Self {
+        assert_eq!(out.len(), m * n, "column output shape");
+        assert_eq!(a.len() / m.max(1), b.len() / n.max(1), "column input rows");
+        Columns {
+            out: out.as_mut_ptr(),
+            a,
+            m,
+            b,
+            n,
+            _out: PhantomData,
+        }
+    }
+}
+
+impl RowKernel for Columns<'_> {
+    const MAX_V: usize = 2;
+
+    fn width(&self) -> usize {
+        self.n
+    }
+
+    #[inline(always)]
+    unsafe fn block<L: Lanes, const V: usize>(&self, g: usize, c0: usize, lanes: usize) {
+        let (m, n) = (self.m, self.n);
+        let e0 = g * COLUMN_GROUP;
+        let rows = (m - e0).min(COLUMN_GROUP);
+        let k_rows = self.a.len() / m;
+        // Lane values stay out of closures (see `Gather::block`).
+        let lanes_at = |v: usize| if v + 1 == V { lanes } else { L::W };
+        // SAFETY: output rows `e0..e0 + rows` are inside `out` (`rows` is
+        // clamped to `m`), and the caller keeps the block's columns within
+        // the row width `n`.
+        let out = |r: usize| self.out.add((e0 + r) * n + c0);
+        let b_row = |k: usize| self.b[k * n..][..n].as_ptr().add(c0);
+        let mut acc = [[L::load(out(0), lanes_at(0)); V]; COLUMN_GROUP];
+        for (r, acc) in acc.iter_mut().enumerate().take(rows) {
+            for (v, o) in acc.iter_mut().enumerate() {
+                *o = L::load(out(r).add(v * L::W), lanes_at(v));
+            }
+        }
+        let quads = k_rows / 4 * 4;
+        let mut k = 0;
+        while k < quads {
+            let mut bv = [[L::load(b_row(k), lanes_at(0)); 4]; V];
+            for (v, bv) in bv.iter_mut().enumerate() {
+                for (q, bq) in bv.iter_mut().enumerate() {
+                    *bq = L::load(b_row(k + q).add(v * L::W), lanes_at(v));
+                }
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
+                if r < rows {
+                    let e = e0 + r;
+                    let a = &self.a[k * m + e..];
+                    let q = [a[0], a[m], a[2 * m], a[3 * m]];
+                    if q != [0.0; 4] {
+                        for (o, &bv) in acc.iter_mut().zip(&bv) {
+                            *o = o.group(q, bv);
+                        }
+                    }
+                }
+            }
+            k += 4;
+        }
+        while k < k_rows {
+            for (r, acc) in acc.iter_mut().enumerate().take(rows) {
+                let a = self.a[k * m + e0 + r];
+                if a != 0.0 {
+                    for (v, o) in acc.iter_mut().enumerate() {
+                        *o = o.group([a], [L::load(b_row(k).add(v * L::W), lanes_at(v))]);
+                    }
+                }
+            }
+            k += 1;
+        }
+        for (r, acc) in acc.iter().enumerate().take(rows) {
+            for (v, &o) in acc.iter().enumerate() {
+                o.store(out(r).add(v * L::W), lanes_at(v));
             }
         }
     }

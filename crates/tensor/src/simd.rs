@@ -154,7 +154,7 @@ fn init_from_env() -> SimdTier {
 /// path is all setup and masked remainder (measured ~0.9x on 7-class
 /// softmax/backward rows), and demoting to the bitwise oracle can never
 /// change results.
-const NARROW: usize = 8;
+pub(crate) const NARROW: usize = 8;
 
 macro_rules! dispatch {
     ($tier:expr, $scalar:expr, $avx2:expr) => {
@@ -444,13 +444,55 @@ pub(crate) fn dot_rows(
     b: &[f32],
     cols: Range<usize>,
 ) {
+    if k < NARROW {
+        // Both tiers reduce a dot this short with `scalar::dot`.
+        return dispatch!(
+            tier,
+            dot_rows_narrow(out, n, a, k, b, cols),
+            x86::dot_rows_narrow_avx2(out, n, a, k, b, cols)
+        );
+    }
     #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 && k >= NARROW {
+    if tier == SimdTier::Avx2 {
         // SAFETY: the Avx2 tier is only ever latched on CPUs with AVX2+FMA.
         return unsafe { x86::dot_rows_avx2(out, n, a, k, b, cols) };
     }
-    let _ = tier;
     dot_rows_with(out, n, a, k, b, cols, scalar::dot);
+}
+
+/// Output columns per block in [`dot_rows_narrow`]: the block's slice of
+/// `b`, transposed, fits one stack buffer.
+const NARROW_COLS: usize = 64;
+
+/// [`dot_rows`] for `k < NARROW`. [`scalar::dot`] of rows this short has
+/// no eight-lane block: it is the sequential sum `((0 + a0·b0) + a1·b1) +
+/// ...` from `+0.0`. Here each output row runs that sum across a block of
+/// output columns at once, as separate multiplies and adds over a
+/// transposed copy of the block's `b` rows, so every element gets the same
+/// bits while the column loop vectorizes.
+#[inline(always)]
+fn dot_rows_narrow(out: &mut [f32], n: usize, a: &[f32], k: usize, b: &[f32], cols: Range<usize>) {
+    debug_assert!(k < NARROW);
+    let mut bt = [0.0f32; NARROW * NARROW_COLS];
+    let mut jb = cols.start;
+    while jb < cols.end {
+        let w = (cols.end - jb).min(NARROW_COLS);
+        for t in 0..k {
+            for c in 0..w {
+                bt[t * NARROW_COLS + c] = b[(jb + c) * k + t];
+            }
+        }
+        for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+            let o = &mut out_row[jb..jb + w];
+            o.fill(0.0);
+            for (t, &x) in a[r * k..(r + 1) * k].iter().enumerate() {
+                for (o, &y) in o.iter_mut().zip(&bt[t * NARROW_COLS..t * NARROW_COLS + w]) {
+                    *o += x * y;
+                }
+            }
+        }
+        jb += w;
+    }
 }
 
 #[inline(always)]
@@ -723,6 +765,20 @@ mod x86 {
             col_blocks::<K, Fma8>(k, r, 0, split);
             col_blocks::<K, Tree8>(k, r, split, width);
         }
+    }
+
+    /// [`super::dot_rows_narrow`] compiled for AVX2 (separate multiplies
+    /// and adds, as on the scalar tier: the same bits, wider vectors).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot_rows_narrow_avx2(
+        out: &mut [f32],
+        n: usize,
+        a: &[f32],
+        k: usize,
+        b: &[f32],
+        cols: Range<usize>,
+    ) {
+        super::dot_rows_narrow(out, n, a, k, b, cols)
     }
 
     /// [`super::dot_rows`] on the AVX2 tier.

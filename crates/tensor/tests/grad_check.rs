@@ -80,8 +80,7 @@ fn log_softmax_nll_gradient() {
             &x,
             |t, p| {
                 let pv = t.param(0, p);
-                let lp = t.log_softmax(pv);
-                t.nll_masked(lp, Rc::clone(&labels), Rc::new(vec![0, 1, 2]))
+                t.ce_masked(pv, Rc::clone(&labels), Rc::new(vec![0, 1, 2]))
             },
             5e-2,
         );

@@ -32,8 +32,7 @@ fn adam_fits_logistic_regression() {
         let xv = tape.constant(x.clone());
         let w = tape.param(0, params[0].clone());
         let logits = tape.matmul(xv, w);
-        let lp = tape.log_softmax(logits);
-        let loss = tape.nll_masked(lp, Rc::clone(&labels), Rc::clone(&idx));
+        let loss = tape.ce_masked(logits, Rc::clone(&labels), Rc::clone(&idx));
         last_loss = tape.scalar(loss);
         let grads = tape.backward(loss, 1);
         opt.step(&mut params, &grads);
@@ -80,8 +79,7 @@ fn adam_fits_xor_with_hidden_layer() {
             let h = tape.matmul(xv, w1);
             let h = tape.relu(h);
             let logits = tape.matmul(h, w2);
-            let lp = tape.log_softmax(logits);
-            let loss = tape.nll_masked(lp, Rc::clone(&labels), Rc::clone(&idx));
+            let loss = tape.ce_masked(logits, Rc::clone(&labels), Rc::clone(&idx));
             last_loss = tape.scalar(loss);
             pred = tape.value(logits).argmax_rows();
             let grads = tape.backward(loss, 2);
@@ -110,8 +108,7 @@ fn weight_decay_regularizes_solution() {
             let xv = tape.constant(x.clone());
             let w = tape.param(0, params[0].clone());
             let logits = tape.matmul(xv, w);
-            let lp = tape.log_softmax(logits);
-            let loss = tape.nll_masked(lp, Rc::clone(&labels), Rc::clone(&idx));
+            let loss = tape.ce_masked(logits, Rc::clone(&labels), Rc::clone(&idx));
             let grads = tape.backward(loss, 1);
             opt.step(&mut params, &grads);
         }

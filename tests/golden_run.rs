@@ -1,13 +1,16 @@
-//! Golden run bytes: a crash-safe `tiny` cascade must write the same bytes
-//! at every thread count.
+//! Golden run bytes: a crash-safe `tiny` cascade, and the MLP student
+//! distilled from it, must write the same bytes at every thread count.
 //!
 //! Every kernel gives each output element one summation order per SIMD
 //! tier, whatever `RDD_THREADS` says, so the run directory is a function of
 //! the seed and the tier alone. This test pins it: it trains a 3-member
 //! cascade into a temporary run directory under each tier the CPU has,
-//! hashes every file with FNV-1a-64 (the manifest without its
-//! `wall_time_s` values) and compares the digests with the constants below.
-//! `ci.sh` runs it at `RDD_THREADS=1` and `3`.
+//! distills the run (`DistillConfig::fast`) and writes the v3 student as
+//! f32 and as int8, hashes every file with FNV-1a-64 (the manifest without
+//! its `wall_time_s` values) and compares the digests with the constants
+//! below. `ci.sh` runs it at `RDD_THREADS=1` and `3`.
+//!
+//! It is registered under `rdd-serve`, the crate that writes artifacts.
 //!
 //! The constants belong to x86_64 Linux with glibc: the scalar tier calls
 //! libm's `expf`/`logf`, whose last bits may differ on another target or
@@ -20,8 +23,10 @@
 
 use std::path::{Path, PathBuf};
 
-use rdd_core::{RddConfig, RddTrainer};
+use rdd_core::{distill_run, DistillConfig, RddConfig, RddTrainer, RunState};
 use rdd_graph::SynthConfig;
+use rdd_models::Model;
+use rdd_serve::{write_mlp_artifact, ArtifactMeta};
 use rdd_tensor::simd::{self, SimdTier};
 
 /// FNV-1a, 64-bit: a fixed, documented hash (unlike `DefaultHasher`,
@@ -79,8 +84,43 @@ fn run_digests(tier: SimdTier) -> Vec<(String, u64)> {
     RddTrainer::new(cfg)
         .run_crash_safe(&data, &dir, "tiny")
         .expect("crash-safe run");
-    let got = digests(&dir);
+    let mut got = digests(&dir);
+    got.extend(student_digests(&dir, &data));
     let _ = std::fs::remove_dir_all(&dir);
+    got
+}
+
+/// Distill the run in `dir` the way `rdd distill-mlp --fast` does and
+/// digest the v3 student written as f32 (`student.f32`) and as int8
+/// (`student.int8`).
+fn student_digests(dir: &Path, data: &rdd_graph::Dataset) -> Vec<(String, u64)> {
+    let state = RunState::load(dir).expect("load run dir");
+    let out = distill_run(&state, data, &DistillConfig::fast()).expect("distill");
+    let (n, k) = state.dataset_shape();
+    let meta = ArtifactMeta {
+        dataset_name: state.dataset_name().to_string(),
+        dataset_n: n,
+        num_classes: k,
+        source: state.source().to_string(),
+        members: out.teacher_alphas.len(),
+        alphas: out.teacher_alphas.clone(),
+        alpha_total: out.teacher_alpha_total,
+    };
+    let students = dir.with_extension("students");
+    std::fs::create_dir_all(&students).expect("student dir");
+    let got = [("student.f32", false), ("student.int8", true)]
+        .into_iter()
+        .map(|(name, quantize)| {
+            let path = students.join(name);
+            write_mlp_artifact(&path, &meta, out.student.params(), quantize)
+                .expect("write student artifact");
+            (
+                name.to_string(),
+                fnv1a64(&std::fs::read(&path).expect("read student")),
+            )
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&students);
     got
 }
 
@@ -100,6 +140,8 @@ const SCALAR: &[(&str, u64)] = &[
     ("member-001.params", 0x44c881042a0cae1f),
     ("member-002.out", 0x0a0ccb083527c43a),
     ("member-002.params", 0x2117e094e6025715),
+    ("student.f32", 0x9f55db96db690301),
+    ("student.int8", 0xc9c3926ff25f5f62),
 ];
 
 const AVX2: &[(&str, u64)] = &[
@@ -111,6 +153,8 @@ const AVX2: &[(&str, u64)] = &[
     ("member-001.params", 0x4398fbbdf963cb9c),
     ("member-002.out", 0x3ebea23367cf4183),
     ("member-002.params", 0xdde2444bbf5a627c),
+    ("student.f32", 0x15502b8b4d7d33d2),
+    ("student.int8", 0x22bf8c08a9e3ce83),
 ];
 
 #[test]
