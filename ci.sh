@@ -19,6 +19,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> float codec large sample (release)"
+# The matrix text codec's writer must give Display's bytes and its reader
+# str::parse's bits: 2^26 random bit patterns, every exponent's boundary
+# patterns and 2^24 random decimal strings.
+cargo test -q --release -p rdd-models --test float_codec -- --ignored
+
 echo "==> workspace-off equivalence guard"
 # The buffer pool must be a pure optimization: with RDD_WORKSPACE=off the
 # env-gated default path runs unpooled and the bitwise-equivalence suite

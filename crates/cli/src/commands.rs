@@ -16,8 +16,8 @@ use rdd_baselines::{
 use rdd_core::{distill_run, DistillConfig, RddConfig, RddTrainer, RunState};
 use rdd_graph::{io, Dataset, DatasetStats, SynthConfig};
 use rdd_models::{
-    train as train_model, Gat, GatConfig, Gcn, GcnConfig, GraphContext, GraphSage, Predictor,
-    PredictorExt, SageConfig, TrainConfig,
+    float_text::push_f32, push_rows, train as train_model, Gat, GatConfig, Gcn, GcnConfig,
+    GraphContext, GraphSage, Predictor, PredictorExt, SageConfig, TrainConfig,
 };
 use rdd_obs::{gate, TraceSummary};
 use rdd_serve::wire::{self, error_line, reply_json};
@@ -54,23 +54,6 @@ fn maybe_write_preds(args: &Args, preds: &[usize]) -> Result<(), RddError> {
         println!("wrote {} predictions to {path}", preds.len());
     }
     Ok(())
-}
-
-/// Render matrix rows with shortest-roundtrip `Display` floats, one row per
-/// line — the format both `artifact-info --proba-out` and
-/// `serve --proba-out` write, so ci can `cmp` served against offline rows
-/// byte-for-byte.
-fn proba_rows_text(out: &mut String, m: &Matrix) {
-    use std::fmt::Write as _;
-    for i in 0..m.rows() {
-        for (j, v) in m.row(i).iter().enumerate() {
-            if j > 0 {
-                out.push(' ');
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push('\n');
-    }
 }
 
 /// Load a dataset from a preset name or a saved TSV directory.
@@ -720,7 +703,7 @@ pub fn artifact_info(args: &Args) -> Result<(), RddError> {
                 .proba_all()
                 .map_err(|e| RddError::Cli(e.to_string()))?,
         };
-        proba_rows_text(&mut text, &proba);
+        push_rows(&mut text, &proba);
         std::fs::write(out_path, text)
             .map_err(|e| RddError::Cli(format!("failed to write {out_path}: {e}")))?;
         println!("wrote {} proba rows to {out_path}", proba.rows());
@@ -812,7 +795,7 @@ impl ReplyFiles {
         let Ok(p) = &reply.result else { return };
         if let Some((rows, seq)) = self.proba.as_mut() {
             let mut text = String::new();
-            proba_rows_text(&mut text, &p.proba);
+            push_rows(&mut text, &p.proba);
             rows.insert((reply.id, *seq), text);
             *seq += 1;
         }
@@ -820,8 +803,9 @@ impl ReplyFiles {
             use std::fmt::Write as _;
             for (i, node) in p.nodes.iter().enumerate() {
                 let _ = write!(text, "{} {} {}", reply.generation, reply.id, node);
-                for v in p.proba.row(i) {
-                    let _ = write!(text, " {v}");
+                for &v in p.proba.row(i) {
+                    text.push(' ');
+                    push_f32(text, v);
                 }
                 text.push('\n');
             }

@@ -22,6 +22,7 @@ use std::path::Path;
 
 use rdd_tensor::Matrix;
 
+use crate::float_text;
 use crate::gcn::Model;
 
 /// Checkpointing errors.
@@ -140,8 +141,7 @@ impl From<TextError> for CheckpointError {
     }
 }
 
-/// Append one `matrix R C` block: the shape line, then one line per row of
-/// the values' shortest-roundtrip `Display` joined by single spaces, so a
+/// Append one `matrix R C` block: the shape line, then [`push_rows`], so a
 /// [`TextCursor::read_matrix`] gets the same bits back. Checkpoints, run
 /// members, `ensemble.sums` and the v1/v3 artifacts all write their
 /// matrices through this one function.
@@ -149,14 +149,15 @@ pub fn push_matrix(out: &mut String, m: &Matrix) {
     use std::fmt::Write as _;
     let (r, c) = m.shape();
     let _ = writeln!(out, "matrix {r} {c}");
-    for i in 0..r {
-        for (j, v) in m.row(i).iter().enumerate() {
-            if j > 0 {
-                out.push(' ');
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push('\n');
+    push_rows(out, m);
+}
+
+/// Append `m` one row per line, each value's shortest-roundtrip `Display`
+/// text ([`float_text::push_f32`]) joined by single spaces: the body of a
+/// `matrix R C` block, and the rows `--proba-out` writes.
+pub fn push_rows(out: &mut String, m: &Matrix) {
+    for i in 0..m.rows() {
+        float_text::push_row(out, m.row(i));
     }
 }
 
@@ -219,7 +220,10 @@ impl<'a> TextCursor<'a> {
 
     /// Read one block written by [`push_matrix`]: exactly `matrix R C`,
     /// then `R` lines of `C` finite floats. `index` is the block's place
-    /// in its file, for the error messages.
+    /// in its file, for the error messages. A row the exact scanner
+    /// ([`float_text::scan_row`]) takes whole costs one pass over its
+    /// bytes; any other row is read by `split_whitespace` and
+    /// `str::parse`, which decide what it holds.
     pub fn read_matrix(&mut self, index: usize) -> Result<Matrix, TextError> {
         let header = self.next_line()?;
         let at = self.line_no;
@@ -235,8 +239,14 @@ impl<'a> TextCursor<'a> {
         let mut data = Vec::with_capacity(self.claimed(rows.checked_mul(cols), header)?);
         for r in 0..rows {
             let row = self.next_line()?;
-            let at = || format!("line {} (matrix {index} row {r})", self.line_no);
             let before = data.len();
+            if float_text::scan_row(row, &mut data) && data.len() - before == cols {
+                continue;
+            }
+            // Off the fast path: the general reader decides, and words the
+            // error, for the whole row.
+            data.truncate(before);
+            let at = || format!("line {} (matrix {index} row {r})", self.line_no);
             for tok in row.split_whitespace() {
                 let v: f32 = tok
                     .parse()

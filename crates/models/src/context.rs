@@ -219,16 +219,23 @@ impl GraphContext {
         let mut indices = vec![0u32; nnz];
         let mut values = vec![0.0f32; nnz];
         indptr.push(0);
-        // Branchless compaction: write every entry, advance the cursor only
-        // for survivors. The coin flips are ~50/50, so a conditional push
-        // would mispredict on nearly half the nnz.
+        // All coin flips first, in one vectorized draw into `values` (1.0
+        // keeps an entry); then branchless compaction: write every entry,
+        // advance the cursor only for survivors. The flips are ~50/50, so
+        // a conditional push would mispredict on nearly half the nnz. The
+        // cursor never passes the entry being read, so each flip is read
+        // before its slot is overwritten.
+        rng.keep_mask(keep, 1.0, &mut values);
         let mut len = 0usize;
+        let mut e = 0usize;
         for i in 0..n {
             let (cols, vals) = self.features.row(i);
             for (&c, &v) in cols.iter().zip(vals) {
+                let kept = values[e] != 0.0;
                 indices[len] = c;
                 values[len] = v * scale;
-                len += (rng.f32() < keep) as usize;
+                len += usize::from(kept);
+                e += 1;
             }
             indptr.push(len);
         }

@@ -23,6 +23,7 @@
 pub mod checkpoint;
 pub mod config;
 pub mod context;
+pub mod float_text;
 pub mod gat;
 pub mod gcn;
 pub mod metrics;
@@ -32,8 +33,8 @@ pub mod sage;
 pub mod trainer;
 
 pub use checkpoint::{
-    atomic_write, load_into, load_matrices, push_matrix, save as save_checkpoint, save_matrices,
-    CheckpointError, TextCursor, TextError,
+    atomic_write, load_into, load_matrices, push_matrix, push_rows, save as save_checkpoint,
+    save_matrices, CheckpointError, TextCursor, TextError,
 };
 pub use config::{ConfigError, TrainConfigBuilder};
 pub use context::{Block, GraphContext, RowSet};

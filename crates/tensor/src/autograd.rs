@@ -331,14 +331,16 @@ impl Tape {
         let scale = 1.0 / keep;
         let xm = self.value(x);
         let mut value = self.alloc_uninit(xm.rows(), xm.cols());
-        let mut mask = self.alloc_vec(xm.len());
-        // One branch-free pass: the coin flip becomes a 0/1 factor, so the
-        // mask entry and the output element are written together. The flips
-        // are random, so a data-dependent branch would mispredict on a large
-        // share of the elements.
-        for (out, &v) in value.as_mut_slice().iter_mut().zip(xm.as_slice()) {
-            let k = scale * ((rng.f32() < keep) as u32 as f32);
-            mask.push(k);
+        let mut mask = self.alloc_vec_zeroed(xm.len());
+        // Branch-free: each coin flip is a 0/1 factor times `scale`, drawn
+        // for all elements at once, then applied in one product pass.
+        rng.keep_mask(keep, scale, &mut mask);
+        for ((out, &v), &k) in value
+            .as_mut_slice()
+            .iter_mut()
+            .zip(xm.as_slice())
+            .zip(&mask)
+        {
             *out = v * k;
         }
         self.push(value, Op::Dropout { x, mask })

@@ -26,6 +26,7 @@
 pub mod autograd;
 pub mod init;
 pub mod matrix;
+pub mod mutate;
 pub mod optim;
 pub mod par;
 pub mod rng;

@@ -24,19 +24,45 @@ pub fn seeded_rng(seed: u64) -> Rng {
     rng
 }
 
+/// splitmix64's state increment.
+pub(crate) const GAMMA: u64 = 0x9E3779B97F4A7C15;
+
+/// splitmix64's output function of one state.
+#[inline(always)]
+pub(crate) fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 impl Rng {
     /// The next raw 64-bit output (one splitmix64 step).
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
     }
 
     /// Uniform in `[0, 1)` from the top 24 bits.
     pub fn f32(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32
+    }
+
+    /// Dropout's coins: `mask[i] = on * ((draw_i < keep) as u32 as f32)`,
+    /// where `draw_i` is the `i`-th of `mask.len()` sequential
+    /// [`Self::f32`] draws, leaving the generator where those draws would.
+    ///
+    /// A draw is `u / 2^24` for the integer `u = z >> 40`, exactly, and
+    /// `keep · 2^24` is exact too, so `draw < keep` is `u < ⌈keep · 2^24⌉`:
+    /// one integer compare, on every element at once (the SIMD tier's
+    /// `keep_mask`).
+    pub fn keep_mask(&mut self, keep: f32, on: f32, mask: &mut [f32]) {
+        // A NaN or negative `keep` saturates to 0 (no draw is below it);
+        // one above 1 exceeds every `u`.
+        let threshold = (keep * (1u32 << 24) as f32).ceil() as u64;
+        crate::simd::keep_mask(crate::simd::active(), self.state, threshold, on, mask);
+        self.state = self
+            .state
+            .wrapping_add(GAMMA.wrapping_mul(mask.len() as u64));
     }
 
     /// Uniform in `[0, 1)` from the top 53 bits.
@@ -165,6 +191,62 @@ mod tests {
             let mut v: Vec<usize> = (0..10).collect();
             r.partial_shuffle(&mut v, 3);
             assert_eq!(v, p.partial, "seed {seed:#x}: partial_shuffle");
+        }
+    }
+
+    /// `keep_mask` against `mask.len()` sequential `f32() < keep` draws,
+    /// on both tiers, for keeps whose `keep · 2^24` is an integer (every
+    /// keep in `[0.5, 1)`, and 2^-k) and is not (0.1, 0.3, 1e-7), plus the
+    /// ends: 0, 1, above 1, negative and NaN.
+    #[test]
+    fn keep_mask_matches_sequential_draws() {
+        let keeps = [
+            0.5f32,
+            0.8,
+            0.75,
+            1.0 - f32::EPSILON / 2.0,
+            0.125,
+            0.1,
+            0.3,
+            1e-7,
+            0.0,
+            1.0,
+            1.5,
+            -0.25,
+            f32::NAN,
+        ];
+        for keep in keeps {
+            let exact = (keep * (1u32 << 24) as f32).fract() == 0.0;
+            for seed in [0u64, 7, 0xdead_beef] {
+                for tier in [crate::SimdTier::Scalar, crate::SimdTier::Avx2] {
+                    if !crate::simd::available(tier) {
+                        continue;
+                    }
+                    let mut seq = seeded_rng(seed);
+                    let want: Vec<u32> = (0..203)
+                        .map(|_| (2.5f32 * ((seq.f32() < keep) as u32 as f32)).to_bits())
+                        .collect();
+                    let mut fast = seeded_rng(seed);
+                    let mut mask = vec![f32::NAN; 203];
+                    let threshold = (keep * (1u32 << 24) as f32).ceil() as u64;
+                    crate::simd::keep_mask(tier, fast.state, threshold, 2.5, &mut mask);
+                    fast.state = fast.state.wrapping_add(GAMMA.wrapping_mul(203));
+                    let got: Vec<u32> = mask.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        got, want,
+                        "keep {keep} (exact {exact}) seed {seed} {tier:?}"
+                    );
+                    assert_eq!(fast.next_u64(), seq.next_u64(), "keep {keep}: state");
+                }
+                let mut seq = seeded_rng(seed);
+                let mut via_method = seeded_rng(seed);
+                let mut mask = [0.0f32; 17];
+                via_method.keep_mask(keep, 1.0, &mut mask);
+                for (i, m) in mask.iter().enumerate() {
+                    assert_eq!(*m == 1.0, seq.f32() < keep, "keep {keep} draw {i}");
+                }
+                assert_eq!(via_method.next_u64(), seq.next_u64());
+            }
         }
     }
 

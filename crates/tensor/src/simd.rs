@@ -249,6 +249,19 @@ pub fn relu_bwd(tier: SimdTier, d: &mut [f32], x: &[f32]) {
     dispatch!(tier, scalar::relu_bwd(d, x), x86::relu_bwd_avx2(d, x))
 }
 
+/// Dropout coin flips: `mask[i] = on · [draw i < threshold]`, where draw
+/// `i` is the top 24 bits of the `i+1`-th splitmix64 output after `state`
+/// (one source: bitwise on every tier). [`crate::Rng::keep_mask`] is the
+/// one caller.
+#[inline]
+pub(crate) fn keep_mask(tier: SimdTier, state: u64, threshold: u64, on: f32, mask: &mut [f32]) {
+    dispatch!(
+        tier,
+        scalar::keep_mask(state, threshold, on, mask),
+        x86::keep_mask_avx2(state, threshold, on, mask)
+    )
+}
+
 /// Softmax backward over one row: `dx = y ⊙ (dx − Σ dx·y)`. AVX2
 /// vectorizes both passes (bounded-ULP).
 #[inline]
@@ -623,6 +636,18 @@ pub mod scalar {
             if v <= 0.0 {
                 *dv = 0.0;
             }
+        }
+    }
+
+    /// Dropout coin flips, written by index: each element's draw is
+    /// splitmix64 of its own counter, so no element waits on another and
+    /// the loop vectorizes.
+    #[inline]
+    pub(crate) fn keep_mask(state: u64, threshold: u64, on: f32, mask: &mut [f32]) {
+        for (i, m) in mask.iter_mut().enumerate() {
+            let z =
+                crate::rng::mix(state.wrapping_add(crate::rng::GAMMA.wrapping_mul(i as u64 + 1)));
+            *m = on * (((z >> 40) < threshold) as u32 as f32);
         }
     }
 
@@ -1129,6 +1154,11 @@ mod x86 {
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn relu_bwd_avx2(d: &mut [f32], x: &[f32]) {
         scalar::relu_bwd(d, x)
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn keep_mask_avx2(state: u64, threshold: u64, on: f32, mask: &mut [f32]) {
+        scalar::keep_mask(state, threshold, on, mask)
     }
 }
 

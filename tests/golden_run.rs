@@ -5,10 +5,11 @@
 //! tier, whatever `RDD_THREADS` says, so the run directory is a function of
 //! the seed and the tier alone. This test pins it: it trains a 3-member
 //! cascade into a temporary run directory under each tier the CPU has,
-//! distills the run (`DistillConfig::fast`) and writes the v3 student as
-//! f32 and as int8, hashes every file with FNV-1a-64 (the manifest without
-//! its `wall_time_s` values) and compares the digests with the constants
-//! below. `ci.sh` runs it at `RDD_THREADS=1` and `3`.
+//! exports the run as a v1 and a v2q artifact (`rdd export` and `rdd
+//! export --quantize int8`), distills the run (`DistillConfig::fast`) and
+//! writes the v3 student as f32 and as int8, hashes every file with
+//! FNV-1a-64 (the manifest without its `wall_time_s` values) and compares
+//! the digests with the constants below. `ci.sh` runs it at `RDD_THREADS=1` and `3`.
 //!
 //! It is registered under `rdd-serve`, the crate that writes artifacts.
 //!
@@ -26,7 +27,7 @@ use std::path::{Path, PathBuf};
 use rdd_core::{distill_run, DistillConfig, RddConfig, RddTrainer, RunState};
 use rdd_graph::SynthConfig;
 use rdd_models::Model;
-use rdd_serve::{write_mlp_artifact, ArtifactMeta};
+use rdd_serve::{export_run_as, write_mlp_artifact, ArtifactFormat, ArtifactMeta};
 use rdd_tensor::simd::{self, SimdTier};
 
 /// FNV-1a, 64-bit: a fixed, documented hash (unlike `DefaultHasher`,
@@ -85,8 +86,32 @@ fn run_digests(tier: SimdTier) -> Vec<(String, u64)> {
         .run_crash_safe(&data, &dir, "tiny")
         .expect("crash-safe run");
     let mut got = digests(&dir);
+    got.extend(export_digests(&dir));
     got.extend(student_digests(&dir, &data));
     let _ = std::fs::remove_dir_all(&dir);
+    got
+}
+
+/// Export the run in `dir` the way `rdd export` does, as v1
+/// (`export.v1`) and as int8 v2q (`export.v2q`), and digest both files.
+fn export_digests(dir: &Path) -> Vec<(String, u64)> {
+    let exports = dir.with_extension("exports");
+    std::fs::create_dir_all(&exports).expect("export dir");
+    let got = [
+        ("export.v1", ArtifactFormat::V1),
+        ("export.v2q", ArtifactFormat::V2q),
+    ]
+    .into_iter()
+    .map(|(name, format)| {
+        let path = exports.join(name);
+        export_run_as(dir, &path, format).expect("export run");
+        (
+            name.to_string(),
+            fnv1a64(&std::fs::read(&path).expect("read export")),
+        )
+    })
+    .collect();
+    let _ = std::fs::remove_dir_all(&exports);
     got
 }
 
@@ -140,6 +165,8 @@ const SCALAR: &[(&str, u64)] = &[
     ("member-001.params", 0x44c881042a0cae1f),
     ("member-002.out", 0x0a0ccb083527c43a),
     ("member-002.params", 0x2117e094e6025715),
+    ("export.v1", 0xf46b2aeafba24b99),
+    ("export.v2q", 0xbc962dffe0f0579f),
     ("student.f32", 0x9f55db96db690301),
     ("student.int8", 0xc9c3926ff25f5f62),
 ];
@@ -153,6 +180,8 @@ const AVX2: &[(&str, u64)] = &[
     ("member-001.params", 0x4398fbbdf963cb9c),
     ("member-002.out", 0x3ebea23367cf4183),
     ("member-002.params", 0xdde2444bbf5a627c),
+    ("export.v1", 0x9341b53be29aed38),
+    ("export.v2q", 0x8f312a7036fcd619),
     ("student.f32", 0x15502b8b4d7d33d2),
     ("student.int8", 0x22bf8c08a9e3ce83),
 ];
