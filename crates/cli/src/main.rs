@@ -53,7 +53,7 @@ const USAGE: &str = "usage:
             (a batch flushes on --batch requests or as soon as the input is drained; no timer)
 
 presets: cora, citeseer, pubmed, nell, nell-full, tiny
-env: RDD_TRACE=<path|stderr|off> structured telemetry sink, RDD_THREADS=N worker pool size,
+env: RDD_TRACE=<path|stderr|off> structured telemetry sink,
      RDD_SIMD=<auto|off> kernel tier (auto: AVX2+FMA where the host has it; off: the scalar
        oracle, bitwise-identical to builds before the tier existed),
      RDD_METRICS_EVERY=N serve heartbeat seconds (same as --metrics-every),

@@ -8,7 +8,7 @@
 //! two or three dense matmuls and no adjacency.
 //!
 //! The objective reuses the paper's own reliability machinery (Algorithm 1)
-//! as the KD sample weighting:
+//! to choose the KD samples:
 //!
 //! ```text
 //! L = CE(student, y)               over labeled training nodes
@@ -49,7 +49,7 @@ pub struct DistillConfig {
     pub mlp: MlpConfig,
     /// Optimization settings (Adam + early stopping, like every model).
     pub train: TrainConfig,
-    /// λ, the weight on the reliability-weighted KD term.
+    /// λ, the weight on the reliability-gated KD term.
     pub lambda_kd: f32,
     /// `p`, the reliability fraction used for the final sets (match the
     /// run's own `p` unless experimenting).
@@ -110,7 +110,7 @@ pub struct DistillOutcome {
     /// The frozen teacher ensemble's test accuracy, for the gap table.
     pub ensemble_test_acc: f32,
     /// `|V_r|`: how many nodes passed the final reliability check and
-    /// carried KD weight.
+    /// carried a KD term.
     pub num_reliable: usize,
     /// How many labeled training nodes fed the CE term.
     pub num_labeled: usize,
@@ -156,7 +156,7 @@ pub fn distill_mlp(
     }
 
     // The final reliability sets (Alg. 1), computed ONCE from the frozen
-    // teacher: these are the per-node KD weights for the whole distillation.
+    // teacher: `V_r` is the KD support for the whole distillation.
     let sets = compute_reliability(
         &teacher_proba,
         final_student_proba.unwrap_or(&teacher_proba),
@@ -270,18 +270,12 @@ fn kd_hook(
 ) -> impl FnMut(&mut Tape, Var, usize) -> Vec<(Var, f32)> {
     let teacher = Rc::clone(&problem.teacher);
     let reliable = Rc::clone(&problem.reliable);
-    let weights: Rc<Vec<f32>> = Rc::new(vec![1.0; reliable.len()]);
     move |tape: &mut Tape, logits: Var, _epoch: usize| {
         if lambda <= 0.0 || reliable.is_empty() {
             return Vec::new();
         }
         let logp = tape.log_softmax(logits);
-        let kd = tape.soft_ce_weighted(
-            logp,
-            Rc::clone(&teacher),
-            Rc::clone(&reliable),
-            Rc::clone(&weights),
-        );
+        let kd = tape.soft_ce_masked(logp, Rc::clone(&teacher), Rc::clone(&reliable));
         vec![(kd, lambda)]
     }
 }

@@ -127,8 +127,8 @@ impl Graph {
         // Incoming mass is P^T rank for the transition matrix P = D^-1 A.
         // A is symmetric, so P^T = A D^-1 has the adjacency's pattern with
         // entry (r, c) scaled by 1 / deg(c), and the walk is a row gather:
-        // each node sums its neighbors' shares in column order, whatever
-        // the thread count. Dangling nodes have empty columns in P^T, so
+        // each node sums its neighbors' shares in column order. Dangling
+        // nodes have empty columns in P^T, so
         // their mass is redistributed uniformly by hand.
         let transition_t = self.adj.map_values(|_, c, v| v / self.degree(c) as f32);
         let dangling_nodes: Vec<usize> = (0..n).filter(|&i| self.degree(i) == 0).collect();

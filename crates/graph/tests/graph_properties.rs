@@ -4,24 +4,11 @@
 //!
 //! Each property runs `CASES` cases; case `seed` draws its inputs from
 //! `seeded_rng(seed)`, and every assertion message names the seed.
-//!
-//! `force_pool` pins `RDD_THREADS=4` (unless the caller set it) before the
-//! first kernel call latches the thread count, so PageRank's kernels run
-//! on a multi-thread pool even on a single-core runner.
 
 use rdd_graph::{planetoid_split, Graph, SynthConfig};
 use rdd_tensor::{seeded_rng, Rng};
 
 const CASES: u64 = 32;
-
-/// Force a multi-thread pool unless the caller pinned RDD_THREADS. Must run
-/// before any kernel call in every test: the thread count latches once per
-/// process.
-fn force_pool() {
-    if std::env::var("RDD_THREADS").is_err() {
-        std::env::set_var("RDD_THREADS", "4");
-    }
-}
 
 /// A random edge list over `n` nodes with fewer than `max_edges` edges.
 fn edges(rng: &mut Rng, n: usize, max_edges: usize) -> Vec<(usize, usize)> {
@@ -33,7 +20,6 @@ fn edges(rng: &mut Rng, n: usize, max_edges: usize) -> Vec<(usize, usize)> {
 
 #[test]
 fn pagerank_is_a_distribution() {
-    force_pool();
     for seed in 0..CASES {
         let e = edges(&mut seeded_rng(seed), 20, 60);
         let g = Graph::from_edges(20, &e);
@@ -75,10 +61,9 @@ fn sequential_pagerank(g: &Graph, damping: f32, iterations: usize) -> Vec<f32> {
 
 #[test]
 fn pagerank_matches_sequential_scatter_bitwise_above_the_parallel_gate() {
-    force_pool();
     // 40k stored adjacency entries (past 2^15, and past 8 per node) over
-    // 4000 nodes, the last 100 of them isolated: large enough that a
-    // thread-split reduction would reorder the sums.
+    // 4000 nodes, the last 100 of them isolated: the gather must sum each
+    // node's shares in column order at any size.
     let n = 4000;
     let mut rng = seeded_rng(0x9a9e_4a4c);
     let raw: Vec<(usize, usize)> = (0..20_000)
@@ -97,7 +82,6 @@ fn pagerank_matches_sequential_scatter_bitwise_above_the_parallel_gate() {
 
 #[test]
 fn normalized_adjacency_is_symmetric_and_bounded() {
-    force_pool();
     for seed in 0..CASES {
         let e = edges(&mut seeded_rng(seed), 15, 40);
         let g = Graph::from_edges(15, &e);
@@ -125,7 +109,6 @@ fn normalized_adjacency_is_symmetric_and_bounded() {
 
 #[test]
 fn adjacency_is_undirected_and_loopless() {
-    force_pool();
     for seed in 0..CASES {
         let e = edges(&mut seeded_rng(seed), 12, 30);
         let g = Graph::from_edges(12, &e);
@@ -142,7 +125,6 @@ fn adjacency_is_undirected_and_loopless() {
 
 #[test]
 fn components_are_edge_consistent() {
-    force_pool();
     for seed in 0..CASES {
         let e = edges(&mut seeded_rng(seed), 12, 25);
         let g = Graph::from_edges(12, &e);
@@ -158,7 +140,6 @@ fn components_are_edge_consistent() {
 
 #[test]
 fn planetoid_split_is_disjoint_and_balanced() {
-    force_pool();
     for seed in 0..CASES {
         let mut case = seeded_rng(seed);
         let split_seed = case.range(0..1000) as u64;
@@ -184,7 +165,6 @@ fn planetoid_split_is_disjoint_and_balanced() {
 
 #[test]
 fn generator_feature_rows_are_normalized() {
-    force_pool();
     for seed in 0..CASES {
         let gen_seed = seeded_rng(seed).range(0..50) as u64;
         let mut cfg = SynthConfig::tiny();
@@ -209,7 +189,6 @@ fn generator_feature_rows_are_normalized() {
 
 #[test]
 fn homophily_increases_with_config() {
-    force_pool();
     for seed in 0..CASES {
         let gen_seed = seeded_rng(seed).range(0..20) as u64;
         let mut low = SynthConfig::tiny();

@@ -197,11 +197,10 @@ impl<T: Predictor + ?Sized> Predictor for &T {
 }
 
 /// Slice `req` out of a full-graph probability matrix. Rows are copied
-/// bitwise (subset gathers go through [`Matrix::take_rows_par`] so large
-/// micro-batches ride the worker pool), which is what keeps served
-/// responses bit-identical to the offline `proba`. [`PredictRequest::ByFeatures`]
-/// is a typed [`PredictError::FeaturesUnsupported`]: stored node
-/// distributions cannot answer unseen feature vectors.
+/// bitwise, which is what keeps served responses bit-identical to the
+/// offline `proba`. [`PredictRequest::ByFeatures`] is a typed
+/// [`PredictError::FeaturesUnsupported`]: stored node distributions cannot
+/// answer unseen feature vectors.
 pub fn gather_prediction(
     full_proba: &Matrix,
     req: &PredictRequest,
@@ -218,7 +217,7 @@ pub fn gather_prediction(
             if let Some(&node) = ids.iter().find(|&&id| id >= num_nodes) {
                 return Err(PredictError::NodeOutOfRange { node, num_nodes });
             }
-            let proba = full_proba.take_rows_par(ids);
+            let proba = full_proba.take_rows(ids);
             Ok(Prediction {
                 nodes: ids.clone(),
                 pred: proba.argmax_rows(),

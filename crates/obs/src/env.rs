@@ -1,9 +1,9 @@
 //! One consistent parse/warn path for `RDD_*` environment knobs.
 //!
-//! Before this module, `RDD_THREADS`, `RDD_WORKSPACE`, and `RDD_SIMD` each
-//! hand-rolled the same dance — read the variable, try to parse it, print a
-//! slightly different warning on garbage, fall back to the default — with
-//! three different message formats and no trace-visible record. Now every
+//! Before this module, each env knob hand-rolled the same dance — read the
+//! variable, try to parse it, print a slightly different warning on
+//! garbage, fall back to the default — with a different message format
+//! each and no trace-visible record. Now every
 //! knob funnels through [`parse_with`]: a rejected value emits a single
 //! structured `env_warn` event (`var`, `value`, `expected`) when tracing is
 //! on, or the same text to stderr when it is off, and the caller keeps its

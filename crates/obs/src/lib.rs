@@ -16,8 +16,8 @@
 //! - [`telemetry`] / [`summarize`] / [`gate`] / [`env`]: the domain event
 //!   schema (epoch / member / run / serve records), the offline validator,
 //!   renderer and perf-regression gate behind `rdd report`, and the latched
-//!   env-var parse helper shared by `RDD_THREADS` / `RDD_WORKSPACE` /
-//!   `RDD_SIMD`.
+//!   env-var parse helper shared by `RDD_WORKSPACE` / `RDD_SIMD` /
+//!   `RDD_TRIALS` / `RDD_METRICS_EVERY`.
 //!
 //! ## Event schema
 //!
@@ -34,7 +34,6 @@
 //! | `span_parent` | `child parent calls` — observed span-nesting edge with call count    |
 //! | `counter`   | `name value` — cumulative snapshot                                     |
 //! | `gauge`     | `name value` — last/peak value                                         |
-//! | `pool_init` | `threads` — resolved worker-pool width                                 |
 //! | `simd_init` | `tier detected` — resolved kernel tier (`scalar` or `avx2`, from `RDD_SIMD` `auto` or `off`) vs best available |
 //! | `fault`     | `kind site n pass` — an injected [`fault`] fired (`RDD_FAULT`)         |
 //! | `rollback`  | `model epoch retry lr_scale reason` — divergence guard retried an epoch |

@@ -976,16 +976,17 @@ mod tests {
                 .to_string(),
             "{\"ev\":\"kernel\",\"t_ms\":3.0,\"name\":\"matmul\",\"calls\":9,\"total_ms\":2.5}"
                 .to_string(),
-            "{\"ev\":\"counter\",\"t_ms\":3.0,\"name\":\"pool.tasks\",\"value\":64}".to_string(),
+            "{\"ev\":\"counter\",\"t_ms\":3.0,\"name\":\"workspace.hits\",\"value\":64}"
+                .to_string(),
             "{\"ev\":\"warn\",\"t_ms\":3.0,\"msg\":\"careful\"}".to_string(),
-            "{\"ev\":\"pool_init\",\"t_ms\":0.1,\"threads\":8}".to_string(),
+            "{\"ev\":\"simd_init\",\"t_ms\":0.1,\"tier\":\"avx2\"}".to_string(),
         ]
         .join("\n");
         let summary = TraceSummary::parse(&src).unwrap();
         assert_eq!(summary.epochs.len(), 2);
         assert_eq!(summary.kernels.len(), 1);
         assert_eq!(summary.kernels[0].calls, 9.0, "last snapshot wins");
-        assert_eq!(summary.counters, vec![("pool.tasks".to_string(), 64.0)]);
+        assert_eq!(summary.counters, vec![("workspace.hits".to_string(), 64.0)]);
         assert_eq!(summary.warnings, vec!["careful".to_string()]);
         assert_eq!(summary.other.len(), 1);
         assert_eq!(summary.total_events, 7);
@@ -993,7 +994,7 @@ mod tests {
         assert!(report.contains("Member convergence"), "{report}");
         assert!(report.contains("matmul"), "{report}");
         assert!(report.contains("Counters & gauges"), "{report}");
-        assert!(report.contains("pool.tasks"), "{report}");
+        assert!(report.contains("workspace.hits"), "{report}");
         assert!(report.contains("warning: careful"), "{report}");
     }
 
@@ -1306,7 +1307,7 @@ mod tests {
                 "\"p50_ms\":0.5,\"p99_ms\":2.0,\"queue_peak\":7,\"hit_rate\":0.25,\"shed\":0}"
             ),
             concat!(
-                "{\"ev\":\"env_warn\",\"t_ms\":1.0,\"var\":\"RDD_THREADS\",",
+                "{\"ev\":\"env_warn\",\"t_ms\":1.0,\"var\":\"RDD_TRIALS\",",
                 "\"value\":\"banana\",\"expected\":\"a positive integer\"}"
             ),
         ]
@@ -1317,7 +1318,7 @@ mod tests {
         assert!(summary.other.is_empty());
         let report = summary.render_report();
         assert!(report.contains("Serve heartbeats (1 records)"), "{report}");
-        assert!(report.contains("RDD_THREADS"), "{report}");
+        assert!(report.contains("RDD_TRIALS"), "{report}");
 
         let bad = concat!(
             "{\"ev\":\"serve_metrics\",\"t_ms\":1.0,\"window_s\":5,\"requests\":100,",

@@ -1,17 +1,16 @@
 //! The serve loop: N supervised threads pulling micro-batches from one
 //! bounded request queue, against a hot-swappable artifact generation.
 //!
-//! This generalizes the persistent condvar worker pool from
-//! `rdd-tensor::par` to the serving tier. One `Mutex<VecDeque>` +
-//! `Condvar` queue admits requests ([`ServePool::submit`] sheds typed
-//! `QueueFull` at capacity); a free worker immediately claims whatever is
-//! queued, up to `batch_size` requests — no timer, so a request never
-//! waits for company, while under load arrivals pile up during a flush and
-//! the next claim grows by itself — runs the [`crate::engine`] batch core
-//! on it against a shared lock-partitioned [`ShardedLru`] row cache (one
-//! partition per worker), and hands the batch's replies to the pool's
-//! [`ReplySink`] itself. A request thus crosses one thread hand-off, from
-//! the submitting thread to the worker that answers it.
+//! One `Mutex<VecDeque>` + `Condvar` queue admits requests
+//! ([`ServePool::submit`] sheds typed `QueueFull` at capacity); a free
+//! worker immediately claims whatever is queued, up to `batch_size`
+//! requests — no timer, so a request never waits for company, while under
+//! load arrivals pile up during a flush and the next claim grows by itself
+//! — runs the [`crate::engine`] batch core on it against a shared
+//! lock-partitioned [`ShardedLru`] row cache (one partition per worker),
+//! and hands the batch's replies to the pool's [`ReplySink`] itself. A
+//! request thus crosses one thread hand-off, from the submitting thread to
+//! the worker that answers it.
 //!
 //! Supervision: each batch executes behind `catch_unwind`. A panicking
 //! worker requeues its claimed batch (bounded by

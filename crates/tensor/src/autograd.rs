@@ -99,14 +99,10 @@ enum Op {
     /// Soft-label cross-entropy over `idx`:
     /// `-(1/|idx|) Σ_i Σ_c T[i,c] · logp[i,c]` with a constant target
     /// distribution `T` (teacher softmax). Hinton-style distillation.
-    /// With `weights` (aligned with `idx`) the mean becomes
-    /// `-(1/Σw) Σ_i w_i Σ_c T[i,c] · logp[i,c]` — the reliability-weighted
-    /// KD term of the MLP distillation loss.
     SoftCeMasked {
         logp: Var,
         target: Rc<Matrix>,
         idx: Rc<Vec<usize>>,
-        weights: Option<Rc<Vec<f32>>>,
     },
     /// Weighted mean squared difference across edges:
     /// `(1/Σw) Σ_{(i,j)} w_ij · ‖x_i − x_j‖²`. This is RDD's reliable-edge
@@ -556,71 +552,29 @@ impl Tape {
     /// Soft-label cross-entropy over the rows in `idx` given log-softmax
     /// inputs and a constant row-stochastic `target`. Empty `idx` is zero.
     pub fn soft_ce_masked(&mut self, logp: Var, target: Rc<Matrix>, idx: Rc<Vec<usize>>) -> Var {
-        self.soft_ce_impl(logp, target, idx, None)
-    }
-
-    /// Per-row weighted variant of [`Tape::soft_ce_masked`]:
-    /// `-(1/Σw) Σ_i w_i Σ_c T[i,c] · logp[i,c]` with `weights[j]` applied
-    /// to row `idx[j]`. This is the reliability-weighted KD term of the MLP
-    /// distillation objective: `w_i` indicates membership in (and confidence
-    /// over) the checked set `V_r`, and the `Σw` normalization is the
-    /// `|V_r|`-checked-node averaging. A non-positive `Σw` yields zero.
-    pub fn soft_ce_weighted(
-        &mut self,
-        logp: Var,
-        target: Rc<Matrix>,
-        idx: Rc<Vec<usize>>,
-        weights: Rc<Vec<f32>>,
-    ) -> Var {
-        assert_eq!(idx.len(), weights.len(), "idx/weight length mismatch");
-        self.soft_ce_impl(logp, target, idx, Some(weights))
-    }
-
-    fn soft_ce_impl(
-        &mut self,
-        logp: Var,
-        target: Rc<Matrix>,
-        idx: Rc<Vec<usize>>,
-        weights: Option<Rc<Vec<f32>>>,
-    ) -> Var {
         let lp = self.value(logp);
         assert_eq!(
             lp.shape(),
             target.shape(),
             "soft_ce_masked target shape mismatch"
         );
-        let total_w = match &weights {
-            Some(w) => w.iter().sum::<f32>(),
-            None => idx.len() as f32,
-        };
-        let loss = if idx.is_empty() || total_w <= 0.0 {
+        let loss = if idx.is_empty() {
             0.0
         } else {
             let s: f32 = idx
                 .iter()
-                .enumerate()
-                .map(|(j, &i)| {
-                    let w = weights.as_ref().map_or(1.0, |w| w[j]);
-                    -w * lp
-                        .row(i)
+                .map(|&i| {
+                    -lp.row(i)
                         .iter()
                         .zip(target.row(i))
                         .map(|(&l, &t)| t * l)
                         .sum::<f32>()
                 })
                 .sum();
-            s / total_w
+            s / idx.len() as f32
         };
         let value = self.alloc_scalar(loss);
-        self.push(
-            value,
-            Op::SoftCeMasked {
-                logp,
-                target,
-                idx,
-                weights,
-            },
-        )
+        self.push(value, Op::SoftCeMasked { logp, target, idx })
     }
 
     /// Mean squared row difference across `edges` (RDD's reliable-edge
@@ -943,28 +897,18 @@ impl Tape {
                     self.accum(&mut grads, *a_r, da_r);
                     self.recycle(g);
                 }
-                Op::SoftCeMasked {
-                    logp,
-                    target,
-                    idx,
-                    weights,
-                } => {
-                    let total_w = match weights {
-                        Some(w) => w.iter().sum::<f32>(),
-                        None => idx.len() as f32,
-                    };
-                    if idx.is_empty() || total_w <= 0.0 {
+                Op::SoftCeMasked { logp, target, idx } => {
+                    if idx.is_empty() {
                         self.recycle(g);
                         continue;
                     }
-                    let scale = g.get(0, 0) / total_w;
+                    let scale = g.get(0, 0) / idx.len() as f32;
                     let lpv = self.value(*logp);
                     let mut dlp = self.alloc_zeros(lpv.rows(), lpv.cols());
-                    for (j, &i) in idx.iter().enumerate() {
-                        let w = weights.as_ref().map_or(1.0, |w| w[j]);
+                    for &i in idx.iter() {
                         let trow = target.row(i);
                         for (d, &t) in dlp.row_mut(i).iter_mut().zip(trow) {
-                            *d -= scale * w * t;
+                            *d -= scale * t;
                         }
                     }
                     self.accum(&mut grads, *logp, dlp);
@@ -1190,81 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn soft_ce_weighted_gradient() {
-        let mut rng = seeded_rng(23);
-        let x = crate::init::uniform(4, 3, 1.0, &mut rng);
-        let target = Rc::new(Matrix::from_vec(
-            4,
-            3,
-            vec![
-                0.7, 0.2, 0.1, //
-                0.1, 0.8, 0.1, //
-                0.3, 0.3, 0.4, //
-                0.2, 0.5, 0.3,
-            ],
-        ));
-        let idx = Rc::new(vec![0usize, 2, 3]);
-        let weights = Rc::new(vec![1.0f32, 0.25, 2.0]);
-        grad_check(
-            &x,
-            &|t, p| {
-                let pv = t.param(0, p);
-                let lp = t.log_softmax(pv);
-                t.soft_ce_weighted(lp, Rc::clone(&target), Rc::clone(&idx), Rc::clone(&weights))
-            },
-            3e-2,
-        );
-    }
-
-    #[test]
-    fn soft_ce_uniform_weights_match_masked_bitwise() {
-        let mut rng = seeded_rng(24);
-        let x = crate::init::uniform(5, 3, 1.0, &mut rng);
-        let target = Rc::new(Matrix::full(5, 3, 1.0 / 3.0));
-        let idx = Rc::new(vec![0usize, 1, 4]);
-        let mut t1 = Tape::new();
-        let p1 = t1.param(0, x.clone());
-        let lp1 = t1.log_softmax(p1);
-        let m = t1.soft_ce_masked(lp1, Rc::clone(&target), Rc::clone(&idx));
-        let mut t2 = Tape::new();
-        let p2 = t2.param(0, x.clone());
-        let lp2 = t2.log_softmax(p2);
-        let w = t2.soft_ce_weighted(
-            lp2,
-            Rc::clone(&target),
-            Rc::clone(&idx),
-            Rc::new(vec![1.0; idx.len()]),
-        );
-        assert_eq!(t1.scalar(m).to_bits(), t2.scalar(w).to_bits());
-        let g1 = t1.backward(m, 1);
-        let g2 = t2.backward(w, 1);
-        let (a, b) = (g1[0].as_ref().unwrap(), g2[0].as_ref().unwrap());
-        assert!(a
-            .as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
-    }
-
-    #[test]
-    fn soft_ce_weighted_zero_total_weight_is_zero_loss() {
-        let mut t = Tape::new();
-        let p = t.param(0, Matrix::full(2, 2, 0.5));
-        let lp = t.log_softmax(p);
-        let v = t.soft_ce_weighted(
-            lp,
-            Rc::new(Matrix::full(2, 2, 0.5)),
-            Rc::new(vec![0usize, 1]),
-            Rc::new(vec![0.0, 0.0]),
-        );
-        assert_eq!(t.scalar(v), 0.0);
-        let grads = t.backward(v, 1);
-        if let Some(g) = grads[0].as_ref() {
-            assert!(g.as_slice().iter().all(|&v| v == 0.0));
-        }
-    }
-
-    #[test]
     fn add_bias_gradient() {
         let mut rng = seeded_rng(11);
         let b = crate::init::uniform(1, 3, 1.0, &mut rng);
@@ -1391,7 +1260,8 @@ mod tests {
         let l1 = t.ce_masked(x, Rc::new(vec![0, 0]), Rc::new(vec![]));
         let l2 = t.mse_rows(x, Rc::new(Matrix::zeros(2, 2)), Rc::new(vec![]));
         let l3 = t.edge_reg(x, Rc::new(vec![]));
-        let total = t.weighted_sum(&[(l1, 1.0), (l2, 1.0), (l3, 1.0)]);
+        let l4 = t.soft_ce_masked(x, Rc::new(Matrix::full(2, 2, 0.5)), Rc::new(vec![]));
+        let total = t.weighted_sum(&[(l1, 1.0), (l2, 1.0), (l3, 1.0), (l4, 1.0)]);
         assert_eq!(t.scalar(total), 0.0);
         let grads = t.backward(total, 1);
         // No gradient flows from empty losses.

@@ -6,9 +6,8 @@
 //! kernels GCN training needs, a tape-based reverse-mode autodiff engine,
 //! weight initialization, the seeded generator and the Adam optimizer.
 //!
-//! Everything is `f32`, CPU-only, and deterministic under a fixed seed.
-//! Parallelism is scoped-thread row blocking (no work-stealing runtime), so
-//! results are reproducible regardless of thread count.
+//! Everything is `f32`, CPU-only, single-threaded, and deterministic under
+//! a fixed seed.
 //!
 //! ```
 //! use rdd_tensor::{Matrix, Tape};
@@ -28,7 +27,6 @@ pub mod init;
 pub mod matrix;
 pub mod mutate;
 pub mod optim;
-pub mod par;
 pub mod rng;
 mod rows;
 pub mod simd;

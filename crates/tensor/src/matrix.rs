@@ -6,10 +6,7 @@
 //! operand is reused while it is still resident, and unroll the reduction
 //! dimension into independent accumulator lanes so LLVM can autovectorize
 //! the `f32` sums (a plain `acc += a * b` loop is a serial dependency
-//! chain). The forward products split their *output* rows across the
-//! persistent worker pool (see [`crate::par`]); the transposed backprop
-//! product `A^T @ dC` scatters into shared output rows, so it runs as one
-//! sequential pass over the input rows.
+//! chain). Every kernel runs on the calling thread.
 //!
 //! Each public method here hoists the latched [`crate::simd::active`]
 //! tier once and hands whole blocks of rows to the tier's kernels. The
@@ -17,11 +14,10 @@
 //! list, `matmul_at_b` the scatter body over dense columns (the column body
 //! for outputs narrower than one AVX2 vector; all in `rows.rs`),
 //! `matmul_a_bt` the dot body in [`crate::simd`] — whose bits
-//! depend only on the tier, never on the thread count (`RDD_SIMD=off` gives
-//! the scalar order); the row-wise softmax/entropy/elementwise kernels are
-//! [`crate::simd`] dispatchers.
+//! depend only on the tier (`RDD_SIMD=off` gives the scalar order); the
+//! row-wise softmax/entropy/elementwise kernels are [`crate::simd`]
+//! dispatchers.
 
-use crate::par::par_row_chunks;
 use crate::rows::{self, Columns, Gather, Scatter};
 use crate::simd;
 use rdd_obs::SpanCell;
@@ -36,13 +32,13 @@ static SPAN_TRANSPOSE: SpanCell = SpanCell::new("transpose");
 
 /// Rows of the reduction dimension processed per cache block in `matmul`.
 ///
-/// Bounds the slice of the right-hand operand that is streamed while one
-/// block of output rows is revisited: `K_BLOCK * n * 4` bytes, which stays
+/// Bounds the slice of the right-hand operand that is streamed while the
+/// output rows are revisited: `K_BLOCK * n * 4` bytes, which stays
 /// L2-resident for the layer widths GCN training uses.
 const K_BLOCK: usize = 256;
 
 /// Output columns per cache block in `matmul_a_bt` (rows of `rhs` reused
-/// across every output row of a task's chunk).
+/// across every output row).
 const J_BLOCK: usize = 64;
 
 /// Tile edge for the blocked `transpose`.
@@ -209,20 +205,17 @@ impl Matrix {
         let n = rhs.cols;
         let k_dim = self.cols;
         let tier = simd::active();
-        par_row_chunks(&mut out.data, n, |i0, chunk| {
-            let rows = i0..i0 + chunk.len() / n;
-            // k-blocked: while one block of output rows is revisited, only
-            // `K_BLOCK` rows of `rhs` are streamed, so they stay hot. Each
-            // row is a gather over the dense index list `kb..ke`.
-            let mut kb = 0;
-            while kb < k_dim {
-                let ke = (kb + K_BLOCK).min(k_dim);
-                let a_rows = |i: usize| (&self.data[i * k_dim + kb..i * k_dim + ke], kb);
-                let gather = Gather::new(chunk, i0, &rhs.data, n, a_rows);
-                simd::run_rows(tier, &gather, rows.clone());
-                kb = ke;
-            }
-        });
+        // k-blocked: while the output rows are revisited, only `K_BLOCK`
+        // rows of `rhs` are streamed, so they stay hot. Each row is a
+        // gather over the dense index list `kb..ke`.
+        let mut kb = 0;
+        while kb < k_dim {
+            let ke = (kb + K_BLOCK).min(k_dim);
+            let a_rows = |i: usize| (&self.data[i * k_dim + kb..i * k_dim + ke], kb);
+            let gather = Gather::new(&mut out.data, &rhs.data, n, a_rows);
+            simd::run_rows(tier, &gather, 0..self.rows);
+            kb = ke;
+        }
     }
 
     /// `self^T @ rhs` without materializing the transpose.
@@ -251,10 +244,9 @@ impl Matrix {
         );
         // out is (self.cols x rhs.cols) and every input row k scatters into
         // all output rows, so the product is one scatter over the input rows
-        // from row 0: each output element sums in one order, whatever the
-        // thread count. Input rows go in quads: the quad's four `rhs` rows
-        // stay in registers while they scatter into every output row, then
-        // leftover rows one at a time.
+        // from row 0: each output element sums in one order. Input rows go
+        // in quads: the quad's four `rhs` rows stay in registers while they
+        // scatter into every output row, then leftover rows one at a time.
         let _span = SPAN_MATMUL_AT_B.enter();
         let n = rhs.cols;
         let tier = simd::active();
@@ -319,47 +311,36 @@ impl Matrix {
         let n = rhs.rows;
         let k_dim = self.cols;
         let tier = simd::active();
-        par_row_chunks(&mut out.data, n, |i0, chunk| {
-            let a_rows = &self.data[i0 * k_dim..(i0 + chunk.len() / n) * k_dim];
-            // j-blocked so a `J_BLOCK`-row slice of `rhs` is reused across
-            // every output row of the chunk before the next slice streams in.
-            let mut jb = 0;
-            while jb < n {
-                let je = (jb + J_BLOCK).min(n);
-                simd::dot_rows(tier, chunk, n, a_rows, k_dim, &rhs.data, jb..je);
-                jb = je;
-            }
-        });
+        // j-blocked so a `J_BLOCK`-row slice of `rhs` is reused across
+        // every output row before the next slice streams in.
+        let mut jb = 0;
+        while jb < n {
+            let je = (jb + J_BLOCK).min(n);
+            simd::dot_rows(tier, &mut out.data, n, &self.data, k_dim, &rhs.data, jb..je);
+            jb = je;
+        }
     }
 
-    /// Materialized transpose (tiled so both sides stay cache-resident,
-    /// parallel over output row blocks).
+    /// Materialized transpose (tiled so both sides stay cache-resident).
     pub fn transpose(&self) -> Matrix {
         let _span = SPAN_TRANSPOSE.enter();
         let (in_rows, in_cols) = (self.rows, self.cols);
         let mut out = Matrix::zeros(in_cols, in_rows);
-        if in_rows == 0 || in_cols == 0 {
-            return out;
-        }
-        par_row_chunks(&mut out.data, in_rows, |j0, chunk| {
-            let jn = chunk.len() / in_rows;
-            let mut jb = 0;
-            while jb < jn {
-                let je = (jb + T_TILE).min(jn);
-                let mut ib = 0;
-                while ib < in_rows {
-                    let ie = (ib + T_TILE).min(in_rows);
-                    for dj in jb..je {
-                        let j = j0 + dj;
-                        for i in ib..ie {
-                            chunk[dj * in_rows + i] = self.data[i * in_cols + j];
-                        }
+        let mut jb = 0;
+        while jb < in_cols {
+            let je = (jb + T_TILE).min(in_cols);
+            let mut ib = 0;
+            while ib < in_rows {
+                let ie = (ib + T_TILE).min(in_rows);
+                for j in jb..je {
+                    for i in ib..ie {
+                        out.data[j * in_rows + i] = self.data[i * in_cols + j];
                     }
-                    ib = ie;
                 }
-                jb = je;
+                ib = ie;
             }
-        });
+            jb = je;
+        }
         out
     }
 
@@ -496,25 +477,6 @@ impl Matrix {
         for (r, &i) in indices.iter().enumerate() {
             out.row_mut(r).copy_from_slice(self.row(i));
         }
-        out
-    }
-
-    /// [`Matrix::take_rows`] through the persistent worker pool: large row
-    /// gathers (e.g. a serve engine's micro-batch assembling hundreds of
-    /// prediction rows) split across threads via
-    /// [`crate::par::par_row_chunks`]; small ones fall back to a plain
-    /// sequential copy. All `indices` must be in range.
-    pub fn take_rows_par(&self, indices: &[usize]) -> Matrix {
-        let cols = self.cols;
-        let mut out = Matrix::zeros(indices.len(), cols);
-        if indices.is_empty() {
-            return out;
-        }
-        crate::par::par_row_chunks(out.as_mut_slice(), cols, |row0, chunk| {
-            for (r, dst) in chunk.chunks_exact_mut(cols).enumerate() {
-                dst.copy_from_slice(self.row(indices[row0 + r]));
-            }
-        });
         out
     }
 
@@ -686,29 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn take_rows_par_matches_sequential() {
-        // Big enough to cross par_row_chunks' parallel threshold when the
-        // pool has threads; bitwise-equal either way.
-        let rows = 300;
-        let cols = 64;
-        let a = Matrix::from_vec(
-            rows,
-            cols,
-            (0..rows * cols).map(|i| (i as f32).sin()).collect(),
-        );
-        let indices: Vec<usize> = (0..rows).rev().collect();
-        let seq = a.take_rows(&indices);
-        let par = a.take_rows_par(&indices);
-        assert_eq!(seq.shape(), par.shape());
-        assert!(seq
-            .as_slice()
-            .iter()
-            .zip(par.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
-        assert_eq!(a.take_rows_par(&[]).shape(), (0, cols));
-    }
-
-    #[test]
     #[should_panic(expected = "matmul shape mismatch")]
     fn matmul_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
@@ -718,7 +657,7 @@ mod tests {
 
     #[test]
     fn large_matmul_parallel_consistent() {
-        // Exercise the parallel path (more rows than one chunk).
+        // More rows than a power of two, spot-checked at both ends.
         let a = Matrix::from_fn(257, 31, |i, j| ((i * 7 + j * 13) % 5) as f32 - 2.0);
         let b = Matrix::from_fn(31, 17, |i, j| ((i * 3 + j * 11) % 7) as f32 - 3.0);
         let c = a.matmul(&b);

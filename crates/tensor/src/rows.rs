@@ -43,7 +43,6 @@ impl Index for usize {
 /// `k0..k0 + a.len()`). `row(i)` yields `(a, idx)` for output row `i`.
 pub(crate) struct Gather<'a, F> {
     out: *mut f32,
-    i0: usize,
     out_rows: usize,
     rhs: &'a [f32],
     n: usize,
@@ -52,13 +51,11 @@ pub(crate) struct Gather<'a, F> {
 }
 
 impl<'a, F> Gather<'a, F> {
-    /// `out` holds rows `i0..` of a row-major output with `n` columns;
-    /// `rhs` is a row-major matrix with `n` columns.
-    pub(crate) fn new(out: &'a mut [f32], i0: usize, rhs: &'a [f32], n: usize, row: F) -> Self {
+    /// `out` and `rhs` are row-major matrices with `n` columns.
+    pub(crate) fn new(out: &'a mut [f32], rhs: &'a [f32], n: usize, row: F) -> Self {
         Gather {
             out_rows: out.len() / n,
             out: out.as_mut_ptr(),
-            i0,
             rhs,
             n,
             row,
@@ -82,13 +79,10 @@ where
     unsafe fn block<L: Lanes, const V: usize>(&self, i: usize, c0: usize, lanes: usize) {
         let (a, idx) = (self.row)(i);
         let n = self.n;
-        assert!(
-            i >= self.i0 && i - self.i0 < self.out_rows,
-            "gather row {i} out of bounds"
-        );
+        assert!(i < self.out_rows, "gather row {i} out of bounds");
         // SAFETY: row `i` is inside `out` (asserted above) and the caller
         // keeps the block's columns within the row width `n`.
-        let out = self.out.add((i - self.i0) * n + c0);
+        let out = self.out.add(i * n + c0);
         let rhs = |e: usize| self.rhs[idx.at(e) * n..][..n].as_ptr().add(c0);
         // Lane values stay out of closures: a closure handed to a std
         // helper (`array::from_fn`, `map`) is compiled without the

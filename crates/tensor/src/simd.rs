@@ -32,14 +32,13 @@
 //! tiers give the same bits on every input, ±0, ±inf, NaN and subnormals
 //! included.
 //!
-//! A product's bits depend only on the tier, never on the thread count;
-//! `tests/kernel_oracle.rs` checks every tier against the per-element
+//! A product's bits depend only on the tier; `tests/kernel_oracle.rs` checks every tier against the per-element
 //! kernels the row kernels replaced.
 //!
 //! # Tier selection
 //!
 //! The active tier latches once per process from `RDD_SIMD` (same
-//! pattern as `RDD_WORKSPACE` / `RDD_THREADS`):
+//! pattern as `RDD_WORKSPACE`):
 //!
 //! * unset / `auto` / `on` — AVX2 when the CPU has AVX2 and FMA (probed
 //!   with `is_x86_feature_detected!`), else scalar;

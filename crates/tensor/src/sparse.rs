@@ -7,13 +7,11 @@
 //! (`self^T @ dense`, needed by backprop through `X @ W`) is implemented as a
 //! scatter over the same CSR arrays, avoiding a materialized CSC copy (input
 //! dropout builds a new X every epoch, so a transpose would be rebuilt per
-//! call). The scatter `spmm_t` shares its output rows across input rows, so
-//! it runs as one sequential pass from input row 0; the gather kernels
-//! (`spmm`, `spmv`) split output rows across the pool. Either way every
-//! output element has one summation order, whatever the thread count.
+//! call). The scatter `spmm_t` runs as one pass from input row 0 and the
+//! gather kernels (`spmm`, `spmv`) one pass over the output rows, so every
+//! output element has one summation order.
 
 use crate::matrix::Matrix;
-use crate::par::par_row_chunks;
 use crate::rows::{Gather, Scatter};
 use crate::simd;
 use rdd_obs::SpanCell;
@@ -269,17 +267,14 @@ impl CsrMatrix {
         let _span = SPAN_SPMM.enter();
         let n = rhs.cols();
         let tier = simd::active();
-        par_row_chunks(out.as_mut_slice(), n, |i0, chunk| {
-            // Each output row stays in registers while its neighbors are
-            // gathered four at a time, which is what lets the ~16-nnz rows
-            // of bag-of-words features run at dense-kernel throughput.
-            let rows = i0..i0 + chunk.len() / n;
-            let gather = Gather::new(chunk, i0, rhs.as_slice(), n, |i| {
-                let (cols, vals) = self.row(i);
-                (vals, cols)
-            });
-            simd::run_rows(tier, &gather, rows);
+        // Each output row stays in registers while its neighbors are
+        // gathered four at a time, which is what lets the ~16-nnz rows of
+        // bag-of-words features run at dense-kernel throughput.
+        let gather = Gather::new(out.as_mut_slice(), rhs.as_slice(), n, |i| {
+            let (cols, vals) = self.row(i);
+            (vals, cols)
         });
+        simd::run_rows(tier, &gather, 0..self.rows);
     }
 
     /// Transpose-product `self^T @ rhs` via one sequential scatter over the
@@ -311,9 +306,9 @@ impl CsrMatrix {
         let _span = SPAN_SPMM_T.enter();
         let n = rhs.cols();
         // One scatter over the input rows from row 0, so each output
-        // element sums in one order whatever the thread count. Row i of
-        // `rhs` stays in registers while it scatters into the output rows
-        // named by row i's column indices.
+        // element sums in one order. Row i of `rhs` stays in registers
+        // while it scatters into the output rows named by row i's column
+        // indices.
         let scatter = Scatter::new(out.as_mut_slice(), n, |i| {
             let (cols, vals) = self.row(i);
             ([vals], cols, [rhs.row(i)])
@@ -321,22 +316,19 @@ impl CsrMatrix {
         simd::run_rows(simd::active(), &scatter, 0..self.rows);
     }
 
-    /// Sparse-vector product `self @ v` (row-gather, parallel over rows).
+    /// Sparse-vector product `self @ v` (row-gather).
     pub fn spmv(&self, v: &[f32]) -> Vec<f32> {
         assert_eq!(self.cols, v.len(), "spmv shape mismatch");
         let _span = SPAN_SPMV.enter();
-        let mut out = vec![0.0f32; self.rows];
-        par_row_chunks(&mut out, 1, |i0, chunk| {
-            for (di, o) in chunk.iter_mut().enumerate() {
-                let (cols, vals) = self.row(i0 + di);
-                *o = cols
-                    .iter()
+        (0..self.rows)
+            .map(|i| {
+                let (cols, vals) = self.row(i);
+                cols.iter()
                     .zip(vals)
                     .map(|(&c, &w)| w * v[c as usize])
-                    .sum();
-            }
-        });
-        out
+                    .sum()
+            })
+            .collect()
     }
 
     /// Materialized transpose.

@@ -23,7 +23,7 @@
 //! ## `RDD_WORKSPACE` contract
 //!
 //! `Workspace::new()` consults the `RDD_WORKSPACE` environment variable once
-//! per process (latched, like `RDD_THREADS`): `off`/`0`/`false`/`no`
+//! per process (latched, like `RDD_SIMD`): `off`/`0`/`false`/`no`
 //! disables pooling — every take falls back to a plain allocation and every
 //! give drops the buffer — and anything unparseable is reported through the
 //! `rdd-obs` recorder and ignored. [`Workspace::with_pooling`] overrides the

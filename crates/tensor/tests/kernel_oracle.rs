@@ -14,9 +14,7 @@
 //! NaN, and the compiler may commute an add, so the payload is not part of
 //! the contract. The transposed products (`matmul_at_b`, `spmm_t`) are
 //! one scatter from input row 0 in the library and in the reference; the
-//! others split output rows with `par_row_chunks`, which leaves every
-//! element's order alone. So the comparison holds under any
-//! `RDD_THREADS`.
+//! others are one pass over the output rows in both.
 //!
 //! Each test draws from its own seeded generator, so a failure names a
 //! reproducible case.
@@ -223,10 +221,10 @@ fn matmul_a_bt_dot_matches_per_element_oracle() {
 }
 
 /// The per-element kernels and product loops as they were before the row
-/// kernels, verbatim apart from `self`/`rhs` becoming arguments.
+/// kernels, verbatim apart from `self`/`rhs` becoming arguments and each
+/// row-block body running once over the whole output (`i0 = 0`).
 #[allow(clippy::all, unsafe_op_in_unsafe_fn)]
 mod old {
-    use rdd_tensor::par::par_row_chunks;
     use rdd_tensor::simd::SimdTier;
     use rdd_tensor::{CsrMatrix, Matrix};
 
@@ -443,36 +441,35 @@ mod old {
         let k_dim = a.cols();
         let (data, rhs_data) = (a.as_slice(), rhs.as_slice());
         let mut out = Matrix::zeros(a.rows(), n);
-        par_row_chunks(out.as_mut_slice(), n, |i0, chunk| {
-            let mut kb = 0;
-            while kb < k_dim {
-                let ke = (kb + K_BLOCK).min(k_dim);
-                for (di, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                    let i = i0 + di;
-                    let a_row = &data[i * k_dim + kb..i * k_dim + ke];
-                    let mut k = 0;
-                    while k + 4 <= a_row.len() {
-                        let base = (kb + k) * n;
-                        axpy4(
-                            tier,
-                            out_row,
-                            [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]],
-                            &rhs_data[base..base + n],
-                            &rhs_data[base + n..base + 2 * n],
-                            &rhs_data[base + 2 * n..base + 3 * n],
-                            &rhs_data[base + 3 * n..base + 4 * n],
-                        );
-                        k += 4;
-                    }
-                    while k < a_row.len() {
-                        let base = (kb + k) * n;
-                        axpy(tier, out_row, a_row[k], &rhs_data[base..base + n]);
-                        k += 1;
-                    }
+        let (i0, chunk) = (0, out.as_mut_slice());
+        let mut kb = 0;
+        while kb < k_dim {
+            let ke = (kb + K_BLOCK).min(k_dim);
+            for (di, out_row) in chunk.chunks_exact_mut(n).enumerate() {
+                let i = i0 + di;
+                let a_row = &data[i * k_dim + kb..i * k_dim + ke];
+                let mut k = 0;
+                while k + 4 <= a_row.len() {
+                    let base = (kb + k) * n;
+                    axpy4(
+                        tier,
+                        out_row,
+                        [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]],
+                        &rhs_data[base..base + n],
+                        &rhs_data[base + n..base + 2 * n],
+                        &rhs_data[base + 2 * n..base + 3 * n],
+                        &rhs_data[base + 3 * n..base + 4 * n],
+                    );
+                    k += 4;
                 }
-                kb = ke;
+                while k < a_row.len() {
+                    let base = (kb + k) * n;
+                    axpy(tier, out_row, a_row[k], &rhs_data[base..base + n]);
+                    k += 1;
+                }
             }
-        });
+            kb = ke;
+        }
         out
     }
 
@@ -520,49 +517,47 @@ mod old {
         let k_dim = a.cols();
         let (data, rhs_data) = (a.as_slice(), rhs.as_slice());
         let mut out = Matrix::zeros(a.rows(), n);
-        par_row_chunks(out.as_mut_slice(), n, |i0, chunk| {
-            let mut jb = 0;
-            while jb < n {
-                let je = (jb + J_BLOCK).min(n);
-                for (di, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                    let i = i0 + di;
-                    let a_row = &data[i * k_dim..(i + 1) * k_dim];
-                    for (j, o) in out_row[jb..je].iter_mut().enumerate() {
-                        let j = jb + j;
-                        *o = dot(tier, a_row, &rhs_data[j * k_dim..(j + 1) * k_dim]);
-                    }
+        let (i0, chunk) = (0, out.as_mut_slice());
+        let mut jb = 0;
+        while jb < n {
+            let je = (jb + J_BLOCK).min(n);
+            for (di, out_row) in chunk.chunks_exact_mut(n).enumerate() {
+                let i = i0 + di;
+                let a_row = &data[i * k_dim..(i + 1) * k_dim];
+                for (j, o) in out_row[jb..je].iter_mut().enumerate() {
+                    let j = jb + j;
+                    *o = dot(tier, a_row, &rhs_data[j * k_dim..(j + 1) * k_dim]);
                 }
-                jb = je;
             }
-        });
+            jb = je;
+        }
         out
     }
 
     pub fn spmm(s: &CsrMatrix, rhs: &Matrix, tier: SimdTier) -> Matrix {
         let n = rhs.cols();
         let mut out = Matrix::zeros(s.rows(), n);
-        par_row_chunks(out.as_mut_slice(), n, |i0, chunk| {
-            for (di, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                let i = i0 + di;
-                let (cols, vals) = s.row(i);
-                let mut qc = cols.chunks_exact(4);
-                let mut qv = vals.chunks_exact(4);
-                for (c4, v4) in (&mut qc).zip(&mut qv) {
-                    axpy4(
-                        tier,
-                        out_row,
-                        [v4[0], v4[1], v4[2], v4[3]],
-                        rhs.row(c4[0] as usize),
-                        rhs.row(c4[1] as usize),
-                        rhs.row(c4[2] as usize),
-                        rhs.row(c4[3] as usize),
-                    );
-                }
-                for (&c, &v) in qc.remainder().iter().zip(qv.remainder()) {
-                    axpy(tier, out_row, v, rhs.row(c as usize));
-                }
+        let (i0, chunk) = (0, out.as_mut_slice());
+        for (di, out_row) in chunk.chunks_exact_mut(n).enumerate() {
+            let i = i0 + di;
+            let (cols, vals) = s.row(i);
+            let mut qc = cols.chunks_exact(4);
+            let mut qv = vals.chunks_exact(4);
+            for (c4, v4) in (&mut qc).zip(&mut qv) {
+                axpy4(
+                    tier,
+                    out_row,
+                    [v4[0], v4[1], v4[2], v4[3]],
+                    rhs.row(c4[0] as usize),
+                    rhs.row(c4[1] as usize),
+                    rhs.row(c4[2] as usize),
+                    rhs.row(c4[3] as usize),
+                );
             }
-        });
+            for (&c, &v) in qc.remainder().iter().zip(qv.remainder()) {
+                axpy(tier, out_row, v, rhs.row(c as usize));
+            }
+        }
         out
     }
 

@@ -1,17 +1,13 @@
-//! Equivalence of the parallel kernels with the sequential reference path.
+//! Equivalence of the product kernels with naive reference loops.
 //!
-//! Every kernel that runs on the pool (`matmul`, `matmul_a_bt`, `spmm`,
-//! `spmv`, `transpose`) and the sequential scatters beside them
-//! (`matmul_at_b`, `spmm_t`) must match a naive sequential implementation
-//! within ε (the row kernels group products in quads and, under AVX2,
-//! fuse multiply-adds, so the order differs from the naive loop's).
-//! `kernel_oracle.rs` holds the bitwise checks.
+//! The gathers (`matmul`, `matmul_a_bt`, `spmm`, `spmv`), `transpose` and
+//! the scatters (`matmul_at_b`, `spmm_t`) must match a naive
+//! implementation within ε (the row kernels group products in quads and,
+//! under AVX2, fuse multiply-adds, so the order differs from the naive
+//! loop's). `kernel_oracle.rs` holds the bitwise checks.
 //!
-//! `force_pool` pins `RDD_THREADS=4` before the first kernel call latches
-//! the thread count, so the worker pool's row split is exercised even on a
-//! single-core CI runner. Shapes are drawn to straddle the
-//! parallel-dispatch thresholds and include non-divisible row counts; the
-//! random CSR matrices have empty rows. Case `seed` draws its inputs
+//! Shapes cross the cache-block edges and include row counts that no
+//! block size divides; the random CSR matrices have empty rows. Case `seed` draws its inputs
 //! from `seeded_rng(seed)`, and every assertion message names the seed.
 
 use std::ops::Range;
@@ -19,16 +15,6 @@ use std::ops::Range;
 use rdd_tensor::{seeded_rng, CsrMatrix, Matrix, Rng};
 
 const CASES: u64 = 24;
-
-/// Force a multi-thread pool unless the caller pinned RDD_THREADS.
-///
-/// Must run before any kernel call in every test: the thread count is
-/// latched once per process.
-fn force_pool() {
-    if std::env::var("RDD_THREADS").is_err() {
-        std::env::set_var("RDD_THREADS", "4");
-    }
-}
 
 // ---- naive sequential references ----
 
@@ -157,15 +143,14 @@ fn csr(rng: &mut Rng, rows: Range<usize>, cols: Range<usize>, nnz_max: usize) ->
 
 #[test]
 fn matmul_matches_reference() {
-    force_pool();
     for seed in 0..CASES {
         let mut rng = seeded_rng(seed);
         let a = matrix(&mut rng, 64..130, 8..24);
         let n = rng.range(200..300);
         let k = a.cols();
         let b = dense(&mut rng, k, n);
-        // Row-split matmul preserves per-row summation order, but the
-        // k-unrolled quads reassociate, so compare within ε.
+        // Each output row keeps one summation order, but the k-unrolled
+        // quads reassociate, so compare within ε.
         let what = format!("seed {seed}: matmul");
         assert_close(&a.matmul(&b), &ref_matmul(&a, &b), k, &what);
     }
@@ -173,7 +158,6 @@ fn matmul_matches_reference() {
 
 #[test]
 fn matmul_at_b_matches_reference() {
-    force_pool();
     for seed in 0..CASES {
         let mut rng = seeded_rng(seed);
         let a = matrix(&mut rng, 150..260, 8..24);
@@ -187,7 +171,6 @@ fn matmul_at_b_matches_reference() {
 
 #[test]
 fn matmul_a_bt_matches_reference() {
-    force_pool();
     for seed in 0..CASES {
         let mut rng = seeded_rng(seed);
         let a = matrix(&mut rng, 64..130, 8..24);
@@ -201,7 +184,6 @@ fn matmul_a_bt_matches_reference() {
 
 #[test]
 fn transpose_matches_reference() {
-    force_pool();
     for seed in 0..CASES {
         let m = matrix(&mut seeded_rng(seed), 64..200, 64..160);
         let t = m.transpose();
@@ -220,7 +202,6 @@ fn transpose_matches_reference() {
 
 #[test]
 fn spmm_matches_reference() {
-    force_pool();
     for seed in 0..CASES {
         let mut rng = seeded_rng(seed);
         let s = csr(&mut rng, 300..500, 40..80, 3000);
@@ -234,7 +215,6 @@ fn spmm_matches_reference() {
 
 #[test]
 fn spmm_t_matches_reference() {
-    force_pool();
     for seed in 0..CASES {
         let mut rng = seeded_rng(seed);
         let s = csr(&mut rng, 300..500, 40..80, 3000);
@@ -246,12 +226,10 @@ fn spmm_t_matches_reference() {
     }
 }
 
-/// The vector kernels need tens of thousands of rows to cross the parallel
-/// thresholds, so they get one large deterministic case instead of many
-/// random cases.
+/// The vector kernels get one large deterministic case (tens of thousands
+/// of rows) instead of many random cases.
 #[test]
 fn spmv_and_spmv_t_match_reference_at_parallel_scale() {
-    force_pool();
     let n = 20_000;
     let mut rng = seeded_rng(0x1234_5678_9abc_def1);
     let mut triplets = Vec::new();
@@ -272,10 +250,9 @@ fn spmv_and_spmv_t_match_reference_at_parallel_scale() {
     assert_vec_close(&m.transpose().spmv(&v), &ref_spmv_t(&m, &v), 8, "S^T v");
 }
 
-/// Non-divisible row counts around the chunking boundaries.
+/// Row counts on both sides of powers of two.
 #[test]
 fn odd_row_counts_cover_all_rows() {
-    force_pool();
     for rows in [65usize, 127, 129, 255, 257] {
         let a = Matrix::from_fn(rows, 40, |i, j| ((i * 31 + j * 17) % 13) as f32 - 6.0);
         let b = Matrix::from_fn(40, 260, |i, j| ((i * 7 + j * 3) % 11) as f32 - 5.0);

@@ -1,15 +1,20 @@
-//! Golden run bytes: a crash-safe `tiny` cascade, and the MLP student
-//! distilled from it, must write the same bytes at every thread count.
+//! Golden run bytes: a crash-safe `tiny` cascade, the MLP student
+//! distilled from it, and the replies served from both must keep their
+//! bytes.
 //!
 //! Every kernel gives each output element one summation order per SIMD
-//! tier, whatever `RDD_THREADS` says, so the run directory is a function of
-//! the seed and the tier alone. This test pins it: it trains a 3-member
-//! cascade into a temporary run directory under each tier the CPU has,
-//! exports the run as a v1 and a v2q artifact (`rdd export` and `rdd
-//! export --quantize int8`), distills the run (`DistillConfig::fast`) and
-//! writes the v3 student as f32 and as int8, hashes every file with
-//! FNV-1a-64 (the manifest without its `wall_time_s` values) and compares
-//! the digests with the constants below. `ci.sh` runs it at `RDD_THREADS=1` and `3`.
+//! tier, so the run directory is a function of the seed and the tier
+//! alone. This test pins it: it trains a 3-member cascade into a temporary
+//! run directory under each tier the CPU has, exports the run as a v1 and
+//! a v2q artifact (`rdd export` and `rdd export --quantize int8`),
+//! distills the run (`DistillConfig::fast`) and writes the v3 student as
+//! f32 and as int8, hashes every file with FNV-1a-64 (the manifest without
+//! its `wall_time_s` values) and compares the digests with the constants
+//! below. It then serves one fixed request stream from the v1 export and
+//! one from the f32 student through `ServePool` at 1 and 2 workers,
+//! renders the replies as `rdd serve` writes them, and pins one digest per
+//! stream (`served.v1`, `served.v3`), which must not depend on the worker
+//! count.
 //!
 //! It is registered under `rdd-serve`, the crate that writes artifacts.
 //!
@@ -27,7 +32,10 @@ use std::path::{Path, PathBuf};
 use rdd_core::{distill_run, DistillConfig, RddConfig, RddTrainer, RunState};
 use rdd_graph::SynthConfig;
 use rdd_models::Model;
-use rdd_serve::{export_run_as, write_mlp_artifact, ArtifactFormat, ArtifactMeta};
+use rdd_serve::{
+    export_run_as, wire, write_mlp_artifact, AnyArtifact, ArtifactFormat, ArtifactMeta, PoolConfig,
+    ServePool,
+};
 use rdd_tensor::simd::{self, SimdTier};
 
 /// FNV-1a, 64-bit: a fixed, documented hash (unlike `DefaultHasher`,
@@ -86,18 +94,27 @@ fn run_digests(tier: SimdTier) -> Vec<(String, u64)> {
         .run_crash_safe(&data, &dir, "tiny")
         .expect("crash-safe run");
     let mut got = digests(&dir);
-    got.extend(export_digests(&dir));
-    got.extend(student_digests(&dir, &data));
-    let _ = std::fs::remove_dir_all(&dir);
+    let exports = dir.with_extension("exports");
+    got.extend(export_digests(&dir, &exports));
+    let students = dir.with_extension("students");
+    got.extend(student_digests(&dir, &data, &students));
+    got.extend(served_digests(
+        &exports.join("export.v1"),
+        &students.join("student.f32"),
+        &data,
+    ));
+    for d in [&dir, &exports, &students] {
+        let _ = std::fs::remove_dir_all(d);
+    }
     got
 }
 
 /// Export the run in `dir` the way `rdd export` does, as v1
-/// (`export.v1`) and as int8 v2q (`export.v2q`), and digest both files.
-fn export_digests(dir: &Path) -> Vec<(String, u64)> {
-    let exports = dir.with_extension("exports");
-    std::fs::create_dir_all(&exports).expect("export dir");
-    let got = [
+/// (`export.v1`) and as int8 v2q (`export.v2q`) into `exports`, and digest
+/// both files.
+fn export_digests(dir: &Path, exports: &Path) -> Vec<(String, u64)> {
+    std::fs::create_dir_all(exports).expect("export dir");
+    [
         ("export.v1", ArtifactFormat::V1),
         ("export.v2q", ArtifactFormat::V2q),
     ]
@@ -110,15 +127,13 @@ fn export_digests(dir: &Path) -> Vec<(String, u64)> {
             fnv1a64(&std::fs::read(&path).expect("read export")),
         )
     })
-    .collect();
-    let _ = std::fs::remove_dir_all(&exports);
-    got
+    .collect()
 }
 
 /// Distill the run in `dir` the way `rdd distill-mlp --fast` does and
-/// digest the v3 student written as f32 (`student.f32`) and as int8
-/// (`student.int8`).
-fn student_digests(dir: &Path, data: &rdd_graph::Dataset) -> Vec<(String, u64)> {
+/// digest the v3 student written into `students` as f32 (`student.f32`)
+/// and as int8 (`student.int8`).
+fn student_digests(dir: &Path, data: &rdd_graph::Dataset, students: &Path) -> Vec<(String, u64)> {
     let state = RunState::load(dir).expect("load run dir");
     let out = distill_run(&state, data, &DistillConfig::fast()).expect("distill");
     let (n, k) = state.dataset_shape();
@@ -131,9 +146,8 @@ fn student_digests(dir: &Path, data: &rdd_graph::Dataset) -> Vec<(String, u64)> 
         alphas: out.teacher_alphas.clone(),
         alpha_total: out.teacher_alpha_total,
     };
-    let students = dir.with_extension("students");
-    std::fs::create_dir_all(&students).expect("student dir");
-    let got = [("student.f32", false), ("student.int8", true)]
+    std::fs::create_dir_all(students).expect("student dir");
+    [("student.f32", false), ("student.int8", true)]
         .into_iter()
         .map(|(name, quantize)| {
             let path = students.join(name);
@@ -144,9 +158,81 @@ fn student_digests(dir: &Path, data: &rdd_graph::Dataset) -> Vec<(String, u64)> 
                 fnv1a64(&std::fs::read(&path).expect("read student")),
             )
         })
-        .collect();
-    let _ = std::fs::remove_dir_all(&students);
-    got
+        .collect()
+}
+
+/// Serve a fixed request stream from the v1 artifact (one node, several
+/// nodes with a repeat, the whole graph, an out-of-range id) and one from
+/// the v3 student (a flat feature row, which takes the wire scanner, and
+/// a batch of rows, which takes the general parser) at 1 and 2 workers,
+/// and digest each stream's replies (`served.v1`, `served.v3`).
+fn served_digests(v1: &Path, v3: &Path, data: &rdd_graph::Dataset) -> Vec<(String, u64)> {
+    let features = data.features.to_dense();
+    let row = |i: usize| {
+        let values: Vec<String> = features.row(i).iter().map(f32::to_string).collect();
+        format!("[{}]", values.join(","))
+    };
+    let node_lines = [
+        r#"{"id":0,"nodes":[5]}"#.to_string(),
+        r#"{"id":1,"nodes":[0,17,299,17]}"#.to_string(),
+        r#"{"id":2}"#.to_string(),
+        r#"{"id":3,"nodes":[4,300]}"#.to_string(),
+    ];
+    let feature_lines = [
+        format!(r#"{{"id":0,"features":{}}}"#, row(3)),
+        format!(
+            r#"{{"id":1,"features":[{},{},{}]}}"#,
+            row(0),
+            row(150),
+            row(299)
+        ),
+    ];
+    [
+        ("served.v1", v1, &node_lines[..]),
+        ("served.v3", v3, &feature_lines[..]),
+    ]
+    .into_iter()
+    .map(|(name, path, lines)| {
+        let one = fnv1a64(serve_stream(path, lines, 1).as_bytes());
+        let two = fnv1a64(serve_stream(path, lines, 2).as_bytes());
+        assert_eq!(one, two, "{name}: replies at 2 workers differ from 1");
+        (name.to_string(), one)
+    })
+    .collect()
+}
+
+/// Parse `lines` with `rdd serve`'s wire parser, submit them to a
+/// `ServePool` of `workers` over the artifact at `path`, and render every
+/// reply as `rdd serve` does, sorted by request id. `latency_ms` and
+/// `cache_hits` are zeroed: they depend on timing and on how requests fall
+/// into batches, not on the served bytes.
+fn serve_stream(path: &Path, lines: &[String], workers: usize) -> String {
+    let artifact = AnyArtifact::load(path).expect("load artifact");
+    let checksum = artifact.checksum();
+    let cfg = PoolConfig {
+        workers,
+        ..PoolConfig::default()
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let pool = ServePool::new(artifact, cfg, checksum, tx).expect("serve pool");
+    for (i, line) in lines.iter().enumerate() {
+        let (id, req, _) = wire::parse_line(&Ok(line.clone()), i as u64)
+            .expect("non-blank line")
+            .expect("well-formed request");
+        pool.submit(id, req).expect("admitted");
+    }
+    pool.shutdown();
+    let mut replies: Vec<_> = rx.try_iter().collect();
+    assert_eq!(replies.len(), lines.len(), "one reply per request");
+    replies.sort_by_key(|r| r.id);
+    let mut out = String::new();
+    for mut reply in replies {
+        reply.latency_ms = 0.0;
+        reply.cache_hits = 0;
+        wire::reply_json(&reply).write(&mut out);
+        out.push('\n');
+    }
+    out
 }
 
 fn table(digests: &[(String, u64)]) -> String {
@@ -169,6 +255,8 @@ const SCALAR: &[(&str, u64)] = &[
     ("export.v2q", 0xbc962dffe0f0579f),
     ("student.f32", 0x9f55db96db690301),
     ("student.int8", 0xc9c3926ff25f5f62),
+    ("served.v1", 0x6b4aab47f1d3f359),
+    ("served.v3", 0xdf917be9fe083ad1),
 ];
 
 const AVX2: &[(&str, u64)] = &[
@@ -184,6 +272,8 @@ const AVX2: &[(&str, u64)] = &[
     ("export.v2q", 0x8f312a7036fcd619),
     ("student.f32", 0x15502b8b4d7d33d2),
     ("student.int8", 0x22bf8c08a9e3ce83),
+    ("served.v1", 0xebb508dabcfa9bf7),
+    ("served.v3", 0xf7e597e1b854c76d),
 ];
 
 #[test]
@@ -201,9 +291,8 @@ fn run_bytes_match_golden_digests() {
         assert_eq!(
             got,
             want,
-            "{} tier at RDD_THREADS={}: run bytes moved; the new table is\n{}",
+            "{} tier: run bytes moved; the new table is\n{}",
             tier.name(),
-            rdd_tensor::par::num_threads(),
             table(&got)
         );
     }

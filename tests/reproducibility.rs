@@ -1,6 +1,6 @@
 //! Determinism guarantees: every experiment in the harness is seeded, so
-//! repeated runs must be bit-identical. That the bits do not depend on the
-//! thread count either is pinned by `golden_run.rs`.
+//! repeated runs must be bit-identical. `golden_run.rs` pins the bytes
+//! themselves.
 
 use rdd_baselines::lp::{predict as lp_predict, LpConfig};
 use rdd_core::{RddConfig, RddTrainer};
