@@ -25,12 +25,6 @@ echo "==> float codec large sample (release)"
 # patterns and 2^24 random decimal strings.
 cargo test -q --release -p rdd-models --test float_codec -- --ignored
 
-echo "==> workspace-off equivalence guard"
-# The buffer pool must be a pure optimization: with RDD_WORKSPACE=off the
-# env-gated default path runs unpooled and the bitwise-equivalence suite
-# must still hold (it also exercises explicit on/off workspaces).
-RDD_WORKSPACE=off cargo test -q -p rdd-core --test workspace_equivalence
-
 echo "==> telemetry disabled-path guard"
 # With RDD_TRACE unset the recorder must stay off: no trace file may appear,
 # and a traced run must produce JSONL that `rdd report` accepts (it checks

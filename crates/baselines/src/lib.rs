@@ -5,11 +5,7 @@
 //! over the same two-layer GCN base model for fairness (§5.1):
 //!
 //! * [`lp`] — Label Propagation (Table 4);
-//! * [`ensembles`] — Bagging and Born-Again Networks (Tables 3, 6, 9);
-//! * [`pseudo_label`] — Self-Training and Co-Training (§1.1's
-//!   pseudo-labeling family);
-//! * [`consistency`] — Snapshot Ensemble and Mean Teacher (§2.3's
-//!   KD/consistency-based ensemble family).
+//! * [`ensembles`] — Bagging and Born-Again Networks (Tables 3, 6, 9).
 //!
 //! ```
 //! use rdd_baselines::lp::{predict, LpConfig};
@@ -20,14 +16,8 @@
 //! assert!(data.test_accuracy(&preds) > 0.3);
 //! ```
 
-pub mod consistency;
 pub mod ensembles;
 pub mod lp;
-pub mod pseudo_label;
 
-pub use consistency::{
-    mean_teacher, snapshot_ensemble, MeanTeacherConfig, MeanTeacherOutcome, SnapshotConfig,
-};
 pub use ensembles::{bagging, bans, BansConfig, EnsembleOutcome};
 pub use lp::{label_propagation, LpConfig};
-pub use pseudo_label::{co_training, self_training, PseudoLabelConfig};

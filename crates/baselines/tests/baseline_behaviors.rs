@@ -2,7 +2,7 @@
 //! effects and ensemble bookkeeping.
 
 use rdd_baselines::lp::{label_propagation, predict as lp_predict, LpConfig};
-use rdd_baselines::{bagging, bans, co_training, self_training, BansConfig, PseudoLabelConfig};
+use rdd_baselines::{bagging, bans, BansConfig};
 use rdd_graph::{Dataset, Graph, SynthConfig};
 use rdd_models::{GcnConfig, TrainConfig};
 use rdd_tensor::CsrMatrix;
@@ -55,48 +55,6 @@ fn lp_improves_with_more_labels() {
     let a = scarce.test_accuracy(&lp_predict(&scarce, &LpConfig::default()));
     let b = rich.test_accuracy(&lp_predict(&rich, &LpConfig::default()));
     assert!(b > a, "more seeds should help LP: {b} !> {a}");
-}
-
-/// Self-training rounds must keep the original labels intact on the
-/// *caller's* dataset (pseudo-labels only live in the working copy).
-#[test]
-fn self_training_does_not_mutate_input() {
-    let data = SynthConfig::tiny().generate();
-    let labels_before = data.labels.clone();
-    let train_before = data.train_idx.clone();
-    let cfg = PseudoLabelConfig {
-        per_class: 5,
-        rounds: 1,
-    };
-    let _ = self_training(&data, &GcnConfig::citation(), &fast_train(), &cfg, 1);
-    assert_eq!(data.labels, labels_before);
-    assert_eq!(data.train_idx, train_before);
-}
-
-/// Zero rounds of self-training is exactly a plain GCN run.
-#[test]
-fn self_training_zero_rounds_is_plain_gcn() {
-    let data = SynthConfig::tiny().generate();
-    let cfg = PseudoLabelConfig {
-        per_class: 5,
-        rounds: 0,
-    };
-    let preds = self_training(&data, &GcnConfig::citation(), &fast_train(), &cfg, 2);
-    assert_eq!(preds.len(), data.n());
-    assert!(data.test_accuracy(&preds) > 0.5);
-}
-
-/// Co-training's random-walk pseudo-labels should not collapse accuracy
-/// below the plain GCN by a large margin.
-#[test]
-fn co_training_is_sane() {
-    let data = SynthConfig::tiny().generate();
-    let cfg = PseudoLabelConfig {
-        per_class: 8,
-        rounds: 1,
-    };
-    let preds = co_training(&data, &GcnConfig::citation(), &fast_train(), &cfg, 3);
-    assert!(data.test_accuracy(&preds) > 0.5);
 }
 
 /// Ensemble bookkeeping: per-model times and prefix accuracies line up.

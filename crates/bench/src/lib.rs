@@ -34,8 +34,8 @@ pub fn rdd_config(dataset_name: &str) -> RddConfig {
 
 /// Number of repeated trials: the paper averages 10 runs; the harness
 /// defaults to 3 for CPU budget and honors `RDD_TRIALS`. A value that is
-/// not a positive integer is reported (like a bad `RDD_WORKSPACE`) and
-/// the default kept.
+/// not a positive integer is reported (like a bad `RDD_SIMD`) and the
+/// default kept.
 pub fn num_trials() -> usize {
     rdd_obs::env::parse_with("RDD_TRIALS", "a positive integer", |v| {
         v.parse::<usize>().ok().filter(|&n| n >= 1)

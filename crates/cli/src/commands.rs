@@ -9,15 +9,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rdd_baselines::lp::{predict as lp_predict, LpConfig};
-use rdd_baselines::{
-    bagging, bans, co_training, mean_teacher, self_training, snapshot_ensemble, BansConfig,
-    MeanTeacherConfig, PseudoLabelConfig, SnapshotConfig,
-};
+use rdd_baselines::{bagging, bans, BansConfig};
 use rdd_core::{distill_run, DistillConfig, RddConfig, RddTrainer, RunState};
 use rdd_graph::{io, Dataset, DatasetStats, SynthConfig};
 use rdd_models::{
     float_text::push_f32, push_rows, train as train_model, Gat, GatConfig, Gcn, GcnConfig,
-    GraphContext, GraphSage, Predictor, PredictorExt, SageConfig, TrainConfig,
+    GraphContext, Predictor, PredictorExt, TrainConfig,
 };
 use rdd_obs::{gate, TraceSummary};
 use rdd_serve::wire::{self, error_line, reply_json};
@@ -158,14 +155,6 @@ pub fn train_cmd_inner(args: &Args, print: bool) -> Result<(String, f32), RddErr
             maybe_save(&m, args)?;
             data.test_accuracy(&m.predictor(&ctx).predict())
         }
-        "sage" => {
-            let ctx = GraphContext::new(&data);
-            let mut rng = seeded_rng(seed);
-            let mut m = GraphSage::new(&ctx, SageConfig::default(), &mut rng);
-            train_model(&mut m, &ctx, &data, &train_cfg, &mut rng, None);
-            maybe_save(&m, args)?;
-            data.test_accuracy(&m.predictor(&ctx).predict())
-        }
         "gat" => {
             let ctx = GraphContext::new(&data);
             let mut rng = seeded_rng(seed);
@@ -212,43 +201,6 @@ pub fn train_cmd_inner(args: &Args, print: bool) -> Result<(String, f32), RddErr
             .ensemble_test_acc
         }
         "lp" => data.test_accuracy(&lp_predict(&data, &LpConfig::default())),
-        "self-training" => {
-            let preds = self_training(
-                &data,
-                &gcn_cfg,
-                &train_cfg,
-                &PseudoLabelConfig::default(),
-                seed,
-            );
-            data.test_accuracy(&preds)
-        }
-        "co-training" => {
-            let preds = co_training(
-                &data,
-                &gcn_cfg,
-                &train_cfg,
-                &PseudoLabelConfig::default(),
-                seed,
-            );
-            data.test_accuracy(&preds)
-        }
-        "snapshot" => {
-            let cfg = SnapshotConfig {
-                cycle: 100,
-                cycles: models,
-            };
-            snapshot_ensemble(&data, &gcn_cfg, &train_cfg, &cfg, seed).ensemble_test_acc
-        }
-        "mean-teacher" => {
-            mean_teacher(
-                &data,
-                &gcn_cfg,
-                &train_cfg,
-                &MeanTeacherConfig::default(),
-                seed,
-            )
-            .teacher_test_acc
-        }
         other => return Err(RddError::Cli(format!("unknown method {other}"))),
     };
     if print {
@@ -429,18 +381,7 @@ pub fn compare(args: &Args) -> Result<(), RddError> {
         .get(1)
         .ok_or_else(|| RddError::Cli("usage: rdd compare <preset|dir>".into()))?
         .clone();
-    let methods = [
-        "lp",
-        "gcn",
-        "sage",
-        "self-training",
-        "co-training",
-        "bagging",
-        "bans",
-        "snapshot",
-        "mean-teacher",
-        "rdd",
-    ];
+    let methods = ["lp", "gcn", "bagging", "bans", "rdd"];
     println!("{:<16} {:>9}", "method", "test acc");
     println!("{}", "-".repeat(26));
     for m in methods {

@@ -22,8 +22,7 @@
 //! Set `RDD_TRACE=<path|stderr>` to capture structured telemetry (JSONL) from
 //! any command; inspect it afterwards with `rdd report`.
 //!
-//! Methods: `gcn`, `gat`, `sage`, `rdd` (default), `bagging`, `bans`, `lp`,
-//! `self-training`, `co-training`, `snapshot`, `mean-teacher`.
+//! Methods: `gcn`, `gat`, `rdd` (default), `bagging`, `bans`, `lp`.
 
 mod args;
 mod commands;
@@ -33,10 +32,10 @@ use args::Args;
 const USAGE: &str = "usage:
   rdd generate <preset> <dir> [--seed N]
   rdd info <preset|dir>
-  rdd train <preset|dir> [--method gcn|gat|sage|rdd|bagging|bans|lp|self-training|co-training|snapshot|mean-teacher]
+  rdd train <preset|dir> [--method gcn|gat|rdd|bagging|bans|lp]
             [--models N] [--seed N] [--gamma F] [--beta F] [--p F]
             [--run-dir <dir>] [--pred-out <file>]      (rdd method only)
-            [--save <file>]                            (gcn|sage|gat: write a checkpoint)
+            [--save <file>]                            (gcn|gat: write a checkpoint)
   rdd resume <run-dir> [--pred-out <file>]
   rdd compare <preset|dir> [--models N] [--seed N]
   rdd report <trace.jsonl|run-dir>

@@ -463,7 +463,7 @@ impl RddTrainer {
     ///
     /// Allocates one buffer pool for the whole cascade; use
     /// [`RddTrainer::run_with_workspace`] to share a pool across runs or to
-    /// force pooling on/off regardless of `RDD_WORKSPACE`.
+    /// run unpooled.
     pub fn run(&self, dataset: &Dataset) -> RddOutcome {
         self.run_with_workspace(dataset, &Workspace::new())
     }

@@ -35,8 +35,7 @@ use std::path::{Path, PathBuf};
 
 use rdd_graph::Dataset;
 use rdd_models::{
-    checkpoint, CheckpointError, DivergencePolicy, GcnConfig, LrSchedule, Model, TrainConfig,
-    TrainReport,
+    checkpoint, CheckpointError, DivergencePolicy, GcnConfig, Model, TrainConfig, TrainReport,
 };
 use rdd_obs::Json;
 use rdd_tensor::Matrix;
@@ -583,17 +582,11 @@ fn config_to_json(cfg: &RddConfig) -> Json {
                 ("patience".into(), Json::from(t.patience)),
                 ("min_epochs".into(), Json::from(t.min_epochs)),
                 ("log_every".into(), Json::from(t.log_every)),
+                // The learning rate is constant; the field stays so
+                // manifests keep their bytes and older run dirs resume.
                 (
                     "lr_schedule".into(),
-                    match t.lr_schedule {
-                        LrSchedule::Constant => {
-                            Json::Obj(vec![("kind".into(), Json::from("constant"))])
-                        }
-                        LrSchedule::CosineRestarts { period } => Json::Obj(vec![
-                            ("kind".into(), Json::from("cosine_restarts")),
-                            ("period".into(), Json::from(period)),
-                        ]),
-                    },
+                    Json::Obj(vec![("kind".into(), Json::from("constant"))]),
                 ),
                 (
                     "divergence".into(),
@@ -612,13 +605,10 @@ fn config_from_json(j: &Json) -> Result<RddConfig, String> {
     let gcn = j.get("gcn").ok_or("missing \"gcn\"")?;
     let train = j.get("train").ok_or("missing \"train\"")?;
     let schedule = train.get("lr_schedule").ok_or("missing \"lr_schedule\"")?;
-    let lr_schedule = match str_of(schedule, "kind")?.as_str() {
-        "constant" => LrSchedule::Constant,
-        "cosine_restarts" => LrSchedule::CosineRestarts {
-            period: usize_of(schedule, "period")?,
-        },
-        other => return Err(format!("unknown lr_schedule kind {other:?}")),
-    };
+    let kind = str_of(schedule, "kind")?;
+    if kind != "constant" {
+        return Err(format!("unknown lr_schedule kind {kind:?}"));
+    }
     let divergence = train.get("divergence").ok_or("missing \"divergence\"")?;
     let seed_str = str_of(j, "seed")?;
     let seed: u64 = seed_str
@@ -660,7 +650,6 @@ fn config_from_json(j: &Json) -> Result<RddConfig, String> {
             patience: usize_of(train, "patience")?,
             min_epochs: usize_of(train, "min_epochs")?,
             log_every: usize_of(train, "log_every")?,
-            lr_schedule,
             divergence: DivergencePolicy {
                 max_retries: usize_of(divergence, "max_retries")?,
                 lr_backoff: f32_of(divergence, "lr_backoff")?,
@@ -772,7 +761,6 @@ mod tests {
     fn config_survives_a_manifest_roundtrip() {
         let mut cfg = RddConfig::fast();
         cfg.seed = u64::MAX - 12345; // exercises the string encoding
-        cfg.train.lr_schedule = LrSchedule::CosineRestarts { period: 7 };
         cfg.train.divergence = DivergencePolicy {
             max_retries: 5,
             lr_backoff: 0.25,
@@ -788,6 +776,22 @@ mod tests {
         assert_eq!(back, cfg);
         assert_eq!(back.p.to_bits(), cfg.p.to_bits());
         assert_eq!(back.seed, cfg.seed);
+    }
+
+    #[test]
+    fn manifest_with_a_learning_rate_schedule_is_refused() {
+        let json = config_to_json(&RddConfig::fast());
+        let mut text = String::new();
+        json.write(&mut text);
+        let constant = r#""lr_schedule":{"kind":"constant"}"#;
+        assert!(text.contains(constant), "{text}");
+        let cosine = text.replace(
+            constant,
+            r#""lr_schedule":{"kind":"cosine_restarts","period":7}"#,
+        );
+        let parsed = rdd_obs::parse(&cosine).expect("manifest json parses");
+        let err = config_from_json(&parsed).expect_err("only a constant rate is accepted");
+        assert_eq!(err, r#"unknown lr_schedule kind "cosine_restarts""#);
     }
 
     #[test]

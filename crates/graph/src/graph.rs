@@ -100,8 +100,8 @@ impl Graph {
         CsrMatrix::from_triplets(self.n, self.n, &triplets)
     }
 
-    /// Random-walk transition matrix `D^-1 A` (used by label propagation and
-    /// co-training's random walks). Dangling nodes get an empty row.
+    /// Random-walk transition matrix `D^-1 A` (used by label propagation).
+    /// Dangling nodes get an empty row.
     pub fn transition_matrix(&self) -> CsrMatrix {
         self.adj.map_values(|r, _, v| {
             let d = self.degree(r) as f32;

@@ -10,7 +10,7 @@
 //! (`TrainConfig { epochs: 5, ..TrainConfig::fast() }`) remains the idiom
 //! for tests; `validate()` lets callers re-check such a hand-edited value.
 
-use crate::trainer::{DivergencePolicy, LrSchedule, TrainConfig};
+use crate::trainer::{DivergencePolicy, TrainConfig};
 
 /// A rejected configuration value: which field, what it was, what the
 /// builder expects. One uniform shape keeps the CLI's error path to a
@@ -115,12 +115,6 @@ impl TrainConfigBuilder {
         self
     }
 
-    /// Learning-rate schedule.
-    pub fn lr_schedule(mut self, lr_schedule: LrSchedule) -> Self {
-        self.cfg.lr_schedule = lr_schedule;
-        self
-    }
-
     /// Non-finite loss/gradient recovery policy.
     pub fn divergence(mut self, divergence: DivergencePolicy) -> Self {
         self.cfg.divergence = divergence;
@@ -168,14 +162,6 @@ impl TrainConfig {
             self.patience,
             ">= 1 epoch of patience",
         )?;
-        if let LrSchedule::CosineRestarts { period } = self.lr_schedule {
-            ensure(
-                period >= 1,
-                "train.lr_schedule.period",
-                period,
-                "a restart period >= 1",
-            )?;
-        }
         let backoff = self.divergence.lr_backoff;
         ensure(
             backoff.is_finite() && backoff > 0.0 && backoff <= 1.0,
@@ -209,12 +195,10 @@ mod tests {
             .epochs(7)
             .patience(3)
             .min_epochs(2)
-            .lr_schedule(LrSchedule::CosineRestarts { period: 4 })
             .build()
             .expect("valid");
         assert_eq!(cfg.lr, 0.05);
         assert_eq!(cfg.epochs, 7);
-        assert_eq!(cfg.lr_schedule, LrSchedule::CosineRestarts { period: 4 });
         // Untouched fields keep the citation defaults.
         assert_eq!(cfg.weight_decay, TrainConfig::citation().weight_decay);
     }
@@ -230,10 +214,6 @@ mod tests {
             ),
             (TrainConfig::builder().epochs(0), "train.epochs"),
             (TrainConfig::builder().patience(0), "train.patience"),
-            (
-                TrainConfig::builder().lr_schedule(LrSchedule::CosineRestarts { period: 0 }),
-                "train.lr_schedule.period",
-            ),
             (
                 TrainConfig::builder().divergence(DivergencePolicy {
                     max_retries: 3,

@@ -2,10 +2,11 @@
 //! # rdd-models
 //!
 //! The GCN model zoo and shared training loop for the RDD (SIGMOD 2020)
-//! reproduction: plain GCN, the deep baselines the paper compares against
-//! (ResGCN, DenseGCN, JK-Net), a graph-free MLP diagnostic, and a trainer
-//! with Adam, dropout, early stopping and an extra-loss hook that the
-//! distillation methods (BANs, RDD) plug their objectives into.
+//! reproduction: plain GCN, GAT (§5.3's stronger base model), the deep
+//! baselines the paper compares against (ResGCN, DenseGCN, JK-Net), a
+//! graph-free MLP diagnostic, and a trainer with Adam, dropout, early
+//! stopping and an extra-loss hook that the distillation methods (BANs,
+//! RDD) plug their objectives into.
 //!
 //! ```
 //! use rdd_graph::SynthConfig;
@@ -29,7 +30,6 @@ pub mod gcn;
 pub mod metrics;
 pub mod mlp;
 pub mod predictor;
-pub mod sage;
 pub mod trainer;
 
 pub use checkpoint::{
@@ -46,7 +46,4 @@ pub use predictor::{
     gather_prediction, ModelPredictor, PredictError, PredictRequest, Prediction, PredictionKind,
     Predictor, PredictorExt,
 };
-pub use sage::{GraphSage, SageConfig};
-pub use trainer::{
-    train, train_in, DivergencePolicy, LossHook, LrSchedule, TrainConfig, TrainReport,
-};
+pub use trainer::{train, train_in, DivergencePolicy, LossHook, TrainConfig, TrainReport};

@@ -21,44 +21,6 @@ static SPAN_VALIDATE: rdd_obs::SpanCell = rdd_obs::SpanCell::new("train.validate
 static SPAN_LOSS_HOOK: rdd_obs::SpanCell = rdd_obs::SpanCell::new("train.loss_hook");
 static SPAN_OPTIMIZER: rdd_obs::SpanCell = rdd_obs::SpanCell::new("train.optimizer");
 
-/// Learning-rate schedule applied on top of `TrainConfig::lr`.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub enum LrSchedule {
-    /// Constant learning rate (the paper's setup).
-    #[default]
-    Constant,
-    /// SGDR-style cosine annealing with warm restarts every `period`
-    /// epochs (Loshchilov & Hutter 2016) — the schedule Snapshot Ensembles
-    /// ride on: `lr(e) = lr · (1 + cos(π·(e mod period)/period)) / 2`.
-    CosineRestarts {
-        /// Epochs per restart cycle.
-        period: usize,
-    },
-}
-
-impl LrSchedule {
-    /// The multiplier applied to the base learning rate at `epoch`.
-    pub fn factor(&self, epoch: usize) -> f32 {
-        match *self {
-            LrSchedule::Constant => 1.0,
-            LrSchedule::CosineRestarts { period } => {
-                let period = period.max(1);
-                let phase = (epoch % period) as f32 / period as f32;
-                0.5 * (1.0 + (std::f32::consts::PI * phase).cos())
-            }
-        }
-    }
-
-    /// Whether `epoch` is the last epoch of a restart cycle (snapshot
-    /// point).
-    pub fn is_cycle_end(&self, epoch: usize) -> bool {
-        match *self {
-            LrSchedule::Constant => false,
-            LrSchedule::CosineRestarts { period } => (epoch + 1).is_multiple_of(period.max(1)),
-        }
-    }
-}
-
 /// How the training loop reacts to a non-finite loss or gradient.
 ///
 /// The first retry of a failing epoch is a *free replay*: parameters are
@@ -102,8 +64,6 @@ pub struct TrainConfig {
     pub min_epochs: usize,
     /// Report progress every `log_every` epochs via `eprintln!` (0 = quiet).
     pub log_every: usize,
-    /// Learning-rate schedule (constant by default).
-    pub lr_schedule: LrSchedule,
     /// Non-finite loss/gradient recovery policy.
     pub divergence: DivergencePolicy,
 }
@@ -119,7 +79,6 @@ impl TrainConfig {
             patience: 20,
             min_epochs: 100,
             log_every: 0,
-            lr_schedule: LrSchedule::Constant,
             divergence: DivergencePolicy::default(),
         }
     }
@@ -242,7 +201,7 @@ pub fn train_in(
         // `continue`/`break`), so retries count as separate epoch spans.
         let _span_epoch = SPAN_EPOCH.enter();
         epochs_run = epoch + 1;
-        opt.set_lr(cfg.lr * lr_scale * cfg.lr_schedule.factor(epoch));
+        opt.set_lr(cfg.lr * lr_scale);
         // Snapshot the RNG so a failed attempt can replay this exact epoch
         // (dropout masks and all) instead of silently shifting the stream.
         let rng_checkpoint = rng.clone();

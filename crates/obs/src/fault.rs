@@ -21,7 +21,7 @@
 //!   the overload circuit breaker.
 //!
 //! The spec comes from the `RDD_FAULT` environment variable, read once per
-//! process (latched, like `RDD_TRACE` / `RDD_WORKSPACE`); tests inject
+//! process (latched, like `RDD_TRACE` / `RDD_SIMD`); tests inject
 //! programmatically via [`arm`] / [`disarm`], which override the latch.
 //! Unparseable values route a warning through the recorder and disarm.
 //!

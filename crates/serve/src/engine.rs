@@ -226,9 +226,8 @@ impl WindowSlot {
 }
 
 /// A ring of per-second metric slots covering the last N seconds — the
-/// live view behind `rdd serve --metrics-every` and the substrate for
-/// deadline-aware admission control (ROADMAP item 3). Recording touches
-/// one slot; snapshotting merges the slots still inside the window, so
+/// live view behind `rdd serve --metrics-every` and the overload circuit
+/// breaker's latency window. Recording touches one slot; snapshotting merges the slots still inside the window, so
 /// stale traffic ages out without any background thread.
 pub struct RollingWindow {
     origin: Instant,

@@ -90,21 +90,6 @@ impl Rng {
             slice.swap(i, j);
         }
     }
-
-    /// Move a uniform sample of `amount` elements (clamped to the length)
-    /// to the front of `slice`; returns `(sample, rest)`.
-    pub fn partial_shuffle<'a, T>(
-        &mut self,
-        slice: &'a mut [T],
-        amount: usize,
-    ) -> (&'a mut [T], &'a mut [T]) {
-        let amount = amount.min(slice.len());
-        for i in 0..amount {
-            let j = i + (self.next_u64() % (slice.len() - i) as u64) as usize;
-            slice.swap(i, j);
-        }
-        slice.split_at_mut(amount)
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +106,6 @@ mod tests {
         range_incl: usize,
         range_f32_bits: u32,
         shuffle: [usize; 10],
-        partial: [usize; 10],
     }
 
     const PINNED: [Pinned; 4] = [
@@ -134,7 +118,6 @@ mod tests {
             range_incl: 5,
             range_f32_bits: 0xbce1f140,
             shuffle: [7, 8, 3, 5, 0, 2, 4, 1, 6, 9],
-            partial: [8, 5, 1, 3, 4, 2, 6, 7, 0, 9],
         },
         Pinned {
             seed: 1,
@@ -145,7 +128,6 @@ mod tests {
             range_incl: 4,
             range_f32_bits: 0xbe553650,
             shuffle: [1, 4, 3, 5, 6, 7, 8, 2, 0, 9],
-            partial: [5, 6, 2, 3, 4, 0, 1, 7, 8, 9],
         },
         Pinned {
             seed: 42,
@@ -156,7 +138,6 @@ mod tests {
             range_incl: 5,
             range_f32_bits: 0xbec1bcd2,
             shuffle: [0, 9, 5, 8, 7, 6, 1, 2, 3, 4],
-            partial: [7, 3, 2, 1, 4, 5, 6, 0, 8, 9],
         },
         Pinned {
             seed: 0xdead_beef,
@@ -167,7 +148,6 @@ mod tests {
             range_incl: 3,
             range_f32_bits: 0xbe067010,
             shuffle: [8, 3, 0, 2, 5, 4, 9, 1, 6, 7],
-            partial: [3, 5, 4, 0, 2, 1, 6, 7, 8, 9],
         },
     ];
 
@@ -188,9 +168,6 @@ mod tests {
             let mut v: Vec<usize> = (0..10).collect();
             r.shuffle(&mut v);
             assert_eq!(v, p.shuffle, "seed {seed:#x}: shuffle");
-            let mut v: Vec<usize> = (0..10).collect();
-            r.partial_shuffle(&mut v, 3);
-            assert_eq!(v, p.partial, "seed {seed:#x}: partial_shuffle");
         }
     }
 
@@ -260,8 +237,5 @@ mod tests {
             assert!((0.0..1.0).contains(&y));
             assert!((5..9).contains(&r.range(5..9)));
         }
-        let mut v: Vec<usize> = (0..20).collect();
-        let (head, rest) = r.partial_shuffle(&mut v, 25);
-        assert_eq!((head.len(), rest.len()), (20, 0));
     }
 }

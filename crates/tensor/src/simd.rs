@@ -37,8 +37,7 @@
 //!
 //! # Tier selection
 //!
-//! The active tier latches once per process from `RDD_SIMD` (same
-//! pattern as `RDD_WORKSPACE`):
+//! The active tier latches once per process from `RDD_SIMD`:
 //!
 //! * unset / `auto` / `on` — AVX2 when the CPU has AVX2 and FMA (probed
 //!   with `is_x86_feature_detected!`), else scalar;

@@ -20,19 +20,13 @@
 //! run shares a single `Workspace` between the training-mode forward, the
 //! backward pass and the eval-mode forward of every epoch.
 //!
-//! ## `RDD_WORKSPACE` contract
-//!
-//! `Workspace::new()` consults the `RDD_WORKSPACE` environment variable once
-//! per process (latched, like `RDD_SIMD`): `off`/`0`/`false`/`no`
-//! disables pooling — every take falls back to a plain allocation and every
-//! give drops the buffer — and anything unparseable is reported through the
-//! `rdd-obs` recorder and ignored. [`Workspace::with_pooling`] overrides the
-//! environment for tests that need both modes in one process.
+//! `Workspace::new()` always pools. [`Workspace::with_pooling`]`(false)`
+//! is the unpooled reference — every take allocates and every give drops
+//! the buffer — that the equivalence tests compare against.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 use rdd_obs::{CounterCell, GaugeCell};
 
@@ -44,23 +38,6 @@ use crate::matrix::Matrix;
 static OBS_HITS: CounterCell = CounterCell::new("workspace.hits");
 static OBS_MISSES: CounterCell = CounterCell::new("workspace.misses");
 static OBS_BYTES_RETAINED: GaugeCell = GaugeCell::new("workspace.bytes_retained");
-
-/// Whether `RDD_WORKSPACE` leaves pooling enabled (the default). Latched
-/// once per process; an unparseable value warns through `rdd-obs` (trace
-/// when tracing is on, stderr otherwise) and keeps the default.
-pub fn workspace_env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        rdd_obs::env::parse_with("RDD_WORKSPACE", "on|off", |v| {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "" | "on" | "1" | "true" | "yes" => Some(true),
-                "off" | "0" | "false" | "no" => Some(false),
-                _ => None,
-            }
-        })
-        .unwrap_or(true)
-    })
-}
 
 /// Cumulative pool statistics for one [`Workspace`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -99,26 +76,19 @@ impl Default for Workspace {
 }
 
 impl Workspace {
-    /// A workspace whose pooling is gated by `RDD_WORKSPACE` (enabled
-    /// unless the variable says `off`).
+    /// A pooling workspace.
     pub fn new() -> Self {
-        Self::with_pooling(workspace_env_enabled())
+        Self::with_pooling(true)
     }
 
-    /// A workspace with pooling explicitly on or off, ignoring the
-    /// environment. With pooling off every take allocates and every give
-    /// drops, which is the reference behavior the equivalence tests compare
-    /// against.
+    /// A workspace with pooling explicitly on or off. With pooling off
+    /// every take allocates and every give drops, which is the reference
+    /// behavior the equivalence tests compare against.
     pub fn with_pooling(pooling: bool) -> Self {
         Self {
             inner: Rc::new(RefCell::new(PoolInner::default())),
             pooling,
         }
-    }
-
-    /// Whether this workspace actually pools buffers.
-    pub fn pooling(&self) -> bool {
-        self.pooling
     }
 
     /// Pop a buffer of exactly `len` elements, counting hit/miss. `None`

@@ -6,7 +6,7 @@
 //! ```
 
 use rdd_baselines::lp::{predict as lp_predict, LpConfig};
-use rdd_baselines::{bagging, bans, co_training, self_training, BansConfig, PseudoLabelConfig};
+use rdd_baselines::{bagging, bans, BansConfig};
 use rdd_core::{RddConfig, RddTrainer};
 use rdd_graph::{DatasetStats, SynthConfig};
 use rdd_models::{train, Gcn, GcnConfig, GraphContext, PredictorExt, TrainConfig};
@@ -37,17 +37,6 @@ fn main() {
     results.push((
         "Label Propagation".into(),
         dataset.test_accuracy(&lp_predict(&dataset, &LpConfig::default())),
-    ));
-
-    // Pseudo-labeling methods.
-    let pl = PseudoLabelConfig::default();
-    results.push((
-        "Self-Training".into(),
-        dataset.test_accuracy(&self_training(&dataset, &gcn_cfg, &train_cfg, &pl, 1)),
-    ));
-    results.push((
-        "Co-Training".into(),
-        dataset.test_accuracy(&co_training(&dataset, &gcn_cfg, &train_cfg, &pl, 1)),
     ));
 
     // Single GCN.
