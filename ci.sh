@@ -537,4 +537,13 @@ printf '{"id":0,"nodes":[0]}\n' | $RDD serve --artifact "$KD_DIR/student.artifac
   2>/dev/null | grep -q "node-id requests unsupported" \
   || { echo "distill gate: node request against mlp artifact not a typed error" >&2; exit 1; }
 
+echo "==> traced benchmark smoke (rddbench --trace 1 builds and runs the probe)"
+# The per-layer probe (rddbench/probe/main.rs) links the library crates'
+# public API, and no stage above compiles it, so a renamed or deleted public
+# item would break only `rddbench --trace 1`. One short traced run builds
+# the probe and runs it end to end; a non-zero exit fails the gate.
+cargo run --release --offline -q --manifest-path rddbench/Cargo.toml -- \
+  --workload serve-features --seed 1 --seconds 1 --trace 1 > "$GUARD_DIR/rddbench_trace.txt" \
+  || { cat "$GUARD_DIR/rddbench_trace.txt" >&2; echo "traced benchmark: rddbench --trace 1 failed" >&2; exit 1; }
+
 echo "ci.sh: all gates passed"

@@ -9,7 +9,7 @@
 
 use rdd_baselines::lp::{predict as lp_predict, LpConfig};
 use rdd_graph::{DatasetStats, SynthConfig};
-use rdd_models::{train, Gcn, GraphContext, Mlp, PredictorExt};
+use rdd_models::{train, Gcn, GraphContext, MlpConfig, MlpModel, PredictorExt};
 use rdd_tensor::seeded_rng;
 
 fn main() {
@@ -28,8 +28,14 @@ fn main() {
         let ctx = GraphContext::new(&data);
         let (gcn_cfg, train_cfg) = rdd_bench::model_configs(cfg.name);
 
+        // The MLP diagnostic takes the preset's GCN widths and dropouts.
+        let mlp_cfg = MlpConfig {
+            hidden: gcn_cfg.hidden.clone(),
+            dropout: gcn_cfg.dropout,
+            input_dropout: gcn_cfg.input_dropout,
+        };
         let mut rng = seeded_rng(1);
-        let mut mlp = Mlp::new(&ctx, gcn_cfg.clone(), &mut rng);
+        let mut mlp = MlpModel::new(&ctx, mlp_cfg, &mut rng);
         train(&mut mlp, &ctx, &data, &train_cfg, &mut rng, None);
         let mlp_acc = data.test_accuracy(&mlp.predictor(&ctx).predict());
 

@@ -4,7 +4,7 @@
 //! events (captured by `RDD_TRACE=<path>`, alongside the per-epoch records
 //! the trainer itself emits).
 
-use rdd_core::{DistillTarget, RddConfig, RddTrainer};
+use rdd_core::{RddConfig, RddTrainer};
 use rdd_graph::SynthConfig;
 use rdd_obs::{render_table, Json};
 
@@ -24,7 +24,6 @@ fn main() {
     for gamma in [0.3f32, 1.0, 3.0] {
         for beta in [0.0f32, 1.0, 10.0] {
             let mut cfg = base(gamma);
-            cfg.distill = DistillTarget::Probs;
             cfg.beta = beta;
             let out = RddTrainer::new(cfg).run(&data);
             rdd_obs::event(

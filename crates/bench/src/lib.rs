@@ -6,7 +6,7 @@
 //! and fixed-width table printing.
 
 use rdd_core::RddConfig;
-use rdd_graph::{Dataset, SynthConfig};
+use rdd_graph::SynthConfig;
 use rdd_models::{GcnConfig, TrainConfig};
 
 /// Look up a synthetic preset by short or full name
@@ -41,14 +41,6 @@ pub fn num_trials() -> usize {
         v.parse::<usize>().ok().filter(|&n| n >= 1)
     })
     .unwrap_or(3)
-}
-
-/// Generate `trials` variants of a preset, one per seed (both the graph and
-/// the split resample, matching the paper's repeated-runs protocol).
-pub fn trial_datasets(cfg: &SynthConfig, trials: usize) -> Vec<Dataset> {
-    (0..trials as u64)
-        .map(|s| cfg.generate_with_seed(cfg.seed.wrapping_add(s * 7919)))
-        .collect()
 }
 
 /// Mean and (population) standard deviation.
@@ -180,14 +172,6 @@ mod tests {
         assert!((m - 2.0).abs() < 1e-6);
         assert!((s - 1.0).abs() < 1e-6);
         assert_eq!(mean_std(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn trial_datasets_vary() {
-        let cfg = preset("tiny");
-        let ds = trial_datasets(&cfg, 2);
-        assert_eq!(ds.len(), 2);
-        assert_ne!(ds[0].train_idx, ds[1].train_idx);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use rdd_core::{distill_run, DistillConfig, RddConfig, RddTrainer, RunState};
 use rdd_graph::{io, Dataset, DatasetStats, SynthConfig};
 use rdd_models::{
     float_text::push_f32, push_rows, train as train_model, Gat, GatConfig, Gcn, GcnConfig,
-    GraphContext, Predictor, PredictorExt, TrainConfig,
+    GraphContext, PredictRequest, Predictor, PredictorExt, TrainConfig,
 };
 use rdd_obs::{gate, TraceSummary};
 use rdd_serve::wire::{self, error_line, reply_json};
@@ -549,13 +549,13 @@ pub fn artifact_info(args: &Args) -> Result<(), RddError> {
         meta.alpha_total
     );
     println!("checksum:    {:016x}", artifact.checksum());
-    if let Some(mlp) = artifact.as_mlp() {
+    if let Some(params) = artifact.student_params() {
         println!(
             "student:     {} -> {} in {} layer(s), {}",
-            mlp.in_dim(),
+            params[0].rows(),
             meta.num_classes,
-            mlp.num_layers(),
-            if mlp.quantized() {
+            params.len(),
+            if artifact.quantized() {
                 "int8-quantized"
             } else {
                 "f32"
@@ -595,8 +595,8 @@ pub fn artifact_info(args: &Args) -> Result<(), RddError> {
                     reference.format().name()
                 ))
             })?;
-        let drift = quant::max_ulp_diff(&sums.0, &ref_sums.0)
-            .max(quant::max_ulp_diff(&sums.1, &ref_sums.1));
+        let drift =
+            quant::max_ulp_diff(sums.0, ref_sums.0).max(quant::max_ulp_diff(sums.1, ref_sums.1));
         println!("reference:   {ref_path} ({})", reference.format().name());
         if ref_bytes > 0 {
             println!(
@@ -629,14 +629,15 @@ pub fn artifact_info(args: &Args) -> Result<(), RddError> {
         // served replies against.
         let proba = match args.options.get("features-in") {
             Some(rows_path) => {
-                let mlp = artifact.as_mlp().ok_or_else(|| {
-                    RddError::Cli(format!(
+                if !format.supports_features() {
+                    return Err(RddError::Cli(format!(
                         "--features-in requires a v3 (mlp) artifact; {path} is {}",
                         format.name()
-                    ))
-                })?;
+                    )));
+                }
                 let rows = read_feature_rows(rows_path)?;
-                mlp.predict_features(&rows)
+                artifact
+                    .predict_batch(&PredictRequest::features(rows))
                     .map_err(|e| RddError::Cli(e.to_string()))?
                     .proba
             }
@@ -1022,16 +1023,8 @@ pub fn serve(args: &Args) -> Result<(), RddError> {
             }
         },
     };
-    // Heartbeat cadence: `--metrics-every SECS` wins, `RDD_METRICS_EVERY`
-    // is the fallback, 0/unset disables the heartbeat.
-    let metrics_every: u64 = if args.options.contains_key("metrics-every") {
-        args.get_or("metrics-every", 0u64)?
-    } else {
-        rdd_obs::env::parse_with("RDD_METRICS_EVERY", "a whole number of seconds", |v| {
-            v.parse::<u64>().ok()
-        })
-        .unwrap_or(0)
-    };
+    // Heartbeat cadence in seconds; 0 (the default) disables the heartbeat.
+    let metrics_every: u64 = args.get_or("metrics-every", 0u64)?;
     let artifact = AnyArtifact::load(Path::new(artifact_path))?;
     let meta = artifact.meta();
     let checksum = artifact.checksum();

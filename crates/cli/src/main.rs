@@ -55,7 +55,6 @@ presets: cora, citeseer, pubmed, nell, nell-full, tiny
 env: RDD_TRACE=<path|stderr|off> structured telemetry sink,
      RDD_SIMD=<auto|off> kernel tier (auto: AVX2+FMA where the host has it; off: the scalar
        oracle, bitwise-identical to builds before the tier existed),
-     RDD_METRICS_EVERY=N serve heartbeat seconds (same as --metrics-every),
      RDD_FAULT=<kind>@<site>:<n>[x<k>] deterministic fault injection (nan_loss@epoch, io_fail@ckpt,
        panic@member, panic@serve_worker, panic@serve_batch, slow@serve_batch, io_fail@swap_load;
        :<n>x<k> fires on k consecutive passes)";

@@ -42,8 +42,7 @@ pub mod run;
 pub use distill::{distill_mlp, distill_run, DistillConfig, DistillOutcome};
 pub use ensemble::{model_weight, uniform_weight, Ensemble, EnsembleMember};
 pub use rdd::{
-    cosine_gamma, Ablation, BaseModelRecord, DistillTarget, RddConfig, RddConfigBuilder,
-    RddOutcome, RddTrainer,
+    cosine_gamma, Ablation, BaseModelRecord, RddConfig, RddConfigBuilder, RddOutcome, RddTrainer,
 };
 pub use reliability::{
     all_nodes_reliable, compute_reliability, ReliabilitySets, ReliabilityWorkspace,

@@ -110,22 +110,6 @@ impl Ablation {
     }
 }
 
-/// What the L2 loss (Eq. 7) pulls the student toward on the distillation
-/// set `V_b`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DistillTarget {
-    /// Mimic the teacher's last-layer embedding (the paper's Eq. 7 reading:
-    /// `‖f_t(x) − F_{t−1}(x)‖²` on pre-softmax outputs).
-    Logits,
-    /// Mimic the teacher's softmax distribution with an L2 match
-    /// (scale-invariant across ensemble members).
-    #[default]
-    Probs,
-    /// Soft cross-entropy against the teacher distribution (Hinton-style
-    /// dark knowledge).
-    SoftCe,
-}
-
 /// Full RDD configuration (paper §5.1 defaults via [`RddConfig::citation`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RddConfig {
@@ -147,8 +131,6 @@ pub struct RddConfig {
     pub gcn: GcnConfig,
     /// Optimization settings shared by every base model.
     pub train: TrainConfig,
-    /// Which teacher signal the L2 loss matches on `V_b`.
-    pub distill: DistillTarget,
     /// Table 8 ablation switches.
     pub ablation: Ablation,
     /// Seed for initialization and dropout; base model `t` derives its own
@@ -166,7 +148,6 @@ impl RddConfig {
             beta: 10.0,
             gamma_initial: 1.0,
             gamma_epochs: 150,
-            distill: DistillTarget::default(),
             gcn: GcnConfig::citation(),
             train: TrainConfig::citation(),
             ablation: Ablation::default(),
@@ -334,12 +315,6 @@ impl RddConfigBuilder {
     /// Optimization settings shared by every base model.
     pub fn train(mut self, train: TrainConfig) -> Self {
         self.cfg.train = train;
-        self
-    }
-
-    /// Which teacher signal the L2 loss matches on `V_b`.
-    pub fn distill(mut self, distill: DistillTarget) -> Self {
-        self.cfg.distill = distill;
         self
     }
 
@@ -628,12 +603,10 @@ impl RddTrainer {
                     // Freeze the teacher's outputs for this round.
                     let teacher_proba = ensemble.proba();
                     let teacher_proba_rc = Rc::new(teacher_proba.clone());
-                    let teacher_logits = Rc::new(ensemble.logits());
                     let labels = dataset.labels.clone();
                     let graph = &dataset.graph;
                     let total_epochs = cfg.gamma_epochs;
                     let abl = cfg.ablation;
-                    let distill = cfg.distill;
                     let (p, beta, gamma_initial) = (cfg.p, cfg.beta, cfg.gamma_initial);
                     let all_edges = Rc::clone(&all_edges);
                     let all_edge_weights = Rc::clone(&all_edge_weights);
@@ -654,7 +627,7 @@ impl RddTrainer {
                         let mut terms: Vec<(Var, f32)> = Vec::with_capacity(2);
                         // ONE softmax node for the epoch: its value feeds the
                         // reliability refresh below, and the same node is the
-                        // `Probs` distillation output and the regularizer input —
+                        // L2 distillation output and the regularizer input —
                         // the forward work and the tape node are never duplicated.
                         let probs = tape.softmax(logits);
                         let student_proba = tape.value(probs);
@@ -687,22 +660,11 @@ impl RddTrainer {
                         let mut lreg_val = 0.0f32;
                         let distill_idx = relia.distill();
                         if abl.use_l2 && !distill_idx.is_empty() && gamma > 0.0 {
-                            let l2 = match distill {
-                                DistillTarget::Logits => {
-                                    tape.mse_rows(logits, Rc::clone(&teacher_logits), distill_idx)
-                                }
-                                DistillTarget::Probs => {
-                                    tape.mse_rows(probs, Rc::clone(&teacher_proba_rc), distill_idx)
-                                }
-                                DistillTarget::SoftCe => {
-                                    let logp = tape.log_softmax(logits);
-                                    tape.soft_ce_masked(
-                                        logp,
-                                        Rc::clone(&teacher_proba_rc),
-                                        distill_idx,
-                                    )
-                                }
-                            };
+                            // Eq. 7 on the softmax outputs: with an ensemble
+                            // teacher, averaged probabilities are exactly its
+                            // output (Eq. 13); averaged raw logits are not.
+                            let l2 =
+                                tape.mse_rows(probs, Rc::clone(&teacher_proba_rc), distill_idx);
                             if staged.is_some() {
                                 l2_val = tape.scalar(l2);
                             }

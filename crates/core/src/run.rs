@@ -41,7 +41,7 @@ use rdd_obs::Json;
 use rdd_tensor::Matrix;
 
 use crate::ensemble::Ensemble;
-use crate::rdd::{Ablation, BaseModelRecord, DistillTarget, RddConfig};
+use crate::rdd::{Ablation, BaseModelRecord, RddConfig};
 
 /// Manifest file name inside a run directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -538,14 +538,9 @@ fn config_to_json(cfg: &RddConfig) -> Json {
         ("gamma_initial".into(), Json::from(cfg.gamma_initial)),
         ("gamma_epochs".into(), Json::from(cfg.gamma_epochs)),
         ("seed".into(), Json::from(cfg.seed.to_string())),
-        (
-            "distill".into(),
-            Json::from(match cfg.distill {
-                DistillTarget::Logits => "logits",
-                DistillTarget::Probs => "probs",
-                DistillTarget::SoftCe => "soft_ce",
-            }),
-        ),
+        // The L2 target is always the teacher's probabilities; the key
+        // stays so manifests keep their bytes.
+        ("distill".into(), Json::from("probs")),
         (
             "ablation".into(),
             Json::Obj(vec![
@@ -609,6 +604,10 @@ fn config_from_json(j: &Json) -> Result<RddConfig, String> {
     if kind != "constant" {
         return Err(format!("unknown lr_schedule kind {kind:?}"));
     }
+    let distill = str_of(j, "distill")?;
+    if distill != "probs" {
+        return Err(format!("unknown distill target {distill:?}"));
+    }
     let divergence = train.get("divergence").ok_or("missing \"divergence\"")?;
     let seed_str = str_of(j, "seed")?;
     let seed: u64 = seed_str
@@ -632,12 +631,6 @@ fn config_from_json(j: &Json) -> Result<RddConfig, String> {
         beta: f32_of(j, "beta")?,
         gamma_initial: f32_of(j, "gamma_initial")?,
         gamma_epochs: usize_of(j, "gamma_epochs")?,
-        distill: match str_of(j, "distill")?.as_str() {
-            "logits" => DistillTarget::Logits,
-            "probs" => DistillTarget::Probs,
-            "soft_ce" => DistillTarget::SoftCe,
-            other => return Err(format!("unknown distill target {other:?}")),
-        },
         gcn: GcnConfig {
             hidden,
             dropout: f32_of(gcn, "dropout")?,
@@ -765,7 +758,6 @@ mod tests {
             max_retries: 5,
             lr_backoff: 0.25,
         };
-        cfg.distill = DistillTarget::SoftCe;
         cfg.ablation = Ablation::without_edge_reliability();
         cfg.p = 0.3333333;
         let json = config_to_json(&cfg);
@@ -792,6 +784,21 @@ mod tests {
         let parsed = rdd_obs::parse(&cosine).expect("manifest json parses");
         let err = config_from_json(&parsed).expect_err("only a constant rate is accepted");
         assert_eq!(err, r#"unknown lr_schedule kind "cosine_restarts""#);
+    }
+
+    #[test]
+    fn manifest_with_another_distillation_target_is_refused() {
+        let json = config_to_json(&RddConfig::fast());
+        let mut text = String::new();
+        json.write(&mut text);
+        let probs = r#""distill":"probs""#;
+        assert!(text.contains(probs), "{text}");
+        for target in ["logits", "soft_ce"] {
+            let other = text.replace(probs, &format!(r#""distill":"{target}""#));
+            let parsed = rdd_obs::parse(&other).expect("manifest json parses");
+            let err = config_from_json(&parsed).expect_err("only probs is accepted");
+            assert_eq!(err, format!("unknown distill target {target:?}"));
+        }
     }
 
     #[test]

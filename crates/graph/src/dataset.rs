@@ -42,16 +42,6 @@ impl Dataset {
         self.train_idx.len() as f32 / self.n() as f32
     }
 
-    /// Unlabeled = everything outside the training set (val/test included,
-    /// matching the transductive protocol: their labels are never trained on).
-    pub fn unlabeled_idx(&self) -> Vec<usize> {
-        let mut is_train = vec![false; self.n()];
-        for &i in &self.train_idx {
-            is_train[i] = true;
-        }
-        (0..self.n()).filter(|&i| !is_train[i]).collect()
-    }
-
     /// Classification accuracy of `predictions` over the test split.
     pub fn test_accuracy(&self, predictions: &[usize]) -> f32 {
         accuracy_over(&self.labels, predictions, &self.test_idx)
@@ -60,17 +50,6 @@ impl Dataset {
     /// Classification accuracy of `predictions` over the validation split.
     pub fn val_accuracy(&self, predictions: &[usize]) -> f32 {
         accuracy_over(&self.labels, predictions, &self.val_idx)
-    }
-
-    /// Planetoid split: `per_class` labeled nodes per class, then `val` and
-    /// `test` nodes sampled from the remainder. Panics when a class has
-    /// fewer than `per_class` nodes or the remainder is too small.
-    pub fn resplit(&mut self, per_class: usize, val: usize, test: usize, rng: &mut Rng) {
-        let (train, val_idx, test_idx) =
-            planetoid_split(&self.labels, self.num_classes, per_class, val, test, rng);
-        self.train_idx = train;
-        self.val_idx = val_idx;
-        self.test_idx = test_idx;
     }
 
     /// Keep the current val/test sets but resample the training set to
@@ -203,16 +182,6 @@ mod tests {
             per_class[d.labels[i]] += 1;
         }
         assert_eq!(per_class, [4, 4, 4]);
-    }
-
-    #[test]
-    fn unlabeled_complements_train() {
-        let d = toy_dataset();
-        let u = d.unlabeled_idx();
-        assert_eq!(u.len(), d.n() - d.train_idx.len());
-        for &i in &d.train_idx {
-            assert!(!u.contains(&i));
-        }
     }
 
     #[test]

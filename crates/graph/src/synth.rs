@@ -202,16 +202,6 @@ impl SynthConfig {
         })
     }
 
-    /// All four paper datasets in Table 2 order.
-    pub fn paper_datasets() -> Vec<SynthConfig> {
-        vec![
-            Self::cora_sim(),
-            Self::citeseer_sim(),
-            Self::pubmed_sim(),
-            Self::nell_sim(),
-        ]
-    }
-
     /// Generate the dataset with this configuration's seed.
     pub fn generate(&self) -> Dataset {
         let mut rng = rdd_tensor::seeded_rng(self.seed);

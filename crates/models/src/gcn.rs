@@ -1,5 +1,6 @@
 //! The GCN model zoo: plain GCN plus the deep variants the paper compares
-//! against (ResGCN, DenseGCN, JK-Net) and a graph-free MLP diagnostic.
+//! against (ResGCN, DenseGCN, JK-Net). The graph-free MLP lives in
+//! [`crate::mlp`].
 //!
 //! All models share the [`Model`] trait: a forward pass that records onto an
 //! autodiff [`Tape`] and returns the `n x k` logits node. Layer 1 always
@@ -424,69 +425,29 @@ impl Model for JkNet {
     }
 }
 
-/// Graph-free MLP over the node features — a diagnostic lower bound that
-/// quantifies how much signal the generator puts in features vs structure.
-pub struct Mlp {
-    cfg: GcnConfig,
-    params: Vec<Matrix>,
-}
-
-impl Mlp {
-    /// Build with Glorot-initialized weights.
-    pub fn new(ctx: &GraphContext, cfg: GcnConfig, rng: &mut Rng) -> Self {
-        let mut dims = vec![ctx.in_dim];
-        dims.extend_from_slice(&cfg.hidden);
-        dims.push(ctx.num_classes);
-        let params = init_weights(&dims, rng);
-        Self { cfg, params }
-    }
-}
-
-impl Model for Mlp {
-    fn forward(&self, tape: &mut Tape, ctx: &GraphContext, training: bool, rng: &mut Rng) -> Var {
-        let x = input_features(ctx, &self.cfg, training, rng);
-        let w1 = tape.param_of(0, &self.params[0]);
-        let mut h = tape.spmm(&x, w1, false);
-        for (l, w) in self.params.iter().enumerate().skip(1) {
-            h = tape.relu(h);
-            if training {
-                h = tape.dropout(h, self.cfg.dropout, rng);
-            }
-            let wv = tape.param_of(l, w);
-            h = tape.matmul(h, wv);
-        }
-        h
-    }
-
-    fn params(&self) -> &[Matrix] {
-        &self.params
-    }
-
-    fn params_mut(&mut self) -> &mut [Matrix] {
-        &mut self.params
-    }
-
-    fn decay_mask(&self) -> Vec<bool> {
-        let mut m = vec![false; self.params.len()];
-        if !m.is_empty() {
-            m[0] = true;
-        }
-        m
-    }
-
-    fn name(&self) -> &'static str {
-        "MLP"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mlp::{MlpConfig, MlpModel};
     use rdd_graph::SynthConfig;
     use rdd_tensor::seeded_rng;
 
     fn ctx() -> GraphContext {
         GraphContext::new(&SynthConfig::tiny().generate())
+    }
+
+    /// The MLP with [`GcnConfig::citation`]'s widths and dropouts.
+    fn citation_mlp() -> MlpConfig {
+        let GcnConfig {
+            hidden,
+            dropout,
+            input_dropout,
+        } = GcnConfig::citation();
+        MlpConfig {
+            hidden,
+            dropout,
+            input_dropout,
+        }
     }
 
     fn logits_shape(model: &dyn Model, ctx: &GraphContext) -> (usize, usize) {
@@ -515,7 +476,7 @@ mod tests {
         assert_eq!(logits_shape(&dense, &c), (300, 3));
         let jk = JkNet::new(&c, GcnConfig::deep(16, 4, 0.5), &mut rng);
         assert_eq!(logits_shape(&jk, &c), (300, 3));
-        let mlp = Mlp::new(&c, GcnConfig::citation(), &mut rng);
+        let mlp = MlpModel::new(&c, citation_mlp(), &mut rng);
         assert_eq!(logits_shape(&mlp, &c), (300, 3));
     }
 
@@ -555,7 +516,7 @@ mod tests {
             Box::new(ResGcn::new(&c, GcnConfig::deep(8, 3, 0.5), &mut rng)),
             Box::new(DenseGcn::new(&c, GcnConfig::deep(8, 3, 0.5), &mut rng)),
             Box::new(JkNet::new(&c, GcnConfig::deep(8, 3, 0.5), &mut rng)),
-            Box::new(Mlp::new(&c, GcnConfig::citation(), &mut rng)),
+            Box::new(MlpModel::new(&c, citation_mlp(), &mut rng)),
         ];
         let labels = std::rc::Rc::new((0..c.n).map(|i| i % 3).collect::<Vec<_>>());
         let idx = std::rc::Rc::new((0..30).collect::<Vec<_>>());

@@ -3,8 +3,9 @@
 //!
 //! The GCN model zoo and shared training loop for the RDD (SIGMOD 2020)
 //! reproduction: plain GCN, GAT (§5.3's stronger base model), the deep
-//! baselines the paper compares against (ResGCN, DenseGCN, JK-Net), a
-//! graph-free MLP diagnostic, and a trainer with Adam, dropout, early
+//! baselines the paper compares against (ResGCN, DenseGCN, JK-Net), the
+//! graph-free MLP (the distilled student and a features-only diagnostic),
+//! and a trainer with Adam, dropout, early
 //! stopping and an extra-loss hook that the distillation methods (BANs,
 //! RDD) plug their objectives into.
 //!
@@ -39,7 +40,7 @@ pub use checkpoint::{
 pub use config::{ConfigError, TrainConfigBuilder};
 pub use context::{Block, GraphContext, RowSet};
 pub use gat::{Gat, GatConfig};
-pub use gcn::{DenseGcn, Gcn, GcnConfig, JkNet, Mlp, Model, ResGcn};
+pub use gcn::{DenseGcn, Gcn, GcnConfig, JkNet, Model, ResGcn};
 pub use metrics::{expected_calibration_error, ConfusionMatrix};
 pub use mlp::{mlp_forward_features, validate_layer_chain, MlpConfig, MlpModel};
 pub use predictor::{

@@ -1,5 +1,6 @@
-//! The graph-free MLP student (`MlpModel`) and its canonical dense
-//! forward.
+//! The graph-free MLP (`MlpModel`) and its canonical dense forward. It is
+//! the distilled student, and, trained on labels alone, the features-only
+//! diagnostic of the generator calibration report.
 //!
 //! The RDD ensemble — and every artifact exported from it so far — can
 //! only answer for nodes it was trained on. Following the KRD/GLNN line,
@@ -80,20 +81,6 @@ impl MlpModel {
         }
     }
 
-    /// Reassemble a student from already-trained weight matrices (the v3
-    /// artifact load path). Validates the dimension chain.
-    pub fn from_params(params: Vec<Matrix>, cfg: MlpConfig) -> Result<Self, String> {
-        validate_layer_chain(&params)?;
-        let in_dim = params[0].rows();
-        let num_classes = params[params.len() - 1].cols();
-        Ok(Self {
-            cfg,
-            in_dim,
-            num_classes,
-            params,
-        })
-    }
-
     /// The input feature dimensionality the student was trained with.
     pub fn in_dim(&self) -> usize {
         self.in_dim
@@ -154,7 +141,7 @@ impl Model for MlpModel {
     }
 
     fn name(&self) -> &'static str {
-        "DistilledMLP"
+        "MLP"
     }
 }
 
@@ -284,17 +271,5 @@ mod tests {
             "spmm and dense paths diverged: {}",
             tape_logits.max_abs_diff(&dense_logits)
         );
-    }
-
-    #[test]
-    fn from_params_validates_the_chain() {
-        let good = vec![Matrix::zeros(8, 4), Matrix::zeros(4, 3)];
-        let m = MlpModel::from_params(good, MlpConfig::student()).unwrap();
-        assert_eq!(m.in_dim(), 8);
-        assert_eq!(m.num_classes(), 3);
-        let bad = vec![Matrix::zeros(8, 4), Matrix::zeros(5, 3)];
-        let err = MlpModel::from_params(bad, MlpConfig::student()).unwrap_err();
-        assert!(err.contains("layer 0"), "{err}");
-        assert!(validate_layer_chain(&[]).is_err());
     }
 }

@@ -118,13 +118,6 @@ impl PredictRequest {
     pub fn features(rows: Matrix) -> Self {
         Self::ByFeatures(rows)
     }
-
-    /// Whether this is a feature-vector request ([`Self::ByFeatures`]).
-    /// Feature rows are uncacheable by design (no stable identity to key
-    /// on), so serve-side caches skip these requests.
-    pub fn is_features(&self) -> bool {
-        matches!(self, Self::ByFeatures(_))
-    }
 }
 
 /// Which request shape a [`Prediction`] answers — surfaced on the serve
@@ -455,9 +448,6 @@ mod tests {
 
     #[test]
     fn request_helpers_classify_shapes() {
-        assert!(!PredictRequest::all().is_features());
-        assert!(!PredictRequest::nodes(vec![1]).is_features());
-        assert!(PredictRequest::features(Matrix::zeros(1, 4)).is_features());
         assert_eq!(PredictionKind::Node.name(), "node");
         assert_eq!(PredictionKind::Features.name(), "features");
     }

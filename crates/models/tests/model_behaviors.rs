@@ -4,7 +4,8 @@
 
 use rdd_graph::SynthConfig;
 use rdd_models::{
-    train, Gcn, GcnConfig, GraphContext, Mlp, Model, PredictorExt, ResGcn, TrainConfig,
+    train, Gcn, GcnConfig, GraphContext, MlpConfig, MlpModel, Model, PredictorExt, ResGcn,
+    TrainConfig,
 };
 use rdd_tensor::seeded_rng;
 
@@ -32,7 +33,17 @@ fn gcn_beats_mlp_on_homophilous_graph() {
     let ctx = GraphContext::new(&data);
     let mut rng = seeded_rng(1);
     let mut gcn = Gcn::new(&ctx, GcnConfig::citation(), &mut rng);
-    let mut mlp = Mlp::new(&ctx, GcnConfig::citation(), &mut rng);
+    let GcnConfig {
+        hidden,
+        dropout,
+        input_dropout,
+    } = GcnConfig::citation();
+    let mlp_cfg = MlpConfig {
+        hidden,
+        dropout,
+        input_dropout,
+    };
+    let mut mlp = MlpModel::new(&ctx, mlp_cfg, &mut rng);
     let gcn_acc = fit(&mut gcn, &data, &ctx, 2);
     let mlp_acc = fit(&mut mlp, &data, &ctx, 2);
     assert!(

@@ -66,18 +66,6 @@ pub fn parse_with<T>(
     }
 }
 
-/// [`parse_with`] for the common on/off switch shape: accepts
-/// `1|true|on|yes` and `0|false|off|no` (ASCII case-insensitive).
-pub fn parse_bool(var: &str) -> Option<bool> {
-    parse_with(var, "on|off", |raw| {
-        match raw.to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => Some(true),
-            "0" | "false" | "off" | "no" => Some(false),
-            _ => None,
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,15 +127,5 @@ mod tests {
             });
         assert!(warned, "env_warn event must reach the trace");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bool_shapes() {
-        let _g = lock();
-        for (raw, want) in [("on", true), ("1", true), ("YES", true), ("off", false)] {
-            std::env::set_var("RDD_ENV_TEST_BOOL", raw);
-            assert_eq!(parse_bool("RDD_ENV_TEST_BOOL"), Some(want), "raw={raw}");
-        }
-        std::env::remove_var("RDD_ENV_TEST_BOOL");
     }
 }

@@ -16,8 +16,7 @@
 //! - [`telemetry`] / [`summarize`] / [`gate`] / [`env`]: the domain event
 //!   schema (epoch / member / run / serve records), the offline validator,
 //!   renderer and perf-regression gate behind `rdd report`, and the latched
-//!   env-var parse helper shared by `RDD_SIMD` / `RDD_TRIALS` /
-//!   `RDD_METRICS_EVERY`.
+//!   env-var parse helper shared by `RDD_SIMD` / `RDD_TRIALS`.
 //!
 //! ## Event schema
 //!

@@ -17,7 +17,7 @@
 //! Floats are written with Rust's shortest-roundtrip `Display`, so a load
 //! reproduces the exporter's values bitwise — and because the file stores
 //! the ensemble's *running sums* plus `alpha_total` (not the normalized
-//! proba), [`Artifact::proba`] performs the exact same
+//! proba), [`AnyArtifact::load`] performs the exact same
 //! `sum · (1/alpha_total)` scaling as `Ensemble::proba`, keeping served
 //! responses bit-identical to the live run's.
 //!
@@ -35,23 +35,28 @@
 //! checksum <16 hex digits>      # same FNV-1a 64 discipline
 //! ```
 //!
-//! A v2q load dequantizes into the same dense [`Artifact`] the v1 path
-//! produces, so the serve engine, cache and [`Predictor`] contract are
-//! format-blind. v2q trades the v1 bitwise guarantee for ~0.3× the bytes;
-//! the drift is bounded per row by half a quant step and is measurable
-//! with `rdd artifact-info --reference`.
+//! A v2q load dequantizes into the same dense sums the v1 path produces,
+//! so the serve engine, cache and [`Predictor`] contract are format-blind.
+//! v2q trades the v1 bitwise guarantee for ~0.3× the bytes; the drift is
+//! bounded per row by half a quant step and is measurable with
+//! `rdd artifact-info --reference`.
+//!
+//! The v3 layout (a distilled student's weight matrices) is described in
+//! [`crate::mlp_artifact`]. Every format loads into the one
+//! [`AnyArtifact`].
 
 use std::path::Path;
 
 use rdd_core::{Ensemble, RunState};
 use rdd_models::{
-    gather_prediction, push_matrix, PredictError, PredictRequest, Prediction, Predictor, TextCursor,
+    gather_prediction, mlp_forward_features, push_matrix, PredictError, PredictRequest, Prediction,
+    PredictionKind, Predictor, TextCursor,
 };
 use rdd_obs::Json;
 use rdd_tensor::Matrix;
 
 use crate::error::{RddError, ServeError};
-use crate::mlp_artifact::MlpArtifact;
+use crate::mlp_artifact::parse_student;
 use crate::quant;
 
 /// First line of a full-precision v1 artifact.
@@ -239,19 +244,6 @@ impl ArtifactMeta {
     }
 }
 
-/// A loaded, validated artifact: the frozen teacher as a [`Predictor`].
-#[derive(Clone, Debug)]
-pub struct Artifact {
-    meta: ArtifactMeta,
-    format: ArtifactFormat,
-    proba_sum: Matrix,
-    logits_sum: Matrix,
-    /// FNV-1a 64 of the file content (also the serve cache's key epoch).
-    checksum: u64,
-    /// `proba_sum · (1/alpha_total)`, cached once at load.
-    proba: Matrix,
-}
-
 pub(crate) fn push_qmatrix(out: &mut String, m: &Matrix) {
     use std::fmt::Write as _;
     let (r, c) = m.shape();
@@ -288,28 +280,25 @@ pub(crate) fn write_sealed(
     Ok(checksum)
 }
 
-/// A verified artifact file, as [`open_sealed`] hands it to a format's
-/// body parser.
-pub(crate) struct Sealed<'a> {
+/// A verified artifact file, as [`open_sealed`] hands it to the body
+/// parser its format names.
+struct Sealed<'a> {
     /// The format its header line names.
-    pub(crate) format: ArtifactFormat,
+    format: ArtifactFormat,
     /// The parsed and validated meta line.
-    pub(crate) meta: ArtifactMeta,
+    meta: ArtifactMeta,
     /// The lines between the meta line and the checksum trailer.
-    pub(crate) body: TextCursor<'a>,
+    body: TextCursor<'a>,
     /// The verified file checksum.
-    pub(crate) checksum: u64,
+    checksum: u64,
 }
 
 /// Verify `text`'s checksum trailer, then read its header and meta lines.
 /// The checksum comes first, so corruption anywhere surfaces as
 /// [`ServeError::Checksum`], not as a random parse failure deeper in. A
-/// header that names an `rdd-artifact` format outside `accept` is
+/// header that names no known `rdd-artifact` format is
 /// [`ServeError::WrongVersion`].
-pub(crate) fn open_sealed<'a>(
-    text: &'a str,
-    accept: &[ArtifactFormat],
-) -> Result<Sealed<'a>, ServeError> {
+fn open_sealed(text: &str) -> Result<Sealed<'_>, ServeError> {
     let body_end = text
         .rfind("\nchecksum ")
         .ok_or_else(|| ServeError::Artifact("missing checksum line".into()))?
@@ -340,7 +329,7 @@ pub(crate) fn open_sealed<'a>(
         .into_iter()
         .find(|f| f.header() == header)
     {
-        Some(format) if accept.contains(&format) => format,
+        Some(format) => format,
         _ if header.starts_with("rdd-artifact") => {
             return Err(ServeError::WrongVersion {
                 found: header.to_string(),
@@ -366,16 +355,6 @@ pub(crate) fn open_sealed<'a>(
         body,
         checksum: stored,
     })
-}
-
-/// Reject body lines left over after a format's last block.
-pub(crate) fn end_of_body(body: &TextCursor<'_>) -> Result<(), ServeError> {
-    match body.peek() {
-        Some(_) => Err(ServeError::Artifact(
-            "trailing garbage before checksum line".into(),
-        )),
-        None => Ok(()),
-    }
 }
 
 /// Serialize and atomically write an artifact in the given format.
@@ -423,7 +402,7 @@ pub fn export_run_as(
     run_dir: &Path,
     artifact_path: &Path,
     format: ArtifactFormat,
-) -> Result<Artifact, RddError> {
+) -> Result<AnyArtifact, RddError> {
     let state = RunState::load(run_dir)?;
     if !state.is_complete() {
         return Err(ServeError::Artifact(format!(
@@ -455,21 +434,11 @@ pub fn export_run_as(
         alpha_total: ensemble.alpha_total(),
     };
     write_artifact_as(artifact_path, &meta, proba_sum, logits_sum, format)?;
-    Ok(Artifact::load(artifact_path)?)
+    Ok(AnyArtifact::load(artifact_path)?)
 }
 
-/// Export a live [`Ensemble`] as a v1 artifact (no run directory) — the
+/// Export a live [`Ensemble`] in `format` (no run directory) — the
 /// test/bench path.
-pub fn write_ensemble(
-    path: &Path,
-    ensemble: &Ensemble,
-    dataset_name: &str,
-    source: &str,
-) -> Result<u64, ServeError> {
-    write_ensemble_as(path, ensemble, dataset_name, source, ArtifactFormat::V1)
-}
-
-/// [`write_ensemble`] with an explicit output format.
 pub fn write_ensemble_as(
     path: &Path,
     ensemble: &Ensemble,
@@ -537,100 +506,162 @@ pub(crate) fn parse_qmatrix(
     Ok(out)
 }
 
-impl Artifact {
-    /// Load and fully validate a v1 or v2q artifact file: checksum,
-    /// header/version, meta, matrix shapes, finiteness.
+/// A loaded, validated artifact of any format: the frozen ensemble (v1,
+/// v2q) or the distilled graph-free student (v3) as one [`Predictor`].
+/// `rdd serve`, `rdd artifact-info` and the hot-swap watcher all load
+/// through [`AnyArtifact::load`], so they take either kind
+/// interchangeably — capability differences surface through
+/// [`ArtifactFormat::supports_nodes`] / [`ArtifactFormat::supports_features`]
+/// and typed [`PredictError`]s, never through separate entry points.
+#[derive(Clone, Debug)]
+pub struct AnyArtifact {
+    /// The teacher run's metadata (provenance only for a student).
+    meta: ArtifactMeta,
+    format: ArtifactFormat,
+    /// FNV-1a 64 of the file content (also the serve cache's key epoch).
+    checksum: u64,
+    body: Body,
+}
+
+/// What an artifact's body holds, by format.
+#[derive(Clone, Debug)]
+enum Body {
+    /// v1/v2q: the ensemble's running sums, and
+    /// `proba_sum · (1/alpha_total)` cached once at load.
+    Ensemble {
+        proba_sum: Matrix,
+        logits_sum: Matrix,
+        proba: Matrix,
+    },
+    /// v3: the student's weight matrices, first to last, and whether they
+    /// were int8-quantized on disk.
+    Student {
+        params: Vec<Matrix>,
+        quantized: bool,
+    },
+}
+
+impl AnyArtifact {
+    /// Load and fully validate an artifact file of any format: checksum
+    /// first, then header/version, meta, and the body its header names
+    /// (block shapes, finiteness, and for a student the declared `mlp`
+    /// shape line and layer chain).
     pub fn load(path: &Path) -> Result<Self, ServeError> {
         let text = std::fs::read_to_string(path)?;
-        Self::from_sealed(open_sealed(
-            &text,
-            &[ArtifactFormat::V1, ArtifactFormat::V2q],
-        )?)
-    }
-
-    fn from_sealed(sealed: Sealed<'_>) -> Result<Self, ServeError> {
         let Sealed {
             format,
             meta,
-            mut body,
+            body: mut lines,
             checksum,
-        } = sealed;
-        let (proba_sum, logits_sum) = match format {
-            ArtifactFormat::V1 => (body.read_matrix(0)?, body.read_matrix(1)?),
-            ArtifactFormat::V2q => {
-                // Dequantize through the SIMD tier; one resolve per load.
-                let tier = rdd_tensor::simd::active();
-                (
-                    parse_qmatrix(&mut body, tier)?,
-                    parse_qmatrix(&mut body, tier)?,
-                )
+        } = open_sealed(&text)?;
+        let body = match format {
+            ArtifactFormat::V1 | ArtifactFormat::V2q => parse_ensemble(format, &meta, &mut lines)?,
+            ArtifactFormat::V3Mlp => {
+                let (params, quantized) = parse_student(&meta, &mut lines)?;
+                Body::Student { params, quantized }
             }
-            // Callers only pass v1/v2q: students load via MlpArtifact.
-            ArtifactFormat::V3Mlp => unreachable!("v3 header never reaches the v1/v2q parser"),
         };
-        end_of_body(&body)?;
-        for (name, m) in [("proba_sum", &proba_sum), ("logits_sum", &logits_sum)] {
-            if m.shape() != (meta.dataset_n, meta.num_classes) {
-                return Err(ServeError::Artifact(format!(
-                    "{name} shape {:?} does not match meta ({} x {})",
-                    m.shape(),
-                    meta.dataset_n,
-                    meta.num_classes
-                )));
-            }
+        if lines.peek().is_some() {
+            return Err(ServeError::Artifact(
+                "trailing garbage before checksum line".into(),
+            ));
         }
-        // The exact normalization Ensemble::proba applies — this is what
-        // keeps served rows bitwise equal to the live run.
-        let proba = proba_sum.scaled(1.0 / meta.alpha_total);
         Ok(Self {
             meta,
             format,
-            proba_sum,
-            logits_sum,
             checksum,
-            proba,
+            body,
         })
     }
 
-    /// The artifact's metadata.
+    /// The artifact's metadata (the teacher run's meta for a distilled
+    /// student).
     pub fn meta(&self) -> &ArtifactMeta {
         &self.meta
     }
 
-    /// Which on-disk format this artifact was loaded from.
+    /// The on-disk encoding.
     pub fn format(&self) -> ArtifactFormat {
         self.format
     }
 
-    /// The file checksum (also the serve cache's key epoch).
+    /// The file checksum (the serve cache's key epoch).
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
 
-    /// The normalized teacher distribution, `n x k` (bitwise equal to the
-    /// exporting ensemble's `proba()`).
-    pub fn proba(&self) -> &Matrix {
-        &self.proba
+    /// The raw `Σ α_t · proba_t`. `None` for a v3 student, which stores
+    /// weight matrices instead of per-node sums.
+    pub fn proba_sum(&self) -> Option<&Matrix> {
+        match &self.body {
+            Body::Ensemble { proba_sum, .. } => Some(proba_sum),
+            Body::Student { .. } => None,
+        }
     }
 
-    /// The raw `Σ α_t · proba_t`.
-    pub fn proba_sum(&self) -> &Matrix {
-        &self.proba_sum
+    /// The raw `Σ α_t · logits_t`. `None` for a v3 student.
+    pub fn logits_sum(&self) -> Option<&Matrix> {
+        match &self.body {
+            Body::Ensemble { logits_sum, .. } => Some(logits_sum),
+            Body::Student { .. } => None,
+        }
     }
 
-    /// The raw `Σ α_t · logits_t` (the distillation target, carried so an
-    /// artifact can seed future student training).
-    pub fn logits_sum(&self) -> &Matrix {
-        &self.logits_sum
+    /// The student's weight matrices, first to last. `None` for an
+    /// ensemble artifact.
+    pub fn student_params(&self) -> Option<&[Matrix]> {
+        match &self.body {
+            Body::Ensemble { .. } => None,
+            Body::Student { params, .. } => Some(params),
+        }
     }
 
-    /// The normalized teacher embedding `F_T`.
-    pub fn logits(&self) -> Matrix {
-        self.logits_sum.scaled(1.0 / self.meta.alpha_total)
+    /// Whether the artifact's matrices were int8-quantized on disk.
+    pub fn quantized(&self) -> bool {
+        match &self.body {
+            Body::Ensemble { .. } => self.format == ArtifactFormat::V2q,
+            Body::Student { quantized, .. } => *quantized,
+        }
     }
 }
 
-impl Predictor for Artifact {
+/// Parse a v1/v2q body: the two ensemble sums, each shaped like the meta's
+/// dataset.
+fn parse_ensemble(
+    format: ArtifactFormat,
+    meta: &ArtifactMeta,
+    lines: &mut TextCursor<'_>,
+) -> Result<Body, ServeError> {
+    let (proba_sum, logits_sum) = if format == ArtifactFormat::V2q {
+        // Dequantize through the SIMD tier; one resolve per load.
+        let tier = rdd_tensor::simd::active();
+        (parse_qmatrix(lines, tier)?, parse_qmatrix(lines, tier)?)
+    } else {
+        (lines.read_matrix(0)?, lines.read_matrix(1)?)
+    };
+    for (name, m) in [("proba_sum", &proba_sum), ("logits_sum", &logits_sum)] {
+        if m.shape() != (meta.dataset_n, meta.num_classes) {
+            return Err(ServeError::Artifact(format!(
+                "{name} shape {:?} does not match meta ({} x {})",
+                m.shape(),
+                meta.dataset_n,
+                meta.num_classes
+            )));
+        }
+    }
+    // The exact normalization Ensemble::proba applies — this is what
+    // keeps served rows bitwise equal to the live run.
+    let proba = proba_sum.scaled(1.0 / meta.alpha_total);
+    Ok(Body::Ensemble {
+        proba_sum,
+        logits_sum,
+        proba,
+    })
+}
+
+impl Predictor for AnyArtifact {
+    /// The training graph's node count (provenance only for a student,
+    /// which rejects node requests regardless).
     fn num_nodes(&self) -> usize {
         self.meta.dataset_n
     }
@@ -639,111 +670,34 @@ impl Predictor for Artifact {
         self.meta.num_classes
     }
 
+    /// An ensemble copies stored rows; a student answers dense feature
+    /// rows through the canonical [`mlp_forward_features`] pass and a row
+    /// softmax — the one code path shared with every offline comparison,
+    /// which is what makes served feature replies bitwise-reproducible.
     fn predict_batch(&self, req: &PredictRequest) -> Result<Prediction, PredictError> {
-        gather_prediction(&self.proba, req)
-    }
-}
-
-/// Any artifact kind behind one loader: reads the file once, verifies its
-/// checksum, and dispatches on the header to the v1/v2q or the v3 body
-/// parser. This is what the CLI serves from, so `rdd serve` and
-/// `rdd artifact-info` take an ensemble artifact or a distilled student
-/// interchangeably — capability differences surface through
-/// [`ArtifactFormat::supports_nodes`] / [`ArtifactFormat::supports_features`]
-/// and typed [`PredictError`]s, never through separate entry points.
-#[derive(Clone, Debug)]
-pub enum AnyArtifact {
-    /// A single-file ensemble artifact (v1 or v2q).
-    Single(Artifact),
-    /// A distilled graph-free MLP student (v3), feature-vector requests
-    /// only.
-    Mlp(MlpArtifact),
-}
-
-impl AnyArtifact {
-    /// Load `path` as whichever artifact kind its header declares.
-    pub fn load(path: &Path) -> Result<Self, ServeError> {
-        let text = std::fs::read_to_string(path)?;
-        let sealed = open_sealed(&text, &ArtifactFormat::ALL)?;
-        Ok(match sealed.format {
-            ArtifactFormat::V3Mlp => AnyArtifact::Mlp(MlpArtifact::from_sealed(sealed)?),
-            ArtifactFormat::V1 | ArtifactFormat::V2q => {
-                AnyArtifact::Single(Artifact::from_sealed(sealed)?)
-            }
+        let params = match &self.body {
+            Body::Ensemble { proba, .. } => return gather_prediction(proba, req),
+            Body::Student { params, .. } => params,
+        };
+        let PredictRequest::ByFeatures(rows) = req else {
+            return Err(PredictError::NodesUnsupported {
+                predictor: "mlp artifact",
+            });
+        };
+        let in_dim = params[0].rows();
+        if rows.cols() != in_dim {
+            return Err(PredictError::FeatureDimMismatch {
+                got: rows.cols(),
+                expected: in_dim,
+            });
+        }
+        let proba = mlp_forward_features(params, rows).softmax_rows();
+        Ok(Prediction {
+            nodes: (0..rows.rows()).collect(),
+            pred: proba.argmax_rows(),
+            proba,
+            kind: PredictionKind::Features,
         })
-    }
-
-    /// The artifact's metadata (the teacher run's meta for a distilled
-    /// student).
-    pub fn meta(&self) -> &ArtifactMeta {
-        match self {
-            AnyArtifact::Single(a) => a.meta(),
-            AnyArtifact::Mlp(m) => m.meta(),
-        }
-    }
-
-    /// The on-disk encoding.
-    pub fn format(&self) -> ArtifactFormat {
-        match self {
-            AnyArtifact::Single(a) => a.format(),
-            AnyArtifact::Mlp(m) => m.format(),
-        }
-    }
-
-    /// The file checksum (the serve cache's key epoch).
-    pub fn checksum(&self) -> u64 {
-        match self {
-            AnyArtifact::Single(a) => a.checksum(),
-            AnyArtifact::Mlp(m) => m.checksum(),
-        }
-    }
-
-    /// The distilled student, when this is a v3 artifact.
-    pub fn as_mlp(&self) -> Option<&MlpArtifact> {
-        match self {
-            AnyArtifact::Mlp(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The `Σ α_t · proba_t`, cloned out. `None` for a v3 student, which
-    /// stores weight matrices instead of per-node sums.
-    pub fn proba_sum(&self) -> Option<Matrix> {
-        match self {
-            AnyArtifact::Single(a) => Some(a.proba_sum().clone()),
-            AnyArtifact::Mlp(_) => None,
-        }
-    }
-
-    /// The `Σ α_t · logits_t`, cloned out. `None` for a v3 student.
-    pub fn logits_sum(&self) -> Option<Matrix> {
-        match self {
-            AnyArtifact::Single(a) => Some(a.logits_sum().clone()),
-            AnyArtifact::Mlp(_) => None,
-        }
-    }
-}
-
-impl Predictor for AnyArtifact {
-    fn num_nodes(&self) -> usize {
-        match self {
-            AnyArtifact::Single(a) => a.num_nodes(),
-            AnyArtifact::Mlp(m) => m.num_nodes(),
-        }
-    }
-
-    fn num_classes(&self) -> usize {
-        match self {
-            AnyArtifact::Single(a) => a.num_classes(),
-            AnyArtifact::Mlp(m) => m.num_classes(),
-        }
-    }
-
-    fn predict_batch(&self, req: &PredictRequest) -> Result<Prediction, PredictError> {
-        match self {
-            AnyArtifact::Single(a) => a.predict_batch(req),
-            AnyArtifact::Mlp(m) => m.predict_batch(req),
-        }
     }
 }
 

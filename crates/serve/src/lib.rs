@@ -6,21 +6,21 @@
 //! predictions from it with zero re-training.
 //!
 //! * [`artifact`] — `export_run_as` distills a completed crash-safe run
-//!   directory into one artifact file; [`Artifact::load`] validates
-//!   header/version, checksum, shapes and finiteness, and the loaded
-//!   artifact implements the `Predictor` trait with responses bitwise
-//!   identical to the live run's `Ensemble::proba`; the int8-quantized
-//!   v2q format ([`quant`]) trades that bitwise guarantee for ~0.3× the
-//!   bytes, behind the same loader and trait. Every format shares one
+//!   directory into one artifact file; [`AnyArtifact::load`] reads any
+//!   format once and validates header/version, checksum, shapes and
+//!   finiteness, and the loaded artifact implements the `Predictor` trait.
+//!   A v1 export answers bitwise identical to the live run's
+//!   `Ensemble::proba`; the int8-quantized v2q format ([`quant`]) trades
+//!   that bitwise guarantee for ~0.3× the bytes. Every format shares one
 //!   checksummed envelope (header, meta line, body, `checksum` trailer)
-//!   and `rdd_models`' one `matrix R C` codec; [`AnyArtifact`] reads a
-//!   file once and loads whichever format its verified header names;
+//!   and `rdd_models`' one `matrix R C` codec;
 //! * [`mlp_artifact`] — the v3 (mlp) format: `rdd distill-mlp` freezes a
 //!   graph-free distilled student's weight matrices (optionally int8)
-//!   into a checksummed artifact; [`MlpArtifact`] serves arbitrary
-//!   **feature vectors** (`PredictRequest::ByFeatures`, no adjacency)
-//!   through the same canonical forward as every offline comparison, so
-//!   served feature replies are bitwise identical to the offline student;
+//!   into a checksummed artifact, and the loaded [`AnyArtifact`] serves
+//!   arbitrary **feature vectors** (`PredictRequest::ByFeatures`, no
+//!   adjacency) through the same canonical forward as every offline
+//!   comparison, so served feature replies are bitwise identical to the
+//!   offline student;
 //! * [`pool`] — [`ServePool`], the one serve loop: N supervised worker
 //!   threads over one bounded queue (typed [`ServeError::QueueFull`]
 //!   backpressure, per-request deadlines shed as typed
@@ -56,9 +56,9 @@
 //!
 //! ```no_run
 //! use rdd_models::PredictRequest;
-//! use rdd_serve::{Artifact, PoolConfig, ServePool};
+//! use rdd_serve::{AnyArtifact, PoolConfig, ServePool};
 //!
-//! let artifact = Artifact::load(std::path::Path::new("run.artifact")).unwrap();
+//! let artifact = AnyArtifact::load(std::path::Path::new("run.artifact")).unwrap();
 //! let epoch = artifact.checksum();
 //! let (tx, rx) = std::sync::mpsc::channel();
 //! let pool = ServePool::new(artifact, PoolConfig::default(), epoch, tx).unwrap();
@@ -80,8 +80,8 @@ pub mod swap;
 pub mod wire;
 
 pub use artifact::{
-    export_run_as, fnv1a64, write_artifact_as, write_ensemble, write_ensemble_as, AnyArtifact,
-    Artifact, ArtifactFormat, ArtifactMeta,
+    export_run_as, fnv1a64, write_artifact_as, write_ensemble_as, AnyArtifact, ArtifactFormat,
+    ArtifactMeta,
 };
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{LruCache, ShardedLru};
@@ -90,7 +90,7 @@ pub use engine::{
     DEFAULT_METRICS_WINDOW_S,
 };
 pub use error::{RddError, ServeError};
-pub use mlp_artifact::{write_mlp_artifact, MlpArtifact};
+pub use mlp_artifact::write_mlp_artifact;
 pub use pool::{PoolConfig, PoolReport, ReplySink, ServePool, WorkerReport};
 pub use swap::{checked_load, ArtifactWatcher, SwapCell, WatchOutcome};
 

@@ -16,26 +16,20 @@
 //! checksum <16 hex digits>   # same FNV-1a 64 discipline as v1/v2q
 //! ```
 //!
-//! A loaded [`MlpArtifact`] answers [`PredictRequest::ByFeatures`] — any
-//! row count, fixed feature dim, **no adjacency** — through the canonical
-//! dense forward [`rdd_models::mlp_forward_features`], the same function
-//! every offline comparison calls, so served feature replies are bitwise
-//! identical to the offline student forward. Node-id requests are rejected
-//! with a typed [`PredictError::NodesUnsupported`]: there are no per-node
-//! rows to read.
+//! A v3 file loads into the one [`crate::AnyArtifact`], which answers
+//! `PredictRequest::ByFeatures` — any row count, fixed feature dim, **no
+//! adjacency** — through the canonical dense forward
+//! [`rdd_models::mlp_forward_features`], the same function every offline
+//! comparison calls, so served feature replies are bitwise identical to the
+//! offline student forward. Node-id requests are rejected with a typed
+//! `PredictError::NodesUnsupported`: there are no per-node rows to read.
 
 use std::path::Path;
 
-use rdd_models::{
-    mlp_forward_features, push_matrix, validate_layer_chain, PredictError, PredictRequest,
-    Prediction, PredictionKind, Predictor,
-};
+use rdd_models::{push_matrix, validate_layer_chain, TextCursor};
 use rdd_tensor::Matrix;
 
-use crate::artifact::{
-    end_of_body, open_sealed, parse_qmatrix, push_qmatrix, write_sealed, ArtifactFormat,
-    ArtifactMeta, Sealed,
-};
+use crate::artifact::{parse_qmatrix, push_qmatrix, write_sealed, ArtifactFormat, ArtifactMeta};
 use crate::error::ServeError;
 
 /// Serialize and atomically write a v3 (mlp) artifact: the student's
@@ -66,194 +60,88 @@ pub fn write_mlp_artifact(
     })
 }
 
-/// A loaded, validated v3 artifact: the frozen student as a feature-only
-/// [`Predictor`].
-#[derive(Clone, Debug)]
-pub struct MlpArtifact {
-    meta: ArtifactMeta,
-    params: Vec<Matrix>,
-    quantized: bool,
-    /// FNV-1a 64 of the file content (also the serve cache's key epoch —
-    /// unused for feature rows, which are uncacheable, but still the
-    /// generation identity for swap/telemetry).
-    checksum: u64,
-}
-
-impl MlpArtifact {
-    /// Load and fully validate a v3 file: checksum first, then header,
-    /// meta, the declared `mlp` shape line, and every weight block
-    /// (consistent encoding, consistent layer chain, finite values).
-    pub fn load(path: &Path) -> Result<Self, ServeError> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_sealed(open_sealed(&text, &[ArtifactFormat::V3Mlp])?)
+/// Parse a v3 body: the declared `mlp` shape line, then every weight block
+/// (consistent encoding, consistent layer chain, finite values). Returns
+/// the weights, first to last, and whether they were int8-quantized.
+pub(crate) fn parse_student(
+    meta: &ArtifactMeta,
+    lines: &mut TextCursor<'_>,
+) -> Result<(Vec<Matrix>, bool), ServeError> {
+    let shape_line = lines.next_line()?;
+    let toks: Vec<&str> = shape_line.split_whitespace().collect();
+    let (in_dim, k, layers) = match toks.as_slice() {
+        ["mlp", d, k, l] => {
+            let parse = |tok: &str| -> Result<usize, ServeError> {
+                tok.parse::<usize>()
+                    .map_err(|_| ServeError::Artifact(format!("bad mlp shape line {shape_line:?}")))
+            };
+            (parse(d)?, parse(k)?, parse(l)?)
+        }
+        _ => {
+            return Err(ServeError::Artifact(format!(
+                "line 3: expected 'mlp IN_DIM K LAYERS', found {shape_line:?}"
+            )))
+        }
+    };
+    if layers == 0 {
+        return Err(ServeError::Artifact("mlp declares zero layers".into()));
+    }
+    if k != meta.num_classes {
+        return Err(ServeError::Artifact(format!(
+            "mlp line declares {k} classes but meta declares {}",
+            meta.num_classes
+        )));
     }
 
-    pub(crate) fn from_sealed(sealed: Sealed<'_>) -> Result<Self, ServeError> {
-        let Sealed {
-            meta,
-            body: mut lines,
-            checksum,
-            ..
-        } = sealed;
-        let shape_line = lines.next_line()?;
-        let toks: Vec<&str> = shape_line.split_whitespace().collect();
-        let (in_dim, k, layers) = match toks.as_slice() {
-            ["mlp", d, k, l] => {
-                let parse = |tok: &str| -> Result<usize, ServeError> {
-                    tok.parse::<usize>().map_err(|_| {
-                        ServeError::Artifact(format!("bad mlp shape line {shape_line:?}"))
-                    })
-                };
-                (parse(d)?, parse(k)?, parse(l)?)
-            }
+    let tier = rdd_tensor::simd::active();
+    let mut params = Vec::with_capacity(lines.claimed(Some(layers), shape_line)?);
+    let mut quantized = None;
+    for l in 0..layers {
+        // Sniff the block keyword without consuming it; the block parsers
+        // own their header lines.
+        let kw = lines
+            .peek()
+            .and_then(|line| line.split_whitespace().next())
+            .unwrap_or("");
+        let (w, is_q) = match kw {
+            "matrix" => (lines.read_matrix(l)?, false),
+            "qmatrix" => (parse_qmatrix(lines, tier)?, true),
             _ => {
                 return Err(ServeError::Artifact(format!(
-                    "line 3: expected 'mlp IN_DIM K LAYERS', found {shape_line:?}"
+                    "layer {l}: expected a matrix or qmatrix block, found {kw:?}"
                 )))
             }
         };
-        if layers == 0 {
-            return Err(ServeError::Artifact("mlp declares zero layers".into()));
-        }
-        if k != meta.num_classes {
+        if *quantized.get_or_insert(is_q) != is_q {
             return Err(ServeError::Artifact(format!(
-                "mlp line declares {k} classes but meta declares {}",
-                meta.num_classes
+                "layer {l}: mixed matrix/qmatrix encodings in one artifact"
             )));
         }
-
-        let tier = rdd_tensor::simd::active();
-        let mut params = Vec::with_capacity(lines.claimed(Some(layers), shape_line)?);
-        let mut quantized = None;
-        for l in 0..layers {
-            // Sniff the block keyword without consuming it; the block
-            // parsers own their header lines.
-            let kw = lines
-                .peek()
-                .and_then(|line| line.split_whitespace().next())
-                .unwrap_or("");
-            let (w, is_q) = match kw {
-                "matrix" => (lines.read_matrix(l)?, false),
-                "qmatrix" => (parse_qmatrix(&mut lines, tier)?, true),
-                _ => {
-                    return Err(ServeError::Artifact(format!(
-                        "layer {l}: expected a matrix or qmatrix block, found {kw:?}"
-                    )))
-                }
-            };
-            if *quantized.get_or_insert(is_q) != is_q {
-                return Err(ServeError::Artifact(format!(
-                    "layer {l}: mixed matrix/qmatrix encodings in one artifact"
-                )));
-            }
-            params.push(w);
-        }
-        end_of_body(&lines)?;
-        validate_layer_chain(&params).map_err(ServeError::Artifact)?;
-        if params[0].rows() != in_dim {
-            return Err(ServeError::Artifact(format!(
-                "mlp line declares in_dim {in_dim} but layer 0 has {} rows",
-                params[0].rows()
-            )));
-        }
-        if params[layers - 1].cols() != k {
-            return Err(ServeError::Artifact(format!(
-                "mlp line declares {k} classes but the last layer emits {}",
-                params[layers - 1].cols()
-            )));
-        }
-        Ok(Self {
-            meta,
-            params,
-            quantized: quantized.unwrap_or(false),
-            checksum,
-        })
+        params.push(w);
     }
-
-    /// The teacher run's metadata (provenance; `dataset_n` is the size of
-    /// the graph the student was distilled on, not a serving bound).
-    pub fn meta(&self) -> &ArtifactMeta {
-        &self.meta
+    validate_layer_chain(&params).map_err(ServeError::Artifact)?;
+    if params[0].rows() != in_dim {
+        return Err(ServeError::Artifact(format!(
+            "mlp line declares in_dim {in_dim} but layer 0 has {} rows",
+            params[0].rows()
+        )));
     }
-
-    /// Always [`ArtifactFormat::V3Mlp`].
-    pub fn format(&self) -> ArtifactFormat {
-        ArtifactFormat::V3Mlp
+    if params[layers - 1].cols() != k {
+        return Err(ServeError::Artifact(format!(
+            "mlp line declares {k} classes but the last layer emits {}",
+            params[layers - 1].cols()
+        )));
     }
-
-    /// The file checksum (the artifact's generation identity).
-    pub fn checksum(&self) -> u64 {
-        self.checksum
-    }
-
-    /// The student's weight matrices, first to last.
-    pub fn params(&self) -> &[Matrix] {
-        &self.params
-    }
-
-    /// Input feature dimensionality the student expects.
-    pub fn in_dim(&self) -> usize {
-        self.params[0].rows()
-    }
-
-    /// Number of linear layers.
-    pub fn num_layers(&self) -> usize {
-        self.params.len()
-    }
-
-    /// Whether the weight blocks were int8-quantized on disk.
-    pub fn quantized(&self) -> bool {
-        self.quantized
-    }
-
-    /// Answer a dense feature-row batch: the canonical
-    /// [`mlp_forward_features`] pass, then a row softmax — the one code
-    /// path shared with every offline comparison, which is what makes
-    /// served feature replies bitwise-reproducible.
-    pub fn predict_features(&self, rows: &Matrix) -> Result<Prediction, PredictError> {
-        if rows.cols() != self.in_dim() {
-            return Err(PredictError::FeatureDimMismatch {
-                got: rows.cols(),
-                expected: self.in_dim(),
-            });
-        }
-        let proba = mlp_forward_features(&self.params, rows).softmax_rows();
-        Ok(Prediction {
-            nodes: (0..rows.rows()).collect(),
-            pred: proba.argmax_rows(),
-            proba,
-            kind: PredictionKind::Features,
-        })
-    }
-}
-
-impl Predictor for MlpArtifact {
-    /// The training graph's node count (provenance only — node requests
-    /// are rejected regardless).
-    fn num_nodes(&self) -> usize {
-        self.meta.dataset_n
-    }
-
-    fn num_classes(&self) -> usize {
-        self.meta.num_classes
-    }
-
-    fn predict_batch(&self, req: &PredictRequest) -> Result<Prediction, PredictError> {
-        match req {
-            PredictRequest::ByFeatures(rows) => self.predict_features(rows),
-            PredictRequest::All | PredictRequest::ByNodes(_) => {
-                Err(PredictError::NodesUnsupported {
-                    predictor: "mlp artifact",
-                })
-            }
-        }
-    }
+    Ok((params, quantized.unwrap_or(false)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::fnv1a64;
+    use crate::artifact::{fnv1a64, AnyArtifact};
+    use rdd_models::{
+        mlp_forward_features, PredictError, PredictRequest, PredictionKind, Predictor,
+    };
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -291,12 +179,13 @@ mod tests {
         let (meta, params) = fixture(6, 5, 3);
         let path = dir.join("s.artifact");
         let checksum = write_mlp_artifact(&path, &meta, &params, false).unwrap();
-        let art = MlpArtifact::load(&path).unwrap();
+        let art = AnyArtifact::load(&path).unwrap();
         assert_eq!(art.checksum(), checksum);
         assert_eq!(art.format(), ArtifactFormat::V3Mlp);
         assert!(!art.quantized());
-        assert_eq!(art.in_dim(), 6);
-        assert_eq!(art.num_layers(), 2);
+        let loaded = art.student_params().unwrap();
+        assert_eq!(loaded[0].rows(), 6);
+        assert_eq!(loaded.len(), 2);
         assert_eq!(art.num_classes(), 3);
         // Full-precision weights roundtrip bitwise (shortest-roundtrip
         // Display), so the served forward equals the in-memory forward.
@@ -322,9 +211,9 @@ mod tests {
         let (meta, params) = fixture(6, 5, 3);
         let path = dir.join("q.artifact");
         write_mlp_artifact(&path, &meta, &params, true).unwrap();
-        let art = MlpArtifact::load(&path).unwrap();
+        let art = AnyArtifact::load(&path).unwrap();
         assert!(art.quantized());
-        for (orig, loaded) in params.iter().zip(art.params()) {
+        for (orig, loaded) in params.iter().zip(art.student_params().unwrap()) {
             assert_eq!(orig.shape(), loaded.shape());
             assert!(
                 orig.max_abs_diff(loaded) < 0.05,
@@ -340,7 +229,7 @@ mod tests {
         let (meta, params) = fixture(4, 3, 2);
         let path = dir.join("n.artifact");
         write_mlp_artifact(&path, &meta, &params, false).unwrap();
-        let art = MlpArtifact::load(&path).unwrap();
+        let art = AnyArtifact::load(&path).unwrap();
         for req in [PredictRequest::all(), PredictRequest::nodes(vec![0])] {
             assert!(matches!(
                 art.predict_batch(&req),
@@ -357,7 +246,7 @@ mod tests {
         let (meta, params) = fixture(4, 3, 2);
         let path = dir.join("d.artifact");
         write_mlp_artifact(&path, &meta, &params, false).unwrap();
-        let art = MlpArtifact::load(&path).unwrap();
+        let art = AnyArtifact::load(&path).unwrap();
         let err = art
             .predict_batch(&PredictRequest::features(rows(2, 5)))
             .unwrap_err();
@@ -384,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_a_checksum_error_and_v1_header_is_wrong_version() {
+    fn corruption_is_a_checksum_error_and_a_v1_header_is_not_a_student() {
         let dir = tmpdir("corrupt");
         let (meta, params) = fixture(4, 3, 2);
         let path = dir.join("c.artifact");
@@ -392,7 +281,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replacen("mlp 4", "mlp 5", 1)).unwrap();
         assert!(matches!(
-            MlpArtifact::load(&path),
+            AnyArtifact::load(&path),
             Err(ServeError::Checksum { .. })
         ));
         // A re-checksummed tampered shape line fails the cross-check.
@@ -404,17 +293,26 @@ mod tests {
             format!("{}checksum {checksum:016x}\n", &mutated[..body_end]),
         )
         .unwrap();
-        match MlpArtifact::load(&path) {
+        match AnyArtifact::load(&path) {
             Err(ServeError::Artifact(msg)) => assert!(msg.contains("in_dim"), "{msg}"),
             other => panic!("expected a shape error, got {other:?}", other = other.err()),
         }
-        // The v3 loader rejects a v1 file as a version mismatch.
-        let v1ish = "rdd-artifact v1\nmeta {}\n";
-        let checksum = fnv1a64(v1ish.as_bytes());
-        std::fs::write(&path, format!("{v1ish}checksum {checksum:016x}\n")).unwrap();
-        assert!(matches!(
-            MlpArtifact::load(&path),
-            Err(ServeError::WrongVersion { .. })
-        ));
+        // A student body under a v1 header is parsed as v1 and refused,
+        // never served as a student.
+        let v1 = text.replacen(crate::artifact::HEADER_V3_MLP, crate::artifact::HEADER, 1);
+        let body_end = v1.rfind("\nchecksum ").unwrap() + 1;
+        let checksum = fnv1a64(&v1.as_bytes()[..body_end]);
+        std::fs::write(
+            &path,
+            format!("{}checksum {checksum:016x}\n", &v1[..body_end]),
+        )
+        .unwrap();
+        match AnyArtifact::load(&path) {
+            Err(ServeError::Artifact(msg)) => assert!(msg.contains("matrix"), "{msg}"),
+            other => panic!(
+                "expected a v1 parse error, got {other:?}",
+                other = other.err()
+            ),
+        }
     }
 }

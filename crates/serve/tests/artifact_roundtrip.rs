@@ -14,8 +14,8 @@ use rdd_models::{
 };
 use rdd_serve::quant::{encode_qrow, QuantRow};
 use rdd_serve::{
-    export_run_as, write_artifact_as, write_ensemble, write_ensemble_as, write_mlp_artifact,
-    AnyArtifact, Artifact, ArtifactFormat, ArtifactMeta, MlpArtifact, ServeError,
+    export_run_as, write_artifact_as, write_ensemble_as, write_mlp_artifact, AnyArtifact,
+    ArtifactFormat, ArtifactMeta, ServeError,
 };
 use rdd_tensor::{seeded_rng, Matrix, Rng};
 
@@ -67,8 +67,10 @@ fn export_load_roundtrip_is_bitwise_over_randomized_ensembles() {
     for &(seed, n, k, members) in cases {
         let ensemble = random_ensemble(seed, n, k, members);
         let path = tmp(&format!("roundtrip_{seed}"));
-        let checksum = write_ensemble(&path, &ensemble, "sweep", "unit-test").expect("write");
-        let artifact = Artifact::load(&path).expect("load");
+        let checksum =
+            write_ensemble_as(&path, &ensemble, "sweep", "unit-test", ArtifactFormat::V1)
+                .expect("write");
+        let artifact = AnyArtifact::load(&path).expect("load");
         let _ = std::fs::remove_file(&path);
 
         assert_eq!(artifact.checksum(), checksum, "case {seed}");
@@ -76,18 +78,21 @@ fn export_load_roundtrip_is_bitwise_over_randomized_ensembles() {
         assert_eq!(artifact.meta().dataset_n, n, "case {seed}");
         assert_eq!(artifact.num_nodes(), n, "case {seed}");
         assert_eq!(artifact.num_classes(), k, "case {seed}");
-        assert_bitwise_equal(artifact.proba(), &ensemble.proba(), "proba");
+        let proba = artifact.proba_all().expect("predict");
+        assert_bitwise_equal(&proba, &ensemble.proba(), "proba");
+        let logits_sum = artifact.logits_sum().expect("ensemble sums");
         assert_bitwise_equal(
-            artifact.proba_sum(),
+            artifact.proba_sum().expect("ensemble sums"),
             ensemble.proba_sum().expect("non-empty"),
             "proba_sum",
         );
         assert_bitwise_equal(
-            artifact.logits_sum(),
+            logits_sum,
             ensemble.logits_sum().expect("non-empty"),
             "logits_sum",
         );
-        assert_bitwise_equal(&artifact.logits(), &ensemble.logits(), "logits");
+        let logits = logits_sum.scaled(1.0 / artifact.meta().alpha_total);
+        assert_bitwise_equal(&logits, &ensemble.logits(), "logits");
         assert_eq!(artifact.predict_all().expect("predict"), ensemble.predict());
     }
 }
@@ -145,7 +150,7 @@ fn export_refuses_an_incomplete_run() {
 fn artifact_text(tag: &str) -> String {
     let ensemble = random_ensemble(0xA5, 8, 3, 2);
     let path = tmp(&format!("text_{tag}"));
-    write_ensemble(&path, &ensemble, "sweep", "unit-test").expect("write");
+    write_ensemble_as(&path, &ensemble, "sweep", "unit-test", ArtifactFormat::V1).expect("write");
     let text = std::fs::read_to_string(&path).expect("read back");
     let _ = std::fs::remove_file(&path);
     text
@@ -159,10 +164,10 @@ fn rechecksum(text: &str) -> String {
     format!("{}checksum {checksum:016x}\n", &text[..body_end])
 }
 
-fn load_text(tag: &str, text: &str) -> Result<Artifact, ServeError> {
+fn load_text(tag: &str, text: &str) -> Result<AnyArtifact, ServeError> {
     let path = tmp(&format!("load_{tag}"));
     std::fs::write(&path, text).expect("write corrupted");
-    let out = Artifact::load(&path);
+    let out = AnyArtifact::load(&path);
     let _ = std::fs::remove_file(&path);
     out
 }
@@ -222,19 +227,19 @@ fn v2q_roundtrip_drift_is_bounded_by_half_a_quant_step() {
     let ensemble = random_ensemble(0x77, 20, 5, 3);
     let path = tmp("v2q_roundtrip");
     write_ensemble_as(&path, &ensemble, "sweep", "unit-test", ArtifactFormat::V2q).expect("write");
-    let artifact = Artifact::load(&path).expect("load");
+    let artifact = AnyArtifact::load(&path).expect("load");
     let _ = std::fs::remove_file(&path);
 
     assert_eq!(artifact.format(), ArtifactFormat::V2q);
     for (name, got, want) in [
         (
             "proba_sum",
-            artifact.proba_sum(),
+            artifact.proba_sum().expect("ensemble sums"),
             ensemble.proba_sum().expect("non-empty"),
         ),
         (
             "logits_sum",
-            artifact.logits_sum(),
+            artifact.logits_sum().expect("ensemble sums"),
             ensemble.logits_sum().expect("non-empty"),
         ),
     ] {
@@ -257,28 +262,25 @@ fn v2q_roundtrip_drift_is_bounded_by_half_a_quant_step() {
 
 #[test]
 fn v1_artifacts_still_load_and_report_their_format() {
-    // Each single-file ensemble format loads the same through its own
-    // loader and through the header-dispatching `AnyArtifact`.
+    // Each single-file ensemble format loads through the one loader and
+    // reports its format, its checksum and its sums.
     let ensemble = random_ensemble(0x31, 6, 4, 2);
     for format in [ArtifactFormat::V1, ArtifactFormat::V2q] {
         let path = tmp(&format!("format_{}", format.name()));
         let checksum =
             write_ensemble_as(&path, &ensemble, "sweep", "unit-test", format).expect("write");
-        let artifact = Artifact::load(&path).expect("load");
-        let any = AnyArtifact::load(&path).expect("any load");
+        let artifact = AnyArtifact::load(&path).expect("load");
         let _ = std::fs::remove_file(&path);
         assert_eq!(artifact.format(), format);
+        assert_eq!(artifact.checksum(), checksum);
+        assert_eq!(artifact.meta().dataset_n, 6);
+        assert_eq!(artifact.quantized(), format == ArtifactFormat::V2q);
+        assert!(artifact.student_params().is_none());
+        assert!(artifact.proba_sum().is_some() && artifact.logits_sum().is_some());
         if format == ArtifactFormat::V1 {
-            assert_bitwise_equal(artifact.proba(), &ensemble.proba(), "proba");
+            let proba = artifact.proba_all().expect("predict");
+            assert_bitwise_equal(&proba, &ensemble.proba(), "proba");
         }
-        assert!(matches!(any, AnyArtifact::Single(_)), "{format:?}");
-        assert_eq!(any.format(), format);
-        assert_eq!(any.checksum(), checksum);
-        assert_eq!(any.meta().dataset_n, 6);
-        assert!(any.as_mlp().is_none());
-        let a = artifact.predict_batch(&PredictRequest::all()).unwrap();
-        let b = any.predict_batch(&PredictRequest::all()).unwrap();
-        assert_bitwise_equal(&a.proba, &b.proba, "AnyArtifact vs Artifact rows");
     }
 }
 
@@ -321,7 +323,7 @@ fn truncation_at_every_line_of_a_v2q_artifact_is_caught() {
 
 /// Replace the first base64 row after the first `qmatrix` header with a
 /// hand-built row, re-checksum, and return the loader's verdict.
-fn load_with_first_qrow(tag: &str, row: &QuantRow) -> Result<Artifact, ServeError> {
+fn load_with_first_qrow(tag: &str, row: &QuantRow) -> Result<AnyArtifact, ServeError> {
     let text = artifact_text_v2q(tag);
     let row_start = text.find("int8\n").unwrap() + "int8\n".len();
     let row_end = row_start + text[row_start..].find('\n').unwrap();
@@ -362,7 +364,10 @@ fn bad_quant_scales_and_zero_points_are_typed_errors() {
     }
     // A zero scale is the legal constant-row encoding, not an error.
     let artifact = load_with_first_qrow("zero_scale", &qrow(0.0, 0.125)).expect("constant row");
-    assert_eq!(artifact.proba_sum().row(0), &[0.125, 0.125, 0.125]);
+    assert_eq!(
+        artifact.proba_sum().expect("ensemble sums").row(0),
+        &[0.125, 0.125, 0.125]
+    );
 }
 
 #[test]
@@ -372,15 +377,9 @@ fn wrong_version_is_a_typed_error() {
     // manifests must fail typed, not load as something else).
     for header in ["rdd-artifact v9", "rdd-artifact-manifest v1"] {
         let bumped = rechecksum(&text.replacen("rdd-artifact v1", header, 1));
-        let path = tmp("version_any");
-        std::fs::write(&path, &bumped).expect("write");
-        let any = AnyArtifact::load(&path).map(|_| ());
-        let _ = std::fs::remove_file(&path);
-        for err in [load_text("version", &bumped).unwrap_err(), any.unwrap_err()] {
-            match err {
-                ServeError::WrongVersion { found } => assert_eq!(found, header),
-                other => panic!("{header}: expected WrongVersion, got {other}"),
-            }
+        match load_text("version", &bumped).map(|_| ()).unwrap_err() {
+            ServeError::WrongVersion { found } => assert_eq!(found, header),
+            other => panic!("{header}: expected WrongVersion, got {other}"),
         }
     }
 }
@@ -426,17 +425,15 @@ fn v3_roundtrip_serves_features_bitwise_and_loads_via_any_artifact() {
         let path = tmp(&format!("v3_roundtrip_{seed}"));
         let checksum = write_mlp_artifact(&path, &meta, &params, quantize).expect("write");
 
-        // The sniffing loader must route the v3 header to the mlp parser.
-        let any = AnyArtifact::load(&path).expect("any load");
-        assert_eq!(any.format(), ArtifactFormat::V3Mlp, "case {seed}");
-        assert_eq!(any.checksum(), checksum, "case {seed}");
-        assert!(any.as_mlp().is_some(), "case {seed}");
-        assert!(any.proba_sum().is_none(), "mlp artifacts hold no sums");
-
-        let artifact = MlpArtifact::load(&path).expect("load");
+        // The loader must route the v3 header to the mlp parser.
+        let artifact = AnyArtifact::load(&path).expect("load");
         let _ = std::fs::remove_file(&path);
+        assert_eq!(artifact.format(), ArtifactFormat::V3Mlp, "case {seed}");
+        assert_eq!(artifact.checksum(), checksum, "case {seed}");
+        assert!(artifact.proba_sum().is_none(), "mlp artifacts hold no sums");
         assert_eq!(artifact.meta(), &meta, "case {seed}");
         assert_eq!(artifact.quantized(), quantize, "case {seed}");
+        let loaded = artifact.student_params().expect("student weights");
 
         // Served feature rows must be bitwise identical to the canonical
         // offline forward over the *loaded* weights (for f32 artifacts the
@@ -448,7 +445,7 @@ fn v3_roundtrip_serves_features_bitwise_and_loads_via_any_artifact() {
             .expect("predict");
         assert_eq!(p.kind, PredictionKind::Features, "case {seed}");
         assert_eq!(p.nodes, (0..7).collect::<Vec<_>>(), "case {seed}");
-        let offline = mlp_forward_features(artifact.params(), &rows).softmax_rows();
+        let offline = mlp_forward_features(loaded, &rows).softmax_rows();
         assert_bitwise_equal(&p.proba, &offline, "served vs offline forward");
         if !quantize {
             let original = mlp_forward_features(&params, &rows).softmax_rows();
@@ -472,7 +469,7 @@ fn every_single_byte_flip_in_a_v3_artifact_is_caught() {
         };
         let path = tmp("v3_byteflip");
         std::fs::write(&path, &s).expect("write corrupted");
-        let out = MlpArtifact::load(&path);
+        let out = AnyArtifact::load(&path);
         let _ = std::fs::remove_file(&path);
         match out {
             Err(ServeError::Checksum { .. })
@@ -492,7 +489,7 @@ fn truncation_at_every_line_of_a_v3_artifact_is_caught() {
         let truncated = lines[..keep].join("\n");
         let path = tmp("v3_trunc");
         std::fs::write(&path, &truncated).expect("write truncated");
-        let out = MlpArtifact::load(&path);
+        let out = AnyArtifact::load(&path);
         let _ = std::fs::remove_file(&path);
         match out {
             Err(ServeError::Artifact(_)) | Err(ServeError::Checksum { .. }) => {}
@@ -547,13 +544,13 @@ fn distilled_student_tracks_the_ensemble_on_cora_sim() {
     let path = tmp("distill_cora_artifact");
     let student_params = Model::params(&out.student).to_vec();
     write_mlp_artifact(&path, &meta, &student_params, false).expect("write");
-    let artifact = MlpArtifact::load(&path).expect("load");
+    let artifact = AnyArtifact::load(&path).expect("load");
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir_all(&dir);
 
     // Serve the first 16 training-graph feature rows as raw vectors: the
     // replies must match the offline student forward bitwise.
-    let in_dim = artifact.in_dim();
+    let in_dim = artifact.student_params().expect("student weights")[0].rows();
     let mut rows = Matrix::zeros(16, in_dim);
     for i in 0..16 {
         for j in 0..in_dim {

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use rdd_core::Ensemble;
 use rdd_models::PredictRequest;
 use rdd_serve::{
-    AnyArtifact, Artifact, ArtifactWatcher, PoolConfig, ServeConfig, ServeError, ServePool,
+    AnyArtifact, ArtifactFormat, ArtifactWatcher, PoolConfig, ServeConfig, ServeError, ServePool,
     ServeReply, WatchOutcome,
 };
 use rdd_tensor::Matrix;
@@ -35,7 +35,7 @@ fn tmp(name: &str) -> PathBuf {
 /// A small deterministic ensemble and its frozen artifact, left on disk at
 /// the returned path. `tag` perturbs the logits so different tags produce
 /// bitwise-distinguishable artifacts.
-fn fixture(name: &str, tag: usize) -> (Ensemble, Artifact, PathBuf) {
+fn fixture(name: &str, tag: usize) -> (Ensemble, AnyArtifact, PathBuf) {
     let n = 24;
     let k = 4;
     let mut ensemble = Ensemble::new();
@@ -47,8 +47,15 @@ fn fixture(name: &str, tag: usize) -> (Ensemble, Artifact, PathBuf) {
         ensemble.push(logits.softmax_rows(), logits, 0.5 + t as f32 * 0.3);
     }
     let path = tmp(name);
-    rdd_serve::write_ensemble(&path, &ensemble, "fixture", "chaos-test").expect("write");
-    let artifact = Artifact::load(&path).expect("load");
+    rdd_serve::write_ensemble_as(
+        &path,
+        &ensemble,
+        "fixture",
+        "chaos-test",
+        ArtifactFormat::V1,
+    )
+    .expect("write");
+    let artifact = AnyArtifact::load(&path).expect("load");
     (ensemble, artifact, path)
 }
 
@@ -233,7 +240,7 @@ fn corrupt_watched_artifact_keeps_old_generation_until_good_replacement() {
         ..PoolConfig::default()
     };
     let (tx, rx) = mpsc::channel();
-    let pool = ServePool::new(AnyArtifact::Single(artifact_a), cfg, checksum_a, tx).expect("pool");
+    let pool = ServePool::new(artifact_a, cfg, checksum_a, tx).expect("pool");
     let mut watcher = ArtifactWatcher::with_intervals(
         &path,
         checksum_a,

@@ -11,8 +11,8 @@ use std::sync::mpsc;
 use rdd_core::Ensemble;
 use rdd_models::{PredictError, PredictRequest, Prediction, Predictor};
 use rdd_serve::{
-    write_ensemble, write_mlp_artifact, AnyArtifact, Artifact, ArtifactMeta, MlpArtifact,
-    PoolConfig, ServeConfig, ServeEngine, ServeError, ServePool,
+    write_ensemble_as, write_mlp_artifact, AnyArtifact, ArtifactFormat, ArtifactMeta, PoolConfig,
+    ServeConfig, ServeEngine, ServeError, ServePool,
 };
 use rdd_tensor::{seeded_rng, Matrix};
 
@@ -21,7 +21,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// A small deterministic ensemble and its frozen artifact.
-fn fixture(tag: &str) -> (Ensemble, Artifact) {
+fn fixture(tag: &str) -> (Ensemble, AnyArtifact) {
     let n = 24;
     let k = 4;
     let mut ensemble = Ensemble::new();
@@ -33,8 +33,8 @@ fn fixture(tag: &str) -> (Ensemble, Artifact) {
         ensemble.push(logits.softmax_rows(), logits, 0.5 + t as f32 * 0.3);
     }
     let path = tmp(tag);
-    write_ensemble(&path, &ensemble, "fixture", "unit-test").expect("write");
-    let artifact = Artifact::load(&path).expect("load");
+    write_ensemble_as(&path, &ensemble, "fixture", "unit-test", ArtifactFormat::V1).expect("write");
+    let artifact = AnyArtifact::load(&path).expect("load");
     let _ = std::fs::remove_file(&path);
     (ensemble, artifact)
 }
@@ -173,7 +173,7 @@ fn empty_ensemble_is_a_typed_error_through_the_engine() {
 
 /// A random two-layer student over `in_dim` features, frozen as a v3 (mlp)
 /// artifact and loaded back.
-fn student(name: &str, in_dim: usize, k: usize, quantize: bool) -> MlpArtifact {
+fn student(name: &str, in_dim: usize, k: usize, quantize: bool) -> AnyArtifact {
     let mut rng = seeded_rng(0xC0DE ^ in_dim as u64);
     let meta = ArtifactMeta {
         dataset_name: "fixture".into(),
@@ -190,7 +190,7 @@ fn student(name: &str, in_dim: usize, k: usize, quantize: bool) -> MlpArtifact {
     ];
     let path = tmp(name);
     write_mlp_artifact(&path, &meta, &params, quantize).expect("write student");
-    let artifact = MlpArtifact::load(&path).expect("load student");
+    let artifact = AnyArtifact::load(&path).expect("load student");
     let _ = std::fs::remove_file(&path);
     artifact
 }
@@ -293,15 +293,9 @@ fn pool_replies_equal_the_engine_bitwise_for_mixed_streams() {
     const IN_DIM: usize = 6;
     let (_, v1) = fixture("vs_pool");
     let artifacts = [
-        ("v1", AnyArtifact::Single(v1)),
-        (
-            "v3",
-            AnyArtifact::Mlp(student("vs_pool_v3", IN_DIM, 4, false)),
-        ),
-        (
-            "v3 int8",
-            AnyArtifact::Mlp(student("vs_pool_v3q", IN_DIM, 4, true)),
-        ),
+        ("v1", v1),
+        ("v3", student("vs_pool_v3", IN_DIM, 4, false)),
+        ("v3 int8", student("vs_pool_v3q", IN_DIM, 4, true)),
     ];
     let serve = |batch_size| ServeConfig {
         batch_size,

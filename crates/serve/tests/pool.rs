@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 
 use rdd_core::Ensemble;
 use rdd_models::PredictRequest;
-use rdd_serve::{Artifact, PoolConfig, ServeConfig, ServeError, ServePool, ServeReply};
+use rdd_serve::{
+    AnyArtifact, ArtifactFormat, PoolConfig, ServeConfig, ServeError, ServePool, ServeReply,
+};
 use rdd_tensor::Matrix;
 
 fn tmp(name: &str) -> PathBuf {
@@ -21,7 +23,7 @@ fn tmp(name: &str) -> PathBuf {
 
 /// A small deterministic ensemble and its frozen artifact. `tag` seeds the
 /// logits so different tags produce different (distinguishable) artifacts.
-fn fixture(name: &str, tag: usize) -> (Ensemble, Artifact) {
+fn fixture(name: &str, tag: usize) -> (Ensemble, AnyArtifact) {
     let n = 24;
     let k = 4;
     let mut ensemble = Ensemble::new();
@@ -33,8 +35,9 @@ fn fixture(name: &str, tag: usize) -> (Ensemble, Artifact) {
         ensemble.push(logits.softmax_rows(), logits, 0.5 + t as f32 * 0.3);
     }
     let path = tmp(name);
-    rdd_serve::write_ensemble(&path, &ensemble, "fixture", "pool-test").expect("write");
-    let artifact = Artifact::load(&path).expect("load");
+    rdd_serve::write_ensemble_as(&path, &ensemble, "fixture", "pool-test", ArtifactFormat::V1)
+        .expect("write");
+    let artifact = AnyArtifact::load(&path).expect("load");
     let _ = std::fs::remove_file(&path);
     (ensemble, artifact)
 }

@@ -47,8 +47,6 @@ enum Op {
     },
     /// Element-wise sum of two same-shaped matrices.
     Add(Var, Var),
-    /// Broadcast add of a `1 x d` bias row onto an `n x d` matrix.
-    AddBias { x: Var, bias: Var },
     /// Rectified linear unit.
     Relu(Var),
     /// Inverted dropout; `mask` entries are `0` or `1/(1-p)`.
@@ -106,12 +104,12 @@ enum Op {
     },
     /// Weighted mean squared difference across edges:
     /// `(1/Σw) Σ_{(i,j)} w_ij · ‖x_i − x_j‖²`. This is RDD's reliable-edge
-    /// Laplacian regularizer; `weights` is `None` for the unweighted form
-    /// and `Some` for the degree-normalized form (`w_ij = 1/√(d_i·d_j)`).
+    /// Laplacian regularizer, with degree-normalized weights
+    /// (`w_ij = 1/√(d_i·d_j)`).
     EdgeReg {
         x: Var,
         edges: Rc<Vec<(u32, u32)>>,
-        weights: Option<Rc<Vec<f32>>>,
+        weights: Rc<Vec<f32>>,
     },
 }
 
@@ -290,19 +288,6 @@ impl Tape {
         let mut value = self.alloc_copy(self.value(a));
         value.add_assign(self.value(b));
         self.push(value, Op::Add(a, b))
-    }
-
-    /// Broadcast a `1 x d` bias row over the rows of `x`.
-    pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        let (xm, bm) = (self.value(x), self.value(bias));
-        assert_eq!(bm.rows(), 1, "bias must be a row vector");
-        assert_eq!(bm.cols(), xm.cols(), "bias width mismatch");
-        let mut value = self.alloc_copy(xm);
-        let tier = simd::active();
-        for i in 0..value.rows() {
-            simd::add_assign(tier, value.row_mut(i), bm.row(0));
-        }
-        self.push(value, Op::AddBias { x, bias })
     }
 
     /// ReLU activation.
@@ -577,15 +562,10 @@ impl Tape {
         self.push(value, Op::SoftCeMasked { logp, target, idx })
     }
 
-    /// Mean squared row difference across `edges` (RDD's reliable-edge
-    /// regularizer). Empty `edges` yields zero.
-    pub fn edge_reg(&mut self, x: Var, edges: Rc<Vec<(u32, u32)>>) -> Var {
-        self.edge_reg_impl(x, edges, None)
-    }
-
-    /// Weighted variant of [`Tape::edge_reg`]:
-    /// `(1/Σw) Σ w_ij · ‖x_i − x_j‖²`. Degree-normalized weights
-    /// (`w_ij = 1/√(d_i·d_j)`) keep hub nodes from dominating the pull.
+    /// Weighted mean squared row difference across `edges` (RDD's
+    /// reliable-edge regularizer): `(1/Σw) Σ w_ij · ‖x_i − x_j‖²`.
+    /// Degree-normalized weights (`w_ij = 1/√(d_i·d_j)`) keep hub nodes from
+    /// dominating the pull. Empty `edges` yields zero.
     pub fn edge_reg_weighted(
         &mut self,
         x: Var,
@@ -593,20 +573,8 @@ impl Tape {
         weights: Rc<Vec<f32>>,
     ) -> Var {
         assert_eq!(edges.len(), weights.len(), "edge/weight length mismatch");
-        self.edge_reg_impl(x, edges, Some(weights))
-    }
-
-    fn edge_reg_impl(
-        &mut self,
-        x: Var,
-        edges: Rc<Vec<(u32, u32)>>,
-        weights: Option<Rc<Vec<f32>>>,
-    ) -> Var {
         let xm = self.value(x);
-        let total_w = match &weights {
-            Some(w) => w.iter().sum::<f32>(),
-            None => edges.len() as f32,
-        };
+        let total_w = weights.iter().sum::<f32>();
         let loss = if edges.is_empty() || total_w <= 0.0 {
             0.0
         } else {
@@ -614,13 +582,12 @@ impl Tape {
                 .iter()
                 .enumerate()
                 .map(|(e, &(i, j))| {
-                    let w = weights.as_ref().map_or(1.0, |w| w[e]);
-                    w * xm
-                        .row(i as usize)
-                        .iter()
-                        .zip(xm.row(j as usize))
-                        .map(|(&a, &b)| (a - b) * (a - b))
-                        .sum::<f32>()
+                    weights[e]
+                        * xm.row(i as usize)
+                            .iter()
+                            .zip(xm.row(j as usize))
+                            .map(|(&a, &b)| (a - b) * (a - b))
+                            .sum::<f32>()
                 })
                 .sum();
             s / total_w
@@ -681,16 +648,6 @@ impl Tape {
                     let ga = self.alloc_copy(&g);
                     self.accum(&mut grads, *a, ga);
                     self.accum(&mut grads, *b, g);
-                }
-                Op::AddBias { x, bias } => {
-                    // Bias gradient: column sums of g.
-                    let mut db = self.alloc_zeros(1, g.cols());
-                    let tier = simd::active();
-                    for i in 0..g.rows() {
-                        simd::add_assign(tier, db.row_mut(0), g.row(i));
-                    }
-                    self.accum(&mut grads, *bias, db);
-                    self.accum(&mut grads, *x, g);
                 }
                 Op::Relu(x) => {
                     let xv = self.value(*x);
@@ -919,10 +876,7 @@ impl Tape {
                         self.recycle(g);
                         continue;
                     }
-                    let total_w = match weights {
-                        Some(w) => w.iter().sum::<f32>(),
-                        None => edges.len() as f32,
-                    };
+                    let total_w = weights.iter().sum::<f32>();
                     if total_w <= 0.0 {
                         self.recycle(g);
                         continue;
@@ -931,7 +885,7 @@ impl Tape {
                     let xv = self.value(*x);
                     let mut dx = self.alloc_zeros(xv.rows(), xv.cols());
                     for (e, &(i, j)) in edges.iter().enumerate() {
-                        let w = weights.as_ref().map_or(1.0, |w| w[e]);
+                        let w = weights[e];
                         let (i, j) = (i as usize, j as usize);
                         for c in 0..xv.cols() {
                             let diff = scale * w * (xv.get(i, c) - xv.get(j, c));
@@ -1127,26 +1081,7 @@ mod tests {
             &x,
             &|t, p| {
                 let pv = t.param(0, p);
-                t.edge_reg(pv, Rc::clone(&edges))
-            },
-            2e-2,
-        );
-    }
-
-    #[test]
-    fn add_bias_gradient() {
-        let mut rng = seeded_rng(11);
-        let b = crate::init::uniform(1, 3, 1.0, &mut rng);
-        let x = crate::init::uniform(4, 3, 1.0, &mut rng);
-        grad_check(
-            &b,
-            &|t, p| {
-                let xv = t.constant(x.clone());
-                let pv = t.param(0, p);
-                let c = t.add_bias(xv, pv);
-                let target = Rc::new(Matrix::zeros(4, 3));
-                let idx = Rc::new((0..4).collect());
-                t.mse_rows(c, target, idx)
+                t.edge_reg_weighted(pv, Rc::clone(&edges), Rc::new(vec![1.0; 3]))
             },
             2e-2,
         );
@@ -1259,7 +1194,7 @@ mod tests {
         let x = t.param(0, Matrix::full(2, 2, 1.0));
         let l1 = t.ce_masked(x, Rc::new(vec![0, 0]), Rc::new(vec![]));
         let l2 = t.mse_rows(x, Rc::new(Matrix::zeros(2, 2)), Rc::new(vec![]));
-        let l3 = t.edge_reg(x, Rc::new(vec![]));
+        let l3 = t.edge_reg_weighted(x, Rc::new(vec![]), Rc::new(vec![]));
         let l4 = t.soft_ce_masked(x, Rc::new(Matrix::full(2, 2, 0.5)), Rc::new(vec![]));
         let total = t.weighted_sum(&[(l1, 1.0), (l2, 1.0), (l3, 1.0), (l4, 1.0)]);
         assert_eq!(t.scalar(total), 0.0);

@@ -101,7 +101,7 @@ fn edge_reg_gradient_random_edges() {
             &x,
             |t, p| {
                 let pv = t.param(0, p);
-                t.edge_reg(pv, Rc::clone(&edges))
+                t.edge_reg_weighted(pv, Rc::clone(&edges), Rc::new(vec![1.0; 2]))
             },
             5e-2,
         );
