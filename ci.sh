@@ -241,9 +241,12 @@ echo "==> v2q serve smoke (export --quantize, drift bound, serve, compare)"
 # within the measured ULP drift bound of its v1 twin, be meaningfully
 # smaller, and serve rows byte-identical to its own offline dump (serving
 # is deterministic given one artifact; only the quantization is lossy).
+# The drift of the served proba rows measures ~310,000 ULPs on both SIMD
+# tiers; the bound leaves ~30% headroom and the measured line is printed.
 $RDD export "$SERVE_DIR/run" "$SERVE_DIR/model.v2q" --quantize int8 >/dev/null
-$RDD artifact-info "$SERVE_DIR/model.v2q" --reference "$SERVE_DIR/model.artifact" \
-  --assert-max-ulp 4200000000 --proba-out "$SERVE_DIR/offline_v2q.proba" >/dev/null
+V2Q_INFO="$($RDD artifact-info "$SERVE_DIR/model.v2q" --reference "$SERVE_DIR/model.artifact" \
+  --assert-max-ulp 400000 --proba-out "$SERVE_DIR/offline_v2q.proba")"
+grep 'max ulp' <<< "$V2Q_INFO"
 V1_BYTES="$(wc -c < "$SERVE_DIR/model.artifact")"
 V2Q_BYTES="$(wc -c < "$SERVE_DIR/model.v2q")"
 [ "$((V2Q_BYTES * 10))" -lt "$((V1_BYTES * 7))" ] \

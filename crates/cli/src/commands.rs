@@ -508,7 +508,7 @@ pub fn distill_mlp(args: &Args) -> Result<(), RddError> {
 /// [--assert-max-ulp <n>]` — validate and describe an artifact;
 /// `--proba-out` dumps the offline proba rows (the reference the serve
 /// smoke test compares served rows against); `--reference` measures the
-/// max ULP drift of this artifact's proba/logits against a reference
+/// max ULP drift of this artifact's served proba rows against a reference
 /// (typically the v1 export of the same run), and `--assert-max-ulp`
 /// turns that measurement into a hard failure bound for ci. For v3 (mlp)
 /// artifacts, `--features-in <file>` redirects `--proba-out` through the
@@ -574,29 +574,22 @@ pub fn artifact_info(args: &Args) -> Result<(), RddError> {
             )));
         }
         let ref_bytes = std::fs::metadata(ref_path).map(|m| m.len()).unwrap_or(0);
-        // v3 (mlp) artifacts hold student weights, not ensemble sums —
+        // v3 (mlp) artifacts hold student weights, not per-node rows —
         // there is nothing to measure ULP drift against.
-        let sums = artifact
-            .proba_sum()
-            .zip(artifact.logits_sum())
-            .ok_or_else(|| {
-                RddError::Cli(format!(
-                    "{path} is a {} artifact with no ensemble sums; --reference compares \
-                     v1/v2q exports",
-                    format.name()
-                ))
-            })?;
-        let ref_sums = reference
-            .proba_sum()
-            .zip(reference.logits_sum())
-            .ok_or_else(|| {
-                RddError::Cli(format!(
-                    "reference {ref_path} is a {} artifact with no ensemble sums",
-                    reference.format().name()
-                ))
-            })?;
-        let drift =
-            quant::max_ulp_diff(sums.0, ref_sums.0).max(quant::max_ulp_diff(sums.1, ref_sums.1));
+        let proba = artifact.proba().ok_or_else(|| {
+            RddError::Cli(format!(
+                "{path} is a {} artifact with no per-node rows; --reference compares \
+                 v1/v2q exports",
+                format.name()
+            ))
+        })?;
+        let ref_proba = reference.proba().ok_or_else(|| {
+            RddError::Cli(format!(
+                "reference {ref_path} is a {} artifact with no per-node rows",
+                reference.format().name()
+            ))
+        })?;
+        let drift = quant::max_ulp_diff(proba, ref_proba);
         println!("reference:   {ref_path} ({})", reference.format().name());
         if ref_bytes > 0 {
             println!(

@@ -342,7 +342,7 @@ mod tests {
             }
         }
         let mut e = Ensemble::new();
-        e.push(proba.clone(), proba, 1.0);
+        e.push(proba, 1.0);
         e
     }
 

@@ -14,25 +14,20 @@ use rdd_tensor::Matrix;
 pub struct EnsembleMember {
     /// Eval-mode softmax outputs, `n x k`.
     pub proba: Matrix,
-    /// Eval-mode last-layer embeddings (logits), `n x k` — the `F_t` the L2
-    /// loss mimics.
-    pub logits: Matrix,
     /// `α_t`.
     pub alpha: f32,
 }
 
 /// The teacher: an α-weighted combination of base model outputs.
 ///
-/// The α-weighted sums are maintained incrementally on
-/// [`Ensemble::push`], so [`Ensemble::proba`]/[`Ensemble::logits`] cost one
-/// scaled copy instead of a full pass over every member.
+/// The α-weighted sum is maintained incrementally on [`Ensemble::push`],
+/// so [`Ensemble::proba`] costs one scaled copy instead of a full pass
+/// over every member.
 #[derive(Clone, Debug, Default)]
 pub struct Ensemble {
     members: Vec<EnsembleMember>,
     /// `Σ_t α_t · proba_t`, maintained on push.
     proba_sum: Option<Matrix>,
-    /// `Σ_t α_t · logits_t`, maintained on push.
-    logits_sum: Option<Matrix>,
     /// `Σ_t α_t`.
     alpha_total: f32,
 }
@@ -69,18 +64,13 @@ impl Ensemble {
         self.proba_sum.as_ref()
     }
 
-    /// The running `Σ_t α_t · logits_t` (None while empty).
-    pub fn logits_sum(&self) -> Option<&Matrix> {
-        self.logits_sum.as_ref()
-    }
-
     /// The running `Σ_t α_t`.
     pub fn alpha_total(&self) -> f32 {
         self.alpha_total
     }
 
     /// Add a base model's outputs with weight `alpha`.
-    pub fn push(&mut self, proba: Matrix, logits: Matrix, alpha: f32) {
+    pub fn push(&mut self, proba: Matrix, alpha: f32) {
         assert!(
             alpha.is_finite() && alpha > 0.0,
             "ensemble weight must be positive, got {alpha}"
@@ -88,22 +78,12 @@ impl Ensemble {
         if let Some(first) = self.members.first() {
             assert_eq!(first.proba.shape(), proba.shape(), "member shape mismatch");
         }
-        match (&mut self.proba_sum, &mut self.logits_sum) {
-            (Some(ps), Some(ls)) => {
-                ps.add_scaled_assign(&proba, alpha);
-                ls.add_scaled_assign(&logits, alpha);
-            }
-            _ => {
-                self.proba_sum = Some(proba.scaled(alpha));
-                self.logits_sum = Some(logits.scaled(alpha));
-            }
+        match &mut self.proba_sum {
+            Some(ps) => ps.add_scaled_assign(&proba, alpha),
+            None => self.proba_sum = Some(proba.scaled(alpha)),
         }
         self.alpha_total += alpha;
-        self.members.push(EnsembleMember {
-            proba,
-            logits,
-            alpha,
-        });
+        self.members.push(EnsembleMember { proba, alpha });
     }
 
     /// The teacher's softmax output `H_T` (rows remain distributions because
@@ -119,23 +99,6 @@ impl Ensemble {
     /// a panic.
     pub fn try_proba(&self) -> Result<Matrix, PredictError> {
         let sum = self.proba_sum.as_ref().ok_or(PredictError::EmptyEnsemble)?;
-        Ok(sum.scaled(1.0 / self.alpha_total))
-    }
-
-    /// The teacher's embedding `F_T` used as the L2 target (Eq. 7).
-    ///
-    /// # Panics
-    /// On an empty ensemble; use [`Ensemble::try_logits`] for a typed error.
-    pub fn logits(&self) -> Matrix {
-        self.try_logits().expect("empty ensemble")
-    }
-
-    /// [`Ensemble::logits`] with the empty case as a typed error.
-    pub fn try_logits(&self) -> Result<Matrix, PredictError> {
-        let sum = self
-            .logits_sum
-            .as_ref()
-            .ok_or(PredictError::EmptyEnsemble)?;
         Ok(sum.scaled(1.0 / self.alpha_total))
     }
 
@@ -201,28 +164,18 @@ mod tests {
         let mut e = Ensemble::new();
         let a = proba2(&[[1.0, 0.0]]);
         let b = proba2(&[[0.0, 1.0]]);
-        e.push(a, proba2(&[[2.0, 0.0]]), 3.0);
-        e.push(b, proba2(&[[0.0, 2.0]]), 1.0);
+        e.push(a, 3.0);
+        e.push(b, 1.0);
         let p = e.proba();
         assert!((p.get(0, 0) - 0.75).abs() < 1e-6);
         assert!((p.get(0, 1) - 0.25).abs() < 1e-6);
-        let l = e.logits();
-        assert!((l.get(0, 0) - 1.5).abs() < 1e-6);
     }
 
     #[test]
     fn proba_rows_remain_distributions() {
         let mut e = Ensemble::new();
-        e.push(
-            proba2(&[[0.6, 0.4], [0.1, 0.9]]),
-            proba2(&[[0.0, 0.0], [0.0, 0.0]]),
-            0.7,
-        );
-        e.push(
-            proba2(&[[0.2, 0.8], [0.3, 0.7]]),
-            proba2(&[[0.0, 0.0], [0.0, 0.0]]),
-            2.0,
-        );
+        e.push(proba2(&[[0.6, 0.4], [0.1, 0.9]]), 0.7);
+        e.push(proba2(&[[0.2, 0.8], [0.3, 0.7]]), 2.0);
         let p = e.proba();
         for i in 0..2 {
             let s: f32 = p.row(i).iter().sum();
@@ -260,14 +213,13 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn non_positive_alpha_rejected() {
         let mut e = Ensemble::new();
-        e.push(proba2(&[[1.0, 0.0]]), proba2(&[[0.0, 0.0]]), 0.0);
+        e.push(proba2(&[[1.0, 0.0]]), 0.0);
     }
 
     #[test]
     fn empty_ensemble_is_a_typed_error_not_a_panic() {
         let e = Ensemble::new();
         assert_eq!(e.try_proba().unwrap_err(), PredictError::EmptyEnsemble);
-        assert_eq!(e.try_logits().unwrap_err(), PredictError::EmptyEnsemble);
         assert_eq!(e.try_predict().unwrap_err(), PredictError::EmptyEnsemble);
         assert_eq!(
             e.predict_batch(&PredictRequest::all()).unwrap_err(),
@@ -280,16 +232,8 @@ mod tests {
     #[test]
     fn ensemble_predict_batch_matches_proba_bitwise() {
         let mut e = Ensemble::new();
-        e.push(
-            proba2(&[[0.6, 0.4], [0.1, 0.9], [0.5, 0.5]]),
-            proba2(&[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-            0.7,
-        );
-        e.push(
-            proba2(&[[0.2, 0.8], [0.3, 0.7], [0.9, 0.1]]),
-            proba2(&[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-            2.0,
-        );
+        e.push(proba2(&[[0.6, 0.4], [0.1, 0.9], [0.5, 0.5]]), 0.7);
+        e.push(proba2(&[[0.2, 0.8], [0.3, 0.7], [0.9, 0.1]]), 2.0);
         assert_eq!(e.num_nodes(), 3);
         assert_eq!(e.num_classes(), 2);
         let full = e.proba();
@@ -321,8 +265,8 @@ mod tests {
         let mut e = Ensemble::new();
         // Two weak votes for class 1 outweigh one vote for class 0 when
         // weighted up.
-        e.push(proba2(&[[0.9, 0.1]]), proba2(&[[0.0, 0.0]]), 1.0);
-        e.push(proba2(&[[0.2, 0.8]]), proba2(&[[0.0, 0.0]]), 5.0);
+        e.push(proba2(&[[0.9, 0.1]]), 1.0);
+        e.push(proba2(&[[0.2, 0.8]]), 5.0);
         assert_eq!(e.predict(), vec![1]);
     }
 }

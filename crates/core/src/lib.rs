@@ -47,4 +47,4 @@ pub use rdd::{
 pub use reliability::{
     all_nodes_reliable, compute_reliability, ReliabilitySets, ReliabilityWorkspace,
 };
-pub use run::{manifest_source, MemberRecord, PersistedMember, RunError, RunState};
+pub use run::{manifest_source, MemberRecord, RunError, RunState};

@@ -20,11 +20,11 @@ use rdd_models::{
     train_in, ConfigError, Gcn, GcnConfig, GraphContext, Model, PredictorExt, TrainConfig,
     TrainReport,
 };
-use rdd_tensor::{seeded_rng, Matrix, Tape, Var, Workspace};
+use rdd_tensor::{seeded_rng, Tape, Var, Workspace};
 
 use crate::ensemble::{model_weight, uniform_weight, Ensemble};
 use crate::reliability::ReliabilityWorkspace;
-use crate::run::{MemberRecord, PersistedMember, RunError, RunState};
+use crate::run::{MemberRecord, RunError, RunState};
 
 /// The loss hook's per-epoch reliability refresh (Algorithm 1 on the
 /// current student), a child of `train.loss_hook`.
@@ -447,7 +447,7 @@ impl RddTrainer {
     /// student's training epochs, eval forwards and backward gradients draw
     /// from `ws`.
     pub fn run_with_workspace(&self, dataset: &Dataset, ws: &Workspace) -> RddOutcome {
-        self.run_cascade(dataset, ws, None, Vec::new())
+        self.run_cascade(dataset, ws, None, Ensemble::new())
             .expect("a non-persisted cascade has no fallible steps")
     }
 
@@ -474,14 +474,14 @@ impl RddTrainer {
         }
         let mut state = RunState::create(dir, source, &self.config, dataset)?;
         let ws = Workspace::new();
-        let outcome = self.run_cascade(dataset, &ws, Some(&mut state), Vec::new())?;
+        let outcome = self.run_cascade(dataset, &ws, Some(&mut state), Ensemble::new())?;
         state.mark_complete()?;
         Ok(outcome)
     }
 
     /// Resume an interrupted [`RddTrainer::run_crash_safe`] run: reload the
     /// manifest, replay the committed members (verified bitwise against the
-    /// stored ensemble sums), and train the remaining members. Because each
+    /// stored ensemble sum), and train the remaining members. Because each
     /// member reseeds its RNG from `config.seed + t`, the completed run is
     /// bitwise-identical to one that was never interrupted.
     pub fn resume(dir: &Path, dataset: &Dataset) -> Result<RddOutcome, RunError> {
@@ -493,27 +493,32 @@ impl RddTrainer {
             )));
         }
         state.check_dataset(dataset)?;
-        let preloaded = state.load_members()?;
-        rdd_obs::emit_resume(state.next_member(), preloaded.len(), &dir.to_string_lossy());
+        let ensemble = state.load_ensemble()?;
+        rdd_obs::emit_resume(
+            state.next_member(),
+            state.members().len(),
+            &dir.to_string_lossy(),
+        );
         let trainer = RddTrainer::new(state.config().clone());
         let ws = Workspace::new();
-        let outcome = trainer.run_cascade(dataset, &ws, Some(&mut state), preloaded)?;
+        let outcome = trainer.run_cascade(dataset, &ws, Some(&mut state), ensemble)?;
         state.mark_complete()?;
         Ok(outcome)
     }
 
     /// The cascade body shared by plain, crash-safe, and resumed runs.
     ///
-    /// `persist` commits each member to a run directory; `preloaded`
-    /// replays already-committed members instead of retraining them. With
-    /// `persist = None` no step can fail (member panics propagate as they
-    /// always have).
+    /// `persist` commits each member to a run directory. The members it
+    /// already holds (a resumed run) are not retrained: `ensemble` is their
+    /// kept members' frozen outputs, replayed by [`RunState::load_ensemble`].
+    /// With `persist = None` no step can fail (member panics propagate as
+    /// they always have).
     fn run_cascade(
         &self,
         dataset: &Dataset,
         ws: &Workspace,
         mut persist: Option<&mut RunState>,
-        preloaded: Vec<PersistedMember>,
+        mut ensemble: Ensemble,
     ) -> Result<RddOutcome, RunError> {
         let cfg = &self.config;
         assert!(cfg.num_base_models >= 1, "need at least one base model");
@@ -542,31 +547,22 @@ impl RddTrainer {
         let all_edge_weights: Rc<Vec<f32>> =
             Rc::new(all_edges.iter().map(|&e| edge_weight(e)).collect());
 
-        let mut ensemble = Ensemble::new();
-        let mut members_snapshot: Vec<Option<(Matrix, Matrix)>> =
-            Vec::with_capacity(cfg.num_base_models);
-        let mut base_models = Vec::with_capacity(cfg.num_base_models);
-        let mut last_single_pred: Vec<usize> = Vec::new();
-        let mut last_single_test = 0.0f32;
+        // The members a resumed run already committed: their records, and
+        // (in `ensemble`) the kept ones' frozen outputs, which rebuilt the
+        // next teacher bitwise without retraining.
+        let committed = persist.as_deref().map_or(&[][..], RunState::members);
+        let mut base_models: Vec<BaseModelRecord> =
+            committed.iter().map(MemberRecord::to_base_record).collect();
+        let mut last_single_test = committed
+            .iter()
+            .rfind(|rec| rec.kept)
+            .map_or(0.0, |rec| rec.test_acc);
+        let mut last_single_pred = ensemble
+            .members()
+            .last()
+            .map_or_else(Vec::new, |m| m.proba.argmax_rows());
 
-        // Replay the members a resumed run already committed: their frozen
-        // outputs rebuild the ensemble (and therefore the next teacher)
-        // bitwise, without retraining.
-        for pm in &preloaded {
-            let rec = &pm.record;
-            base_models.push(rec.to_base_record());
-            match &pm.outputs {
-                Some((proba, logits)) => {
-                    last_single_pred = proba.argmax_rows();
-                    last_single_test = rec.test_acc;
-                    members_snapshot.push(Some((proba.clone(), logits.clone())));
-                    ensemble.push(proba.clone(), logits.clone(), rec.alpha);
-                }
-                None => members_snapshot.push(None),
-            }
-        }
-
-        for t in preloaded.len()..cfg.num_base_models {
+        for t in base_models.len()..cfg.num_base_models {
             let mut rng = seeded_rng(cfg.seed.wrapping_add(t as u64));
             let mut student = self.new_student(&ctx, &mut rng);
 
@@ -732,8 +728,7 @@ impl RddTrainer {
             };
 
             // Lines 19–21: weigh and absorb the student.
-            let logits = student.as_ref().predictor_in(&ctx, ws).logits();
-            let proba = logits.softmax_rows();
+            let proba = student.as_ref().predictor_in(&ctx, ws).proba();
             let alpha = if cfg.ablation.use_entropy_weights {
                 model_weight(&proba, &pagerank)
             } else {
@@ -763,10 +758,7 @@ impl RddTrainer {
             if kept {
                 last_single_pred = pred;
                 last_single_test = test_acc;
-                members_snapshot.push(Some((proba.clone(), logits.clone())));
-                ensemble.push(proba, logits, alpha);
-            } else {
-                members_snapshot.push(None);
+                ensemble.push(proba, alpha);
             }
             if let Some(state) = persist.as_deref_mut() {
                 let record = MemberRecord {
@@ -777,10 +769,8 @@ impl RddTrainer {
                     test_acc,
                     report,
                 };
-                let outputs = members_snapshot
-                    .last()
-                    .and_then(|snap| snap.as_ref().map(|(p, l)| (p, l)));
-                state.record_member(student.as_ref(), outputs, record, &ensemble)?;
+                let proba = kept.then(|| &ensemble.members().last().expect("just pushed").proba);
+                state.record_member(student.as_ref(), proba, record, &ensemble)?;
             }
         }
 
@@ -789,12 +779,13 @@ impl RddTrainer {
         // current partial accuracy (0.0 while the partial is still empty).
         let prefix_ensemble_test_accs: Vec<f32> = {
             let mut partial = Ensemble::new();
+            let mut kept = ensemble.members().iter();
             base_models
                 .iter()
-                .zip(members_snapshot)
-                .map(|(b, snap)| {
-                    if let Some((proba, logits)) = snap {
-                        partial.push(proba, logits, b.alpha);
+                .map(|b| {
+                    if !b.dropped {
+                        let m = kept.next().expect("one ensemble member per kept record");
+                        partial.push(m.proba.clone(), m.alpha);
                     }
                     if partial.is_empty() {
                         0.0

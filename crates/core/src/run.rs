@@ -3,7 +3,7 @@
 //! A *run directory* makes a multi-member RDD run (Algorithm 3) resumable:
 //! after every trained member the run commits a checkpoint — the member's
 //! parameters, its frozen eval outputs, the ensemble's running weighted
-//! sums, and a JSON manifest binding the dataset, the full [`RddConfig`]
+//! sum, and a JSON manifest binding the dataset, the full [`RddConfig`]
 //! and the RNG scheme. Every write is atomic (temp file + fsync + rename,
 //! see [`rdd_models::checkpoint::atomic_write`]) and the manifest rewrite
 //! is the commit point, so a run killed at *any* instant leaves a directory
@@ -16,16 +16,16 @@
 //!   manifest.json        # status, source, dataset binding, config, rng,
 //!                        # per-member records, ensemble alpha_total
 //!   member-000.params    # member 0 parameters   (rdd-checkpoint v1)
-//!   member-000.out       # member 0 proba+logits (rdd-checkpoint v1)
+//!   member-000.out       # member 0 proba        (rdd-checkpoint v1)
 //!   ...
-//!   ensemble.sums        # running α-weighted proba/logits sums
+//!   ensemble.sums        # running α-weighted proba sum
 //! ```
 //!
 //! Because member `t` reseeds its RNG from `config.seed + t` at the member
 //! boundary, resuming needs no mid-stream RNG serialization: replaying the
 //! kept members' stored outputs into a fresh [`Ensemble`] (in order — the
-//! running sums are order-sensitive) reconstructs the teacher bitwise, and
-//! the stored sums double as an integrity checksum. `rdd resume <run-dir>`
+//! running sum is order-sensitive) reconstructs the teacher bitwise, and
+//! the stored sum doubles as an integrity checksum. `rdd resume <run-dir>`
 //! therefore produces final ensemble outputs bitwise-identical to an
 //! uninterrupted run.
 
@@ -45,7 +45,7 @@ use crate::rdd::{Ablation, BaseModelRecord, RddConfig};
 
 /// Manifest file name inside a run directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
-/// Ensemble running-sums file name inside a run directory.
+/// Ensemble running-sum file name inside a run directory.
 pub const SUMS_FILE: &str = "ensemble.sums";
 
 /// Errors from the crash-safe run subsystem.
@@ -56,7 +56,7 @@ pub enum RunError {
     /// A checkpoint file failed to write or parse.
     Checkpoint(CheckpointError),
     /// The manifest or a member file is malformed or internally
-    /// inconsistent (e.g. stored ensemble sums don't match the members).
+    /// inconsistent (e.g. stored ensemble sum doesn't match the members).
     Corrupt(String),
     /// The run directory does not bind to the given dataset/configuration.
     Mismatch(String),
@@ -132,17 +132,6 @@ impl MemberRecord {
             report: self.report.clone(),
         }
     }
-}
-
-/// A member reloaded from a run directory: its manifest record plus, for
-/// kept members, the frozen `(proba, logits)` outputs to replay into the
-/// ensemble.
-#[derive(Clone, Debug)]
-pub struct PersistedMember {
-    /// The manifest record.
-    pub record: MemberRecord,
-    /// `(proba, logits)` for kept members, `None` for dropped ones.
-    pub outputs: Option<(Matrix, Matrix)>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -314,25 +303,17 @@ impl RunState {
             }
             let path = self.member_out_path(rec.member);
             let (_, mats) = checkpoint::load_matrices(&path)?;
-            let [proba, logits] = <[Matrix; 2]>::try_from(mats).map_err(|mats| {
-                RunError::Corrupt(format!(
-                    "{}: expected 2 matrices, found {}",
+            let proba = one_matrix(&path, mats)?;
+            if proba.shape() != (self.dataset_n, self.dataset_classes) {
+                return Err(RunError::Corrupt(format!(
+                    "{}: matrix shape {:?} does not match dataset ({} x {})",
                     path.display(),
-                    mats.len()
-                ))
-            })?;
-            for m in [&proba, &logits] {
-                if m.shape() != (self.dataset_n, self.dataset_classes) {
-                    return Err(RunError::Corrupt(format!(
-                        "{}: matrix shape {:?} does not match dataset ({} x {})",
-                        path.display(),
-                        m.shape(),
-                        self.dataset_n,
-                        self.dataset_classes
-                    )));
-                }
+                    proba.shape(),
+                    self.dataset_n,
+                    self.dataset_classes
+                )));
             }
-            ensemble.push(proba, logits, rec.alpha);
+            ensemble.push(proba, rec.alpha);
         }
         if !ensemble.is_empty() {
             self.verify_sums(&ensemble)?;
@@ -368,23 +349,23 @@ impl RunState {
     }
 
     /// Commit member `t`: its parameters, (for kept members) its frozen
-    /// outputs, the updated ensemble sums, then — the commit point — the
+    /// outputs, the updated ensemble sum, then — the commit point — the
     /// manifest. `ensemble` must already include the member when kept.
     pub fn record_member(
         &mut self,
         student: &dyn Model,
-        outputs: Option<(&Matrix, &Matrix)>,
+        proba: Option<&Matrix>,
         record: MemberRecord,
         ensemble: &Ensemble,
     ) -> Result<(), RunError> {
         let t = record.member;
         debug_assert_eq!(t, self.members.len(), "members commit in order");
         checkpoint::save(student, &self.member_params_path(t))?;
-        if let Some((proba, logits)) = outputs {
-            checkpoint::save_matrices(&self.member_out_path(t), "member-output", &[proba, logits])?;
+        if let Some(proba) = proba {
+            checkpoint::save_matrices(&self.member_out_path(t), "member-output", &[proba])?;
         }
-        if let (Some(ps), Some(ls)) = (ensemble.proba_sum(), ensemble.logits_sum()) {
-            checkpoint::save_matrices(&self.dir.join(SUMS_FILE), "ensemble-sums", &[ps, ls])?;
+        if let Some(ps) = ensemble.proba_sum() {
+            checkpoint::save_matrices(&self.dir.join(SUMS_FILE), "ensemble-sums", &[ps])?;
         }
         let kept = record.kept;
         self.alpha_total = ensemble.alpha_total();
@@ -400,37 +381,12 @@ impl RunState {
         self.write_manifest()
     }
 
-    /// Reload every committed member (the resume path). Kept members come
-    /// back with their frozen `(proba, logits)`, read and verified by
-    /// [`RunState::load_ensemble`].
-    pub fn load_members(&self) -> Result<Vec<PersistedMember>, RunError> {
-        let ensemble = self.load_ensemble()?;
-        let mut kept = ensemble.members().iter();
-        Ok(self
-            .members
-            .iter()
-            .map(|rec| PersistedMember {
-                record: rec.clone(),
-                outputs: rec.kept.then(|| {
-                    let m = kept.next().expect("one ensemble member per kept record");
-                    (m.proba.clone(), m.logits.clone())
-                }),
-            })
-            .collect())
-    }
-
-    /// Bitwise-compare a rebuilt ensemble's running sums against the stored
+    /// Bitwise-compare a rebuilt ensemble's running sum against the stored
     /// `ensemble.sums` checkpoint.
     fn verify_sums(&self, rebuilt: &Ensemble) -> Result<(), RunError> {
         let path = self.dir.join(SUMS_FILE);
         let (_, mats) = checkpoint::load_matrices(&path)?;
-        if mats.len() != 2 {
-            return Err(RunError::Corrupt(format!(
-                "{}: expected 2 matrices, found {}",
-                path.display(),
-                mats.len()
-            )));
-        }
+        let stored = one_matrix(&path, mats)?;
         if self.alpha_total.to_bits() != rebuilt.alpha_total().to_bits() {
             return Err(RunError::Corrupt(format!(
                 "manifest alpha_total {} does not match replayed members' {}",
@@ -438,31 +394,18 @@ impl RunState {
                 rebuilt.alpha_total()
             )));
         }
-        let pairs = [
-            (
-                "proba_sum",
-                &mats[0],
-                rebuilt.proba_sum().expect("non-empty"),
-            ),
-            (
-                "logits_sum",
-                &mats[1],
-                rebuilt.logits_sum().expect("non-empty"),
-            ),
-        ];
-        for (name, stored, live) in pairs {
-            let same = stored.shape() == live.shape()
-                && stored
-                    .as_slice()
-                    .iter()
-                    .zip(live.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !same {
-                return Err(RunError::Corrupt(format!(
-                    "{}: stored {name} is not bitwise-identical to the replayed members'",
-                    path.display()
-                )));
-            }
+        let live = rebuilt.proba_sum().expect("non-empty");
+        let same = stored.shape() == live.shape()
+            && stored
+                .as_slice()
+                .iter()
+                .zip(live.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same {
+            return Err(RunError::Corrupt(format!(
+                "{}: stored proba_sum is not bitwise-identical to the replayed members'",
+                path.display()
+            )));
         }
         Ok(())
     }
@@ -520,6 +463,19 @@ impl RunState {
 /// what `rdd resume` feeds back into the dataset loader.
 pub fn manifest_source(dir: &Path) -> Result<String, RunError> {
     Ok(RunState::load(dir)?.source().to_string())
+}
+
+/// The one matrix a member-output or ensemble-sums file holds; any other
+/// count is corrupt.
+fn one_matrix(path: &Path, mats: Vec<Matrix>) -> Result<Matrix, RunError> {
+    let [m] = <[Matrix; 1]>::try_from(mats).map_err(|mats| {
+        RunError::Corrupt(format!(
+            "{}: expected 1 matrix, found {}",
+            path.display(),
+            mats.len()
+        ))
+    })?;
+    Ok(m)
 }
 
 // --- JSON (de)serialization of the config and member records ---

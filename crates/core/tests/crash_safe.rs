@@ -10,6 +10,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use rdd_core::{distill_run, DistillConfig, RddConfig, RddOutcome, RddTrainer, RunError, RunState};
 use rdd_graph::{Dataset, SynthConfig};
+use rdd_models::checkpoint;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -242,17 +243,35 @@ fn exhausted_divergence_drops_the_member_and_the_run_degrades() {
         out.ensemble_test_acc
     );
 
-    // The manifest records the dropped member, and reloading reproduces
-    // the degraded ensemble (outputs stored only for kept members).
+    // The cascade's bookkeeping over a dropped member, pinned to the bit
+    // (the same on both SIMD tiers): the prefix walk skips member 0 and
+    // the single model is the last kept one.
+    let prefix_bits: Vec<u32> = out
+        .prefix_ensemble_test_accs
+        .iter()
+        .map(|a| a.to_bits())
+        .collect();
+    assert_eq!(
+        prefix_bits,
+        [0.0f32.to_bits(), 0.82f32.to_bits()],
+        "prefix accuracies"
+    );
+    assert_eq!(
+        out.single_test_acc.to_bits(),
+        0.82f32.to_bits(),
+        "single test acc"
+    );
+
+    // The manifest records both members, but outputs are stored only for
+    // kept ones, and reloading reproduces the degraded ensemble.
     let state = RunState::load(&dir).expect("manifest");
     assert!(state.is_complete());
-    let members = state.load_members().expect("members load");
-    assert_eq!(members.len(), 2);
+    assert_eq!(state.members().len(), 2);
     assert!(
-        members[0].outputs.is_none(),
+        !dir.join("member-000.out").exists(),
         "dropped member has no outputs"
     );
-    assert!(members[1].outputs.is_some());
+    assert_eq!(state.load_ensemble().expect("ensemble loads").len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -271,7 +290,7 @@ fn corrupted_member_file_fails_resume_loudly() {
     rdd_obs::fault::disarm();
 
     // Tamper with the committed member's outputs: resume must refuse (the
-    // stored ensemble sums no longer match the replayed members).
+    // stored ensemble sum no longer matches the replayed members).
     let out_file = dir.join("member-000.out");
     let text = std::fs::read_to_string(&out_file).expect("read member file");
     let tampered = text.replacen("0.", "1.", 1);
@@ -282,6 +301,44 @@ fn corrupted_member_file_fails_resume_loudly() {
         matches!(err, RunError::Corrupt(_) | RunError::Checkpoint(_)),
         "got {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrite a member-output or sums file with its matrix twice: the
+/// two-matrix layout (proba, then logits) these files had before they held
+/// proba only.
+fn double_matrix(path: &std::path::Path) {
+    let (name, mats) = checkpoint::load_matrices(path).expect("load matrix file");
+    let [m] = mats.as_slice() else {
+        panic!("{}: expected one matrix", path.display())
+    };
+    checkpoint::save_matrices(path, &name, &[m, m]).expect("write two-matrix file");
+}
+
+#[test]
+fn two_matrix_member_outputs_and_sums_are_corrupt() {
+    let _g = guard();
+    rdd_obs::fault::disarm();
+    let data = dataset();
+    let dir = run_dir("two_matrices");
+    RddTrainer::new(config())
+        .run_crash_safe(&data, &dir, "tiny")
+        .expect("clean run");
+    let state = RunState::load(&dir).expect("manifest");
+    state.load_ensemble().expect("one-matrix files load");
+
+    for file in ["member-000.out", "ensemble.sums"] {
+        let path = dir.join(file);
+        let original = std::fs::read(&path).expect("read");
+        double_matrix(&path);
+        match state.load_ensemble() {
+            Err(RunError::Corrupt(msg)) => {
+                assert!(msg.contains("expected 1 matrix, found 2"), "{file}: {msg}")
+            }
+            other => panic!("{file}: expected Corrupt, got {other:?}"),
+        }
+        std::fs::write(&path, original).expect("restore");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -179,8 +179,8 @@ fn ensemble_proba_rows_stochastic() {
         let wa = rng.range_f32(0.1..10.0);
         let wb = rng.range_f32(0.1..10.0);
         let mut e = Ensemble::new();
-        e.push(a.clone(), a, wa);
-        e.push(b.clone(), b, wb);
+        e.push(a, wa);
+        e.push(b, wb);
         let p = e.proba();
         for i in 0..6 {
             let s: f32 = p.row(i).iter().sum();

@@ -9,19 +9,17 @@
 //! meta {"dataset":{...},"source":...,"members":...,"alphas":[...],"alpha_total":...}
 //! matrix <n> <k>
 //! <n rows of k floats>          # Σ α_t · proba_t
-//! matrix <n> <k>
-//! <n rows of k floats>          # Σ α_t · logits_t
 //! checksum <16 hex digits>      # FNV-1a 64 over every preceding byte
 //! ```
 //!
 //! Floats are written with Rust's shortest-roundtrip `Display`, so a load
 //! reproduces the exporter's values bitwise — and because the file stores
-//! the ensemble's *running sums* plus `alpha_total` (not the normalized
+//! the ensemble's *running sum* plus `alpha_total` (not the normalized
 //! proba), [`AnyArtifact::load`] performs the exact same
 //! `sum · (1/alpha_total)` scaling as `Ensemble::proba`, keeping served
 //! responses bit-identical to the live run's.
 //!
-//! The quantized v2q layout (`rdd export --quantize int8`) swaps each
+//! The quantized v2q layout (`rdd export --quantize int8`) swaps the
 //! `matrix` block for a `qmatrix` block whose rows are int8-quantized and
 //! base64-packed (see [`crate::quant`]):
 //!
@@ -30,12 +28,10 @@
 //! meta {...}                    # identical meta line
 //! qmatrix <n> <k> int8
 //! <n base64 lines: [scale f32 LE][zero f32 LE][k codes]>
-//! qmatrix <n> <k> int8
-//! <n base64 lines>
 //! checksum <16 hex digits>      # same FNV-1a 64 discipline
 //! ```
 //!
-//! A v2q load dequantizes into the same dense sums the v1 path produces,
+//! A v2q load dequantizes into the same dense sum the v1 path produces,
 //! so the serve engine, cache and [`Predictor`] contract are format-blind.
 //! v2q trades the v1 bitwise guarantee for ~0.3× the bytes; the drift is
 //! bounded per row by half a quant step and is measurable with
@@ -362,18 +358,15 @@ pub fn write_artifact_as(
     path: &Path,
     meta: &ArtifactMeta,
     proba_sum: &Matrix,
-    logits_sum: &Matrix,
     format: ArtifactFormat,
 ) -> Result<u64, ServeError> {
-    for (name, m) in [("proba_sum", proba_sum), ("logits_sum", logits_sum)] {
-        if m.shape() != (meta.dataset_n, meta.num_classes) {
-            return Err(ServeError::Artifact(format!(
-                "{name} shape {:?} does not match dataset ({} x {})",
-                m.shape(),
-                meta.dataset_n,
-                meta.num_classes
-            )));
-        }
+    if proba_sum.shape() != (meta.dataset_n, meta.num_classes) {
+        return Err(ServeError::Artifact(format!(
+            "proba_sum shape {:?} does not match dataset ({} x {})",
+            proba_sum.shape(),
+            meta.dataset_n,
+            meta.num_classes
+        )));
     }
     let push = match format {
         ArtifactFormat::V1 => push_matrix,
@@ -386,17 +379,14 @@ pub fn write_artifact_as(
             ))
         }
     };
-    write_sealed(path, format, meta, |text| {
-        push(text, proba_sum);
-        push(text, logits_sum);
-    })
+    write_sealed(path, format, meta, |text| push(text, proba_sum))
 }
 
 /// Distill a **completed** crash-safe run directory into a single artifact
 /// file in `format` (`rdd export`; `--quantize int8` →
 /// [`ArtifactFormat::V2q`]). Zero re-training: the kept members' frozen
 /// outputs are replayed (bitwise-verified against the stored
-/// `ensemble.sums` by [`RunState::load_ensemble`]) and the running sums
+/// `ensemble.sums` by [`RunState::load_ensemble`]) and the running sum
 /// written out.
 pub fn export_run_as(
     run_dir: &Path,
@@ -413,15 +403,12 @@ pub fn export_run_as(
         .into());
     }
     let ensemble = state.load_ensemble()?;
-    let (proba_sum, logits_sum) = match (ensemble.proba_sum(), ensemble.logits_sum()) {
-        (Some(ps), Some(ls)) => (ps, ls),
-        _ => {
-            return Err(ServeError::Artifact(format!(
-                "run {} kept no ensemble members; nothing to serve",
-                run_dir.display()
-            ))
-            .into())
-        }
+    let Some(proba_sum) = ensemble.proba_sum() else {
+        return Err(ServeError::Artifact(format!(
+            "run {} kept no ensemble members; nothing to serve",
+            run_dir.display()
+        ))
+        .into());
     };
     let (n, k) = state.dataset_shape();
     let meta = ArtifactMeta {
@@ -433,7 +420,7 @@ pub fn export_run_as(
         alphas: ensemble.alphas(),
         alpha_total: ensemble.alpha_total(),
     };
-    write_artifact_as(artifact_path, &meta, proba_sum, logits_sum, format)?;
+    write_artifact_as(artifact_path, &meta, proba_sum, format)?;
     Ok(AnyArtifact::load(artifact_path)?)
 }
 
@@ -446,10 +433,9 @@ pub fn write_ensemble_as(
     source: &str,
     format: ArtifactFormat,
 ) -> Result<u64, ServeError> {
-    let (proba_sum, logits_sum) = match (ensemble.proba_sum(), ensemble.logits_sum()) {
-        (Some(ps), Some(ls)) => (ps, ls),
-        _ => return Err(ServeError::Artifact("empty ensemble".into())),
-    };
+    let proba_sum = ensemble
+        .proba_sum()
+        .ok_or_else(|| ServeError::Artifact("empty ensemble".into()))?;
     let meta = ArtifactMeta {
         dataset_name: dataset_name.to_string(),
         dataset_n: proba_sum.rows(),
@@ -459,7 +445,7 @@ pub fn write_ensemble_as(
         alphas: ensemble.alphas(),
         alpha_total: ensemble.alpha_total(),
     };
-    write_artifact_as(path, &meta, proba_sum, logits_sum, format)
+    write_artifact_as(path, &meta, proba_sum, format)
 }
 
 pub(crate) fn parse_qmatrix(
@@ -526,13 +512,9 @@ pub struct AnyArtifact {
 /// What an artifact's body holds, by format.
 #[derive(Clone, Debug)]
 enum Body {
-    /// v1/v2q: the ensemble's running sums, and
-    /// `proba_sum · (1/alpha_total)` cached once at load.
-    Ensemble {
-        proba_sum: Matrix,
-        logits_sum: Matrix,
-        proba: Matrix,
-    },
+    /// v1/v2q: the stored `Σ α_t · proba_t`, scaled in place by
+    /// `1/alpha_total` at load.
+    Ensemble { proba: Matrix },
     /// v3: the student's weight matrices, first to last, and whether they
     /// were int8-quantized on disk.
     Student {
@@ -590,19 +572,12 @@ impl AnyArtifact {
         self.checksum
     }
 
-    /// The raw `Σ α_t · proba_t`. `None` for a v3 student, which stores
-    /// weight matrices instead of per-node sums.
-    pub fn proba_sum(&self) -> Option<&Matrix> {
+    /// The ensemble's served `n x k` probabilities, the rows node
+    /// requests copy. `None` for a v3 student, which stores weight
+    /// matrices instead of per-node rows.
+    pub fn proba(&self) -> Option<&Matrix> {
         match &self.body {
-            Body::Ensemble { proba_sum, .. } => Some(proba_sum),
-            Body::Student { .. } => None,
-        }
-    }
-
-    /// The raw `Σ α_t · logits_t`. `None` for a v3 student.
-    pub fn logits_sum(&self) -> Option<&Matrix> {
-        match &self.body {
-            Body::Ensemble { logits_sum, .. } => Some(logits_sum),
+            Body::Ensemble { proba } => Some(proba),
             Body::Student { .. } => None,
         }
     }
@@ -625,38 +600,31 @@ impl AnyArtifact {
     }
 }
 
-/// Parse a v1/v2q body: the two ensemble sums, each shaped like the meta's
+/// Parse a v1/v2q body: the ensemble's proba sum, shaped like the meta's
 /// dataset.
 fn parse_ensemble(
     format: ArtifactFormat,
     meta: &ArtifactMeta,
     lines: &mut TextCursor<'_>,
 ) -> Result<Body, ServeError> {
-    let (proba_sum, logits_sum) = if format == ArtifactFormat::V2q {
-        // Dequantize through the SIMD tier; one resolve per load.
-        let tier = rdd_tensor::simd::active();
-        (parse_qmatrix(lines, tier)?, parse_qmatrix(lines, tier)?)
+    let mut proba = if format == ArtifactFormat::V2q {
+        parse_qmatrix(lines, rdd_tensor::simd::active())?
     } else {
-        (lines.read_matrix(0)?, lines.read_matrix(1)?)
+        lines.read_matrix(0)?
     };
-    for (name, m) in [("proba_sum", &proba_sum), ("logits_sum", &logits_sum)] {
-        if m.shape() != (meta.dataset_n, meta.num_classes) {
-            return Err(ServeError::Artifact(format!(
-                "{name} shape {:?} does not match meta ({} x {})",
-                m.shape(),
-                meta.dataset_n,
-                meta.num_classes
-            )));
-        }
+    if proba.shape() != (meta.dataset_n, meta.num_classes) {
+        return Err(ServeError::Artifact(format!(
+            "proba_sum shape {:?} does not match meta ({} x {})",
+            proba.shape(),
+            meta.dataset_n,
+            meta.num_classes
+        )));
     }
-    // The exact normalization Ensemble::proba applies — this is what
-    // keeps served rows bitwise equal to the live run.
-    let proba = proba_sum.scaled(1.0 / meta.alpha_total);
-    Ok(Body::Ensemble {
-        proba_sum,
-        logits_sum,
-        proba,
-    })
+    // The exact normalization Ensemble::proba applies (`scaled` is a clone
+    // plus this) — this is what keeps served rows bitwise equal to the
+    // live run.
+    proba.scale_assign(1.0 / meta.alpha_total);
+    Ok(Body::Ensemble { proba })
 }
 
 impl Predictor for AnyArtifact {
@@ -676,7 +644,7 @@ impl Predictor for AnyArtifact {
     /// which is what makes served feature replies bitwise-reproducible.
     fn predict_batch(&self, req: &PredictRequest) -> Result<Prediction, PredictError> {
         let params = match &self.body {
-            Body::Ensemble { proba, .. } => return gather_prediction(proba, req),
+            Body::Ensemble { proba } => return gather_prediction(proba, req),
             Body::Student { params, .. } => params,
         };
         let PredictRequest::ByFeatures(rows) = req else {

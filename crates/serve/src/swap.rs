@@ -259,8 +259,7 @@ mod tests {
         };
         let t = tag as f32 * 0.05;
         let proba = Matrix::from_vec(2, 2, vec![0.6 + t, 0.4 - t, 0.3, 0.7]);
-        let logits = Matrix::from_vec(2, 2, vec![0.5, -0.5, -1.0, 1.0]);
-        write_artifact_as(path, &meta, &proba, &logits, ArtifactFormat::V1).unwrap()
+        write_artifact_as(path, &meta, &proba, ArtifactFormat::V1).unwrap()
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// A matrix with entries in [-4, 4): plenty of dynamic range for softmax
-/// logits.
+/// inputs.
 fn matrix(rng: &mut Rng, n: usize, k: usize) -> Matrix {
     Matrix::from_fn(n, k, |_, _| rng.range_f32(-4.0..4.0))
 }
@@ -34,9 +34,9 @@ fn random_ensemble(seed: u64, n: usize, k: usize, members: usize) -> Ensemble {
     let mut s = seeded_rng(seed);
     let mut ensemble = Ensemble::new();
     for t in 0..members {
-        let logits = matrix(&mut s, n, k);
+        let proba = matrix(&mut s, n, k).softmax_rows();
         let alpha = 0.25 + 0.5 * (t as f32 + s.range_f32(-4.0..4.0).abs());
-        ensemble.push(logits.softmax_rows(), logits, alpha);
+        ensemble.push(proba, alpha);
     }
     ensemble
 }
@@ -78,21 +78,10 @@ fn export_load_roundtrip_is_bitwise_over_randomized_ensembles() {
         assert_eq!(artifact.meta().dataset_n, n, "case {seed}");
         assert_eq!(artifact.num_nodes(), n, "case {seed}");
         assert_eq!(artifact.num_classes(), k, "case {seed}");
-        let proba = artifact.proba_all().expect("predict");
-        assert_bitwise_equal(&proba, &ensemble.proba(), "proba");
-        let logits_sum = artifact.logits_sum().expect("ensemble sums");
-        assert_bitwise_equal(
-            artifact.proba_sum().expect("ensemble sums"),
-            ensemble.proba_sum().expect("non-empty"),
-            "proba_sum",
-        );
-        assert_bitwise_equal(
-            logits_sum,
-            ensemble.logits_sum().expect("non-empty"),
-            "logits_sum",
-        );
-        let logits = logits_sum.scaled(1.0 / artifact.meta().alpha_total);
-        assert_bitwise_equal(&logits, &ensemble.logits(), "logits");
+        let want = ensemble.proba();
+        assert_bitwise_equal(artifact.proba().expect("ensemble rows"), &want, "proba");
+        let served = artifact.proba_all().expect("predict");
+        assert_bitwise_equal(&served, &want, "served proba");
         assert_eq!(artifact.predict_all().expect("predict"), ensemble.predict());
     }
 }
@@ -231,31 +220,21 @@ fn v2q_roundtrip_drift_is_bounded_by_half_a_quant_step() {
     let _ = std::fs::remove_file(&path);
 
     assert_eq!(artifact.format(), ArtifactFormat::V2q);
-    for (name, got, want) in [
-        (
-            "proba_sum",
-            artifact.proba_sum().expect("ensemble sums"),
-            ensemble.proba_sum().expect("non-empty"),
-        ),
-        (
-            "logits_sum",
-            artifact.logits_sum().expect("ensemble sums"),
-            ensemble.logits_sum().expect("non-empty"),
-        ),
-    ] {
-        for i in 0..want.rows() {
-            let row = want.row(i);
-            let lo = row.iter().cloned().fold(f32::INFINITY, f32::min);
-            let hi = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            // Affine int8: the dequantized value sits within half a step
-            // of the original (plus fp slack in the affine arithmetic).
-            let tol = (hi - lo) / 255.0 * 0.5 + 1e-5;
-            for (j, (x, y)) in got.row(i).iter().zip(row).enumerate() {
-                assert!(
-                    (x - y).abs() <= tol,
-                    "{name}[{i}][{j}]: {x} vs {y} (tol {tol})"
-                );
-            }
+    let got = artifact.proba().expect("ensemble rows");
+    let want = ensemble.proba();
+    for i in 0..want.rows() {
+        let row = want.row(i);
+        let lo = row.iter().cloned().fold(f32::INFINITY, f32::min);
+        let hi = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        // Affine int8 on the stored sum: the dequantized value sits within
+        // half a step of the original (plus fp slack in the affine
+        // arithmetic), and scaling by `1/alpha_total` scales the step.
+        let tol = (hi - lo) / 255.0 * 0.5 + 1e-5;
+        for (j, (x, y)) in got.row(i).iter().zip(row).enumerate() {
+            assert!(
+                (x - y).abs() <= tol,
+                "proba[{i}][{j}]: {x} vs {y} (tol {tol})"
+            );
         }
     }
 }
@@ -263,7 +242,7 @@ fn v2q_roundtrip_drift_is_bounded_by_half_a_quant_step() {
 #[test]
 fn v1_artifacts_still_load_and_report_their_format() {
     // Each single-file ensemble format loads through the one loader and
-    // reports its format, its checksum and its sums.
+    // reports its format, its checksum and its rows.
     let ensemble = random_ensemble(0x31, 6, 4, 2);
     for format in [ArtifactFormat::V1, ArtifactFormat::V2q] {
         let path = tmp(&format!("format_{}", format.name()));
@@ -276,10 +255,9 @@ fn v1_artifacts_still_load_and_report_their_format() {
         assert_eq!(artifact.meta().dataset_n, 6);
         assert_eq!(artifact.quantized(), format == ArtifactFormat::V2q);
         assert!(artifact.student_params().is_none());
-        assert!(artifact.proba_sum().is_some() && artifact.logits_sum().is_some());
+        let proba = artifact.proba().expect("ensemble rows");
         if format == ArtifactFormat::V1 {
-            let proba = artifact.proba_all().expect("predict");
-            assert_bitwise_equal(&proba, &ensemble.proba(), "proba");
+            assert_bitwise_equal(proba, &ensemble.proba(), "proba");
         }
     }
 }
@@ -362,12 +340,36 @@ fn bad_quant_scales_and_zero_points_are_typed_errors() {
             other => panic!("zero {bad_zero}: expected QuantZeroPoint, got {other}"),
         }
     }
-    // A zero scale is the legal constant-row encoding, not an error.
+    // A zero scale is the legal constant-row encoding, not an error; the
+    // served row is that constant sum scaled by `1/alpha_total`.
     let artifact = load_with_first_qrow("zero_scale", &qrow(0.0, 0.125)).expect("constant row");
+    let served = 0.125 * (1.0 / artifact.meta().alpha_total);
     assert_eq!(
-        artifact.proba_sum().expect("ensemble sums").row(0),
-        &[0.125, 0.125, 0.125]
+        artifact.proba().expect("ensemble rows").row(0),
+        &[served, served, served]
     );
+}
+
+#[test]
+fn a_second_body_block_is_a_typed_error() {
+    // v1/v2q bodies used to hold a second (logits) block after the proba
+    // sum. Such a file, checksummed so the parser reads it, is refused
+    // with a typed error instead of loading or panicking.
+    for (text, block) in [
+        (artifact_text("two_blocks_v1"), "\nmatrix "),
+        (artifact_text_v2q("two_blocks_v2q"), "\nqmatrix "),
+    ] {
+        let start = text.find(block).expect("body block") + 1;
+        let end = text.rfind("\nchecksum ").expect("trailer") + 1;
+        let doubled = format!("{}{}", &text[..end], &text[start..]);
+        match load_text("two_blocks", &rechecksum(&doubled))
+            .map(|_| ())
+            .unwrap_err()
+        {
+            ServeError::Artifact(msg) => assert!(msg.contains("trailing garbage"), "{msg}"),
+            other => panic!("{block:?}: expected an Artifact error, got {other}"),
+        }
+    }
 }
 
 #[test]
@@ -430,7 +432,10 @@ fn v3_roundtrip_serves_features_bitwise_and_loads_via_any_artifact() {
         let _ = std::fs::remove_file(&path);
         assert_eq!(artifact.format(), ArtifactFormat::V3Mlp, "case {seed}");
         assert_eq!(artifact.checksum(), checksum, "case {seed}");
-        assert!(artifact.proba_sum().is_none(), "mlp artifacts hold no sums");
+        assert!(
+            artifact.proba().is_none(),
+            "mlp artifacts hold no node rows"
+        );
         assert_eq!(artifact.meta(), &meta, "case {seed}");
         assert_eq!(artifact.quantized(), quantize, "case {seed}");
         let loaded = artifact.student_params().expect("student weights");
@@ -686,10 +691,10 @@ fn matrix_codec_bytes_are_pinned() {
         alphas: vec![1.0],
         alpha_total: 1.0,
     };
-    write_artifact_as(&path, &meta, &m, &m, ArtifactFormat::V1).expect("write");
+    write_artifact_as(&path, &meta, &m, ArtifactFormat::V1).expect("write");
     let written = std::fs::read_to_string(&path).expect("read");
     let _ = std::fs::remove_file(&path);
     let body_start = written.find("\nmatrix ").expect("first block") + 1;
     let body_end = written.rfind("\nchecksum ").expect("trailer") + 1;
-    assert_eq!(&written[body_start..body_end], format!("{block}{block}"));
+    assert_eq!(&written[body_start..body_end], block);
 }

@@ -29,8 +29,8 @@ fn fixture(tag: &str) -> (Ensemble, AnyArtifact) {
         let data: Vec<f32> = (0..n * k)
             .map(|i| (((i * 37 + t * 101) % 29) as f32 / 7.0) - 2.0)
             .collect();
-        let logits = Matrix::from_vec(n, k, data);
-        ensemble.push(logits.softmax_rows(), logits, 0.5 + t as f32 * 0.3);
+        let proba = Matrix::from_vec(n, k, data).softmax_rows();
+        ensemble.push(proba, 0.5 + t as f32 * 0.3);
     }
     let path = tmp(tag);
     write_ensemble_as(&path, &ensemble, "fixture", "unit-test", ArtifactFormat::V1).expect("write");

@@ -31,8 +31,8 @@ fn fixture(name: &str, tag: usize) -> (Ensemble, AnyArtifact) {
         let data: Vec<f32> = (0..n * k)
             .map(|i| (((i * 37 + t * 101 + tag * 53) % 29) as f32 / 7.0) - 2.0)
             .collect();
-        let logits = Matrix::from_vec(n, k, data);
-        ensemble.push(logits.softmax_rows(), logits, 0.5 + t as f32 * 0.3);
+        let proba = Matrix::from_vec(n, k, data).softmax_rows();
+        ensemble.push(proba, 0.5 + t as f32 * 0.3);
     }
     let path = tmp(name);
     rdd_serve::write_ensemble_as(&path, &ensemble, "fixture", "pool-test", ArtifactFormat::V1)

@@ -84,11 +84,10 @@ fn ensemble_of_trained_models_beats_worst_member() {
         let mut rng = seeded_rng(seed);
         let mut m = Gcn::new(&ctx, GcnConfig::citation(), &mut rng);
         train(&mut m, &ctx, &data, &TrainConfig::fast(), &mut rng, None);
-        let logits = m.predictor(&ctx).logits();
-        let proba = logits.softmax_rows();
+        let proba = m.predictor(&ctx).proba();
         accs.push(data.test_accuracy(&proba.argmax_rows()));
         let alpha = model_weight(&proba, &pagerank);
-        ensemble.push(proba, logits, alpha);
+        ensemble.push(proba, alpha);
     }
     let ens_acc = data.test_accuracy(&ensemble.predict());
     let worst = accs.iter().cloned().fold(f32::INFINITY, f32::min);
